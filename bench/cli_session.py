@@ -17,8 +17,7 @@ import time
 import numpy as np
 
 import checks
-import tracing
-from common import MU, REF_ELL, REF_LAMBDAS, REF_S0, median, source_env
+from common import MU, REF_ELL, REF_LAMBDAS, REF_S0, source_env
 
 ACC7_LAMBDAS = [0.4] * 8          # acceptance 7: S0 = 2, n = 8, Poisson(0.1)
 MM = {"C": 1000.0, "D": 1001.0, "S0": 1, "n": 50}   # acceptance 8
@@ -73,19 +72,23 @@ def build_inputs(seed: int, workdir) -> dict:
 
 
 def run_round(inputs: dict) -> tuple[dict, dict]:
-    """One timed pass through the call list, each call in a fresh process."""
+    """One pass through the call list, each call in a fresh process.
+
+    Returns the outputs and the wall seconds of each call.
+    """
     env = source_env()
-    outputs = {}
-    t0 = time.perf_counter()
+    outputs, walls = {}, {}
     for label, argv in inputs["calls"]:
+        t0 = time.perf_counter()
         try:
             proc = subprocess.run([sys.executable, "-m", "branchpcr", *argv], env=env,
                                   capture_output=True, text=True, timeout=CALL_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             outputs[label] = (-1, "", f"no exit within {CALL_TIMEOUT_S} s")
             continue
+        walls[label] = time.perf_counter() - t0
         outputs[label] = (proc.returncode, proc.stdout, proc.stderr)
-    return outputs, {"cli_session_s": ([time.perf_counter() - t0], "s")}
+    return outputs, walls
 
 
 def traced_round(inputs: dict, tracer=None) -> dict:
@@ -140,53 +143,3 @@ def check(inputs: dict, outputs: dict) -> tuple[list[str], list[str]]:
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             bad.append(f"{label}: malformed output ({exc!r})")
     return failed, bad
-
-
-# -- traced run -----------------------------------------------------------
-
-def preamble_metrics(runs: int = 3) -> dict:
-    """Import times from ``-X importtime``, median of ``runs`` fresh processes.
-
-    branchpcr is the cumulative time of the package import; scipy and numpy
-    are the summed self times of every scipy.* and numpy.* module it loads.
-    """
-    samples = {"branchpcr": [], "scipy": [], "numpy": []}
-    for _ in range(runs):
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import branchpcr"],
-                              env=source_env(), capture_output=True, text=True, timeout=120)
-        if proc.returncode != 0:
-            raise RuntimeError(f"import branchpcr failed: {proc.stderr[-500:]}")
-        own = {"scipy": 0, "numpy": 0}
-        top = None
-        for line in proc.stderr.splitlines():
-            if not line.startswith("import time:") or "|" not in line:
-                continue
-            self_us, cum_us, name = line[len("import time:"):].split("|")
-            if not self_us.strip().isdigit():
-                continue
-            name = name.strip()
-            root = name.split(".")[0]
-            if root in own:
-                own[root] += int(self_us)
-            if name == "branchpcr":
-                top = int(cum_us)
-        if top is None:
-            raise RuntimeError("no branchpcr line in the -X importtime log")
-        samples["branchpcr"].append(top / 1e6)
-        samples["scipy"].append(own["scipy"] / 1e6)
-        samples["numpy"].append(own["numpy"] / 1e6)
-    return {
-        "branchpcr.import_s": (median(samples["branchpcr"]), "s"),
-        "branchpcr.import_scipy_s": (median(samples["scipy"]), "s"),
-        "branchpcr.import_numpy_s": (median(samples["numpy"]), "s"),
-    }
-
-
-def layer_metrics(view, outputs: dict) -> dict:
-    m = {f"cli.{label}_s": (view.total(f"call.{label}"), "s") for label in outputs}
-    m["cli.stdout_bytes"] = (sum(len(out.encode()) for _, out, _ in outputs.values()), "bytes")
-    m.update(tracing.per_call_us(view, (
-        "estimator.estimate_report", "estimator.finite_population_bracket",
-        "kinetics.w_bounds", "moments.moment_envelope")))
-    m.update(tracing.harmonic_grid_metrics(view))
-    return m

@@ -34,16 +34,6 @@ MM_PARAMS = kinetics.MMParams(C=1000.0, D=1001.0, S0=1)    # acceptance 8
 MM_CYCLES = 50
 MM_TRAJECTORIES = 384
 
-OPERATIONS = (*SMALL, "reference", "mm")
-RATE_METRIC = {
-    "poisson": "mc_poisson_reps_per_s",
-    "twopoint": "mc_twopoint_reps_per_s",
-    "hist": "mc_hist_reps_per_s",
-    "reference": "mc_reference_reps_per_s",
-    "mm": "mm_traj_per_s",
-}
-
-
 def build_inputs(seed: int, workdir=None) -> dict:
     """Process specs and derived sequences; ``seed`` keys every replicate stream."""
     inputs = {"seed": seed % 2**32, "small": {}}
@@ -82,20 +72,20 @@ def _mm_trajectories(spec, seed: int) -> dict:
 def _operations(inputs: dict):
     seed = inputs["seed"]
     for name, inst in inputs["small"].items():
-        yield name, inst["reps"], lambda inst=inst: simulator.monte_carlo_moments(
+        yield name, lambda inst=inst: simulator.monte_carlo_moments(
             inst["spec"], inst["n"], inst["ell"], inst["reps"], seed, threads=1,
             collect_histogram=inst["hist"])
     ref = inputs["reference"]
-    yield "reference", REFERENCE_REPLICATES, lambda: simulator.monte_carlo_moments(
+    yield "reference", lambda: simulator.monte_carlo_moments(
         ref["spec"], len(REF_LAMBDAS), REF_ELL, REFERENCE_REPLICATES, seed, threads=1,
         population_cap=POPULATION_CAP)
-    yield "mm", MM_TRAJECTORIES, lambda: _mm_trajectories(inputs["mm"], seed)
+    yield "mm", lambda: _mm_trajectories(inputs["mm"], seed)
 
 
 def run_round(inputs: dict, tracer=None) -> tuple[dict, dict]:
-    """One call per instance; samples are replicates (trajectories) per second."""
-    outputs, samples = {}, {}
-    for name, reps, op in _operations(inputs):
+    """One call per instance; returns the outputs and the wall seconds of each call."""
+    outputs, walls = {}, {}
+    for name, op in _operations(inputs):
         try:
             with tracer.span(f"instance.{name}") if tracer else contextlib.nullcontext():
                 result, wall = timed(op)
@@ -103,8 +93,8 @@ def run_round(inputs: dict, tracer=None) -> tuple[dict, dict]:
             outputs[name] = exc
             continue
         outputs[name] = result
-        samples[RATE_METRIC[name]] = ([reps / wall], "traj/s" if name == "mm" else "reps/s")
-    return outputs, samples
+        walls[name] = wall
+    return outputs, walls
 
 
 def traced_round(inputs: dict, tracer=None) -> dict:
@@ -140,22 +130,3 @@ def check(inputs: dict, outputs: dict) -> tuple[list[str], list[str]]:
             bad += checks.check_mm_marks("mm", m, mm["w"][m], [x / MU for x in mm["t"][m]],
                                          wb.lower, wb.upper, V)
     return failed, bad
-
-
-def layer_metrics(view, outputs: dict) -> dict:
-    m = {}
-    for name in OPERATIONS:
-        m[f"simulator.simulate_ms.{name}"] = (
-            view.mean("simulator.simulate", under=f"instance.{name}") * 1e3, "ms")
-    m["simulator.draw_sample_us"] = (view.mean("simulator.draw_sample") * 1e6, "us")
-    m["simulator.monte_carlo_moments_self_s"] = (
-        view.self_total("simulator.monte_carlo_moments"), "s")
-    trajs = view.infos("simulator.simulate")
-    m["simulator.snapshots_per_traj"] = (
-        sum(i["snapshots"] for i in trajs) / len(trajs), "count")
-    ref = view.infos("simulator.simulate", under="instance.reference")
-    m["simulator.occupied_classes"] = (sum(i["classes"] for i in ref) / len(ref), "count")
-    peak = max(i["size"] for i in ref)
-    m["simulator.peak_population"] = (peak, "count")
-    m["simulator.cap_headroom"] = (POPULATION_CAP / peak, "ratio")
-    return m

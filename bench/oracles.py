@@ -15,7 +15,6 @@ import contextlib
 import numpy as np
 
 import checks
-import tracing
 from branchpcr import harmonic, moments, schedule, simulator
 from common import MU, timed
 
@@ -25,15 +24,9 @@ QUAD_LAMBDAS = [round(0.1 * i, 1) for i in range(1, 10)]    # acceptance 4 grid
 QUAD_K = range(1, 41)
 HARMONIC_SHIFTS = (0.0, 1.0, 5.0, -1.0)
 
-# operation -> (metric, calls per round). The short call groups run more than
-# once per round so that each metric gets about as many seconds of samples.
-OPERATIONS = {
-    "size_law": ("size_law_s", 2),
-    "exact_vn": ("exact_vn_s", 1),
-    "exact_moments": ("exact_moments_s", 1),
-    "ineq_grid": ("ineq_grid_s", 1),
-    "quadrature": ("quadrature_s", 3),
-}
+# operation -> calls per round. The short call groups run more than once per
+# round so that each takes a similar share of the round.
+CALLS = {"size_law": 2, "exact_vn": 1, "exact_moments": 1, "ineq_grid": 1, "quadrature": 3}
 
 
 def build_inputs(seed: int, workdir=None) -> dict:
@@ -59,21 +52,21 @@ def _operations(inputs: dict):
 
 
 def run_round(inputs: dict, tracer=None) -> tuple[dict, dict]:
-    outputs, samples = {}, {}
+    """Every call group; returns the outputs and the wall seconds of each group."""
+    outputs, walls = {}, {}
     for name, op in _operations(inputs):
-        metric_name, calls = OPERATIONS[name]
-        walls = []
+        wall = 0.0
         try:
-            for _ in range(calls):
+            for _ in range(CALLS[name]):
                 with tracer.span(f"op.{name}") if tracer else contextlib.nullcontext():
-                    result, wall = timed(op)
-                walls.append(wall)
+                    result, seconds = timed(op)
+                wall += seconds
         except (ValueError, RuntimeError) as exc:
             outputs[name] = exc
             continue
         outputs[name] = result
-        samples[metric_name] = (walls, "s")
-    return outputs, samples
+        walls[name] = wall
+    return outputs, walls
 
 
 def traced_round(inputs: dict, tracer=None) -> dict:
@@ -110,17 +103,3 @@ def check(inputs: dict, outputs: dict) -> tuple[list[str], list[str]]:
         bad += checks.check_quadrature(
             [(k, lam, integral, harmonic.A(k, lam)) for k, lam, integral in ok["quadrature"]])
     return failed, bad
-
-
-def layer_metrics(view, outputs: dict) -> dict:
-    m = {
-        "moments.size_law_s": (view.mean("moments.size_law"), "s"),
-        "moments.exact_Vn_Vpn_self_s": (view.self_total("moments.exact_Vn_Vpn"), "s"),
-        "moments.exact_sample_moments_s": (view.total("moments.exact_sample_moments"), "s"),
-        "moments.size_support": (view.infos("moments.size_law")[0]["support"], "count"),
-        "harmonic.A_us": (view.mean("harmonic.A", under="op.exact_vn") * 1e6, "us"),
-        "harmonic.A_calls": (view.count("harmonic.A", under="op.exact_vn"), "count"),
-        "harmonic.A_integral_ms": (view.mean("harmonic.A_integral") * 1e3, "ms"),
-    }
-    m.update(tracing.harmonic_grid_metrics(view))
-    return m

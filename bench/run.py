@@ -26,7 +26,7 @@ from collections import defaultdict
 from common import OUT, ROOT, median, metric, use_source_tree
 
 WORKLOADS = {"cli-session": "cli_session", "montecarlo": "montecarlo", "oracles": "oracles"}
-SETUP_RUNS = 3
+SETUP_RUNS = 5
 
 
 def parse_args(argv=None):
@@ -68,46 +68,46 @@ def another_round(start: float, rounds: int, seconds: float) -> bool:
 
 
 def plain(mod, inputs, seconds: float) -> dict:
-    """Whole rounds for about ``seconds``; metrics are medians over rounds."""
-    samples = defaultdict(list)
-    units = {}
+    """Whole rounds for about ``seconds``; ``round_s`` is the median round.
+
+    A round's time is the sum of its operations' wall times. The median of
+    each operation's wall time goes to the result file as detail.
+    """
+    rounds, per_op = [], defaultdict(list)
     outputs = None
-    rounds = 0
     start = time.perf_counter()
-    while another_round(start, rounds, seconds):
-        out, round_samples = mod.run_round(inputs)
-        for name, (values, unit) in round_samples.items():
-            samples[name].extend(values)
-            units[name] = unit
+    while another_round(start, len(rounds), seconds):
+        out, walls = mod.run_round(inputs)
+        rounds.append(sum(walls.values()))
+        for name, wall in walls.items():
+            per_op[name].append(wall)
         outputs = outputs if outputs is not None else out
-        rounds += 1
     failed, problems = mod.check(inputs, outputs)
     return {
-        "attempted": rounds * len(outputs),
-        "failed": rounds * len(failed),
+        "attempted": len(rounds) * len(outputs),
+        "failed": len(rounds) * len(failed),
         "failures": failed,
         "problems": problems,
-        "metrics": {name: metric(median(v), units[name]) for name, v in samples.items()},
+        "metrics": {"round_s": metric(median(rounds), "s")},
+        "detail": {"rounds": len(rounds),
+                   "op_median_s": {name: median(v) for name, v in per_op.items()}},
     }
 
 
 def traced(mod, workload: str, seed: int, seconds: float, workdir) -> dict:
     """Alternate plain and traced rounds after one warm-up round.
 
-    Per-layer timings are medians over traced rounds; counts repeat in every
+    Per-layer metrics are medians over traced rounds; counts repeat in every
     round. The tracing overhead is the median over pairs of the traced round
     minus the plain round just before it, which cancels slow drift in the
     machine's speed.
     """
-    from tracing import SpanView, Tracer, schedule_metrics
+    from tracing import SpanView, Tracer, import_metrics, layer_metrics
 
     layer = defaultdict(list)
     units = {}
-    preamble = getattr(mod, "preamble_metrics", dict)()
-    setup = Tracer()
-    with setup:
-        inputs = mod.build_inputs(seed, workdir)
-    setup_view = SpanView(setup.spans)
+    imports = import_metrics()
+    inputs = mod.build_inputs(seed, workdir)
     outputs = mod.traced_round(inputs)          # warm-up
     plain_walls, traced_walls, tracers = [], [], []
     start = time.perf_counter()
@@ -121,14 +121,12 @@ def traced(mod, workload: str, seed: int, seconds: float, workdir) -> dict:
             out = mod.traced_round(inputs, tracer)
             traced_walls.append(time.perf_counter() - t0)
         tracers.append(tracer)
-        view = SpanView(tracer.spans)
-        found = mod.layer_metrics(view, out)
-        found.update(schedule_metrics(setup_view, view))
-        for name, (value, unit) in found.items():
+        for name, (value, unit) in layer_metrics(SpanView(tracer.spans),
+                                                 traced_walls[-1]).items():
             layer[name].append(value)
             units[name] = unit
     failed, problems = mod.check(inputs, out)
-    metrics = {name: metric(v, u) for name, (v, u) in preamble.items()}
+    metrics = {name: metric(v, u) for name, (v, u) in imports.items()}
     metrics.update({name: metric(median(v), units[name]) for name, v in layer.items()})
     metrics["trace.spans"] = metric(len(tracers[0].spans), "count")
     overhead = median([t - p for p, t in zip(plain_walls, traced_walls)])
@@ -136,15 +134,15 @@ def traced(mod, workload: str, seed: int, seconds: float, workdir) -> dict:
     metrics["trace.overhead_pct"] = metric(100.0 * overhead / median(plain_walls), "%")
     rounds = 1 + len(plain_walls) + len(traced_walls)
     with open(OUT / f"spans-{workload}-seed{seed}.json", "w", encoding="utf-8") as fh:
-        json.dump({"fields": ["name", "start", "end", "parent", "info"],
-                   "setup": setup.spans, "rounds": [t.spans for t in tracers]},
-                  fh, separators=(",", ":"))
+        json.dump({"fields": ["name", "start", "end", "parent"],
+                   "rounds": [t.spans for t in tracers]}, fh, separators=(",", ":"))
     return {
         "attempted": rounds * len(outputs),
         "failed": rounds * len(failed),
         "failures": failed,
         "problems": problems,
         "metrics": metrics,
+        "detail": {"rounds": rounds},
     }
 
 
@@ -184,7 +182,8 @@ def main(argv=None) -> int:
         "metrics": dict(sorted(result["metrics"].items())),
     }
     name = f"result-{args.workload}-seed{args.seed}-trace{args.trace}.json"
-    (OUT / name).write_text(json.dumps(line, indent=1) + "\n", encoding="utf-8")
+    (OUT / name).write_text(json.dumps({**line, "detail": result["detail"]}, indent=1) + "\n",
+                            encoding="utf-8")
     print(json.dumps(line))
     return 0
 

@@ -257,10 +257,26 @@ def test_tracer_nests_internal_calls_and_restores():
     assert view.count("harmonic.A", under="moments.exact_Vn_Vpn") > 0
     assert view.count("harmonic.H_y", under="harmonic.A") == view.count("harmonic.A")
     assert view.count("simulator.simulate", under="simulator.monte_carlo_moments") == 8
-    assert [i["snapshots"] for i in view.infos("simulator.simulate")] == [5] * 8
     assert all(view.self_time(i) >= 0 for i in range(len(view.spans)))
     assert math.isclose(view.total("op"), view.self_total("op")
                         + view.total("moments.exact_Vn_Vpn")
                         + view.total("simulator.monte_carlo_moments"), rel_tol=1e-9)
     counts = [{name: len(idx) for name, idx in v.by_name.items()} for v in views]
     assert counts[0] == counts[1]
+
+
+def test_layer_metrics_cover_every_layer():
+    sched = schedule.build_schedule([0.5] * 4)
+    tracer = tracing.Tracer()
+    with tracer:
+        with tracer.span("op"):
+            moments.exact_Vn_Vpn(sched, 2, 4)
+    view = tracing.SpanView(tracer.spans)
+    m = tracing.layer_metrics(view, view.total("op"))
+    assert set(m) == {"package.busy_s"} | {f"{layer}.{kind}" for layer in tracing.LAYERS
+                                           for kind in ("busy_pct", "calls")}
+    assert m["moments.calls"][0] == view.count("moments.exact_Vn_Vpn")
+    assert m["harmonic.calls"][0] == len(view.spans) - 1 - m["moments.calls"][0]
+    assert m["cli.calls"][0] == 0 and m["cli.busy_pct"][0] == 0.0
+    assert math.isclose(m["package.busy_s"][0], view.total("moments.exact_Vn_Vpn"), rel_tol=1e-9)
+    assert 0.0 < sum(m[f"{layer}.busy_pct"][0] for layer in tracing.LAYERS) <= 100.0

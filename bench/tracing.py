@@ -15,26 +15,19 @@ import contextlib
 import functools
 import importlib
 import inspect
+import subprocess
 import sys
 import time
 from collections import defaultdict
 
+from common import median, source_env
+
 PACKAGE = "branchpcr"
 LAYERS = ("cli", "schedule", "estimator", "kinetics", "moments", "harmonic", "simulator")
 
-# Counters read off a call's result at the span boundary.
-OBSERVERS = {
-    "simulator.simulate": lambda traj: {
-        "snapshots": len(traj),
-        "classes": len(traj[-1].states),
-        "size": traj[-1].size,
-    },
-    "moments.size_law": lambda law: {"support": len(law.sizes)},
-}
-
 
 class Tracer:
-    """Span recorder. Spans are lists [name, start, end, parent, info]."""
+    """Span recorder. Spans are lists [name, start, end, parent]."""
 
     def __init__(self):
         self.spans: list[list] = []
@@ -42,7 +35,7 @@ class Tracer:
         self._patches: list[tuple[object, str, object]] = []
 
     def _open(self, name: str) -> list:
-        rec = [name, time.perf_counter(), 0.0, self._stack[-1] if self._stack else -1, None]
+        rec = [name, time.perf_counter(), 0.0, self._stack[-1] if self._stack else -1]
         self._stack.append(len(self.spans))
         self.spans.append(rec)
         return rec
@@ -61,18 +54,13 @@ class Tracer:
             self._close(rec)
 
     def _wrap(self, name: str, fn):
-        observe = OBSERVERS.get(name)
-
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             rec = self._open(name)
             try:
-                result = fn(*args, **kwargs)
+                return fn(*args, **kwargs)
             finally:
                 self._close(rec)
-            if observe is not None:
-                rec[4] = observe(result)
-            return result
 
         return wrapper
 
@@ -143,42 +131,65 @@ class SpanView:
     def total(self, name: str, under: str | None = None) -> float:
         return sum(self.duration(i) for i in self.indices(name, under))
 
-    def mean(self, name: str, under: str | None = None) -> float:
-        idx = self.indices(name, under)
-        if not idx:
-            raise KeyError(f"no span named {name}")
-        return sum(self.duration(i) for i in idx) / len(idx)
-
     def self_total(self, name: str) -> float:
         return sum(self.self_time(i) for i in self.indices(name))
 
-    def infos(self, name: str, under: str | None = None) -> list[dict]:
-        return [self.spans[i][4] for i in self.indices(name, under)]
 
+def layer_metrics(view: SpanView, wall: float) -> dict:
+    """Per-layer calls and self time over one traced round of ``wall`` seconds.
 
-def per_call_us(view: SpanView, names, under: str | None = None) -> dict:
-    """Mean microseconds per call, keyed '<layer>.<function>_us'."""
-    return {f"{name}_us": (view.mean(name, under) * 1e6, "us") for name in names}
-
-
-def harmonic_grid_metrics(view: SpanView) -> dict:
-    """The harmonic layer as the inequality suite drives it."""
-    grid = "harmonic.inequality_violations"
-    m = per_call_us(view, ("harmonic.B_family", "harmonic.C_family",
-                           "harmonic.H_y", "harmonic.power_moment"), under=grid)
-    m["harmonic.B_family_calls"] = (view.count("harmonic.B_family", grid), "count")
-    m["harmonic.C_family_calls"] = (view.count("harmonic.C_family", grid), "count")
-    m["harmonic.inequality_violations_self_s"] = (
-        view.self_total("harmonic.inequality_violations"), "s")
+    A layer's calls count every span of its public functions, nested ones
+    included. Its busy share is its summed self time over the round's wall
+    time; ``package.busy_s`` is the self time of all layers together. A layer
+    the workload does not call reads 0 calls and 0 %.
+    """
+    busy = dict.fromkeys(LAYERS, 0.0)
+    calls = dict.fromkeys(LAYERS, 0)
+    for i, rec in enumerate(view.spans):
+        layer = rec[0].split(".", 1)[0]
+        if layer in busy:
+            busy[layer] += view.self_time(i)
+            calls[layer] += 1
+    m = {"package.busy_s": (sum(busy.values()), "s")}
+    for layer in LAYERS:
+        m[f"{layer}.busy_pct"] = (100.0 * busy[layer] / wall, "%")
+        m[f"{layer}.calls"] = (calls[layer], "count")
     return m
 
 
-def schedule_metrics(setup: SpanView, view: SpanView) -> dict:
-    """derived_sequences over the set-up and one round."""
-    name = "schedule.derived_sequences"
-    calls = setup.count(name) + view.count(name)
-    total = setup.total(name) + view.total(name)
+def import_metrics(runs: int = 3) -> dict:
+    """Import times from ``-X importtime``, median of ``runs`` fresh processes.
+
+    branchpcr is the cumulative time of the package import; scipy and numpy
+    are the summed self times of every scipy.* and numpy.* module it loads.
+    """
+    samples = {"branchpcr": [], "scipy": [], "numpy": []}
+    for _ in range(runs):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import branchpcr"],
+                              env=source_env(), capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            raise RuntimeError(f"import branchpcr failed: {proc.stderr[-500:]}")
+        own = {"scipy": 0, "numpy": 0}
+        top = None
+        for line in proc.stderr.splitlines():
+            if not line.startswith("import time:") or "|" not in line:
+                continue
+            self_us, cum_us, name = line[len("import time:"):].split("|")
+            if not self_us.strip().isdigit():
+                continue
+            name = name.strip()
+            root = name.split(".")[0]
+            if root in own:
+                own[root] += int(self_us)
+            if name == PACKAGE:
+                top = int(cum_us)
+        if top is None:
+            raise RuntimeError("no branchpcr line in the -X importtime log")
+        samples["branchpcr"].append(top / 1e6)
+        samples["scipy"].append(own["scipy"] / 1e6)
+        samples["numpy"].append(own["numpy"] / 1e6)
     return {
-        "schedule.derived_sequences_us": (total / calls * 1e6, "us"),
-        "schedule.derived_sequences_calls": (calls, "count"),
+        "branchpcr.import_s": (median(samples["branchpcr"]), "s"),
+        "branchpcr.import_scipy_s": (median(samples["scipy"]), "s"),
+        "branchpcr.import_numpy_s": (median(samples["numpy"]), "s"),
     }
