@@ -148,7 +148,7 @@ def _to_jsonable(obj):
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(_to_jsonable(payload), sort_keys=True, indent=2))
+    print(json.dumps(_to_jsonable(payload), sort_keys=True, indent=2, allow_nan=False))
 
 
 def _csv_cell(value) -> str:

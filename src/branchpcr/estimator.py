@@ -31,11 +31,19 @@ def _check_n(seqs: DerivedSequences, n: int) -> None:
         raise ValueError(f"derived sequences cover {seqs.n} cycles, got n = {n}")
 
 
+def _W_n(seqs: DerivedSequences, n: int) -> float:
+    """W_n, the divisor of every estimate; zero only if no cycle duplicates."""
+    W = float(seqs.W[n])
+    if W == 0.0:
+        raise ValueError("W_n = 0: no cycle duplicates, so t carries no information on mu")
+    return W
+
+
 def point_estimate(t: float, seqs: DerivedSequences, n: int) -> float:
     """mu_star = t / W_n, the infinite-population estimate."""
     _check_t(t)
     _check_n(seqs, n)
-    return t / float(seqs.W[n])
+    return t / _W_n(seqs, n)
 
 
 def finite_population_bracket(
@@ -55,9 +63,10 @@ def finite_population_bracket(
         raise ValueError("initial population must be at least 1")
     if strict and S0 < 2:
         raise ValueError("the strict upper route needs at least two founders")
-    mu_star = t / float(seqs.W[n])
-    r = float(seqs.v[n]) / float(seqs.W[n])
-    rpp = float(seqs.vpp[n]) / float(seqs.W[n])
+    W = _W_n(seqs, n)
+    mu_star = t / W
+    r = float(seqs.v[n]) / W
+    rpp = float(seqs.vpp[n]) / W
     den_lo = 1.0 - r / (S0 + 1)
     den_hi = 1.0 - rpp / (S0 + 1)
     lo = mu_star / den_lo if den_lo > 0.0 else math.inf
@@ -86,8 +95,9 @@ def correction_ratio_report(seqs: DerivedSequences, S0: int, n: int) -> Correcti
     _check_n(seqs, n)
     if S0 < 1:
         raise ValueError("initial population must be at least 1")
-    r = float(seqs.v[n]) / float(seqs.W[n])
-    rpp = float(seqs.vpp[n]) / float(seqs.W[n])
+    W = _W_n(seqs, n)
+    r = float(seqs.v[n]) / W
+    rpp = float(seqs.vpp[n]) / W
     den_lo = 1.0 - r / (S0 + 1)
     den_hi = 1.0 - rpp / (S0 + 1)
     return CorrectionRatios(
@@ -128,8 +138,8 @@ def negligibility(seqs: DerivedSequences, S0: int, n: int) -> NegligibilityRepor
 
 def chebyshev_interval(env: MomentEnvelope, z: float) -> tuple[float, float]:
     """Band that contains the sampled mean with probability at least 1 - 1/z^2."""
-    if z <= 0.0:
-        raise ValueError("z must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValueError("z must be positive and finite")
     half = z * math.sqrt(env.Vt_hi)
     return env.Et_lo - half, env.Et_hi + half
 
@@ -161,9 +171,9 @@ def poisson_interval(
     _check_n(seqs, n)
     if ell < 1:
         raise ValueError("sample size must be at least 1")
-    if z <= 0.0:
-        raise ValueError("z must be positive")
-    W = float(seqs.W[n])
+    if not 0.0 < z < math.inf:
+        raise ValueError("z must be positive and finite")
+    W = _W_n(seqs, n)
     Wp = float(seqs.Wp[n])
     mu_star = t / W
     sigma_star = math.sqrt((t + t * t * Wp / W**2) / ell)

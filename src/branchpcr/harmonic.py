@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
+from ._pmf import binom_row
 from .schedule import EfficiencySchedule, derived_sequences, gamma_sequence
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(
@@ -47,8 +47,7 @@ def _check_lambda(lam: float) -> None:
 
 def _binom_weights(k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Duplication counts 0..k and their Binomial(k, lambda) weights."""
-    j = np.arange(k + 1)
-    return j, stats.binom.pmf(j, k, lam)
+    return np.arange(k + 1), binom_row(k, lam)
 
 
 def binomial_mix(k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -18,12 +18,13 @@ reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import harmonic
+from ._pmf import binom_row
 from .schedule import DerivedSequences, EfficiencySchedule
 
 DEFAULT_SIZE_CAP = 2_000_000
@@ -46,6 +47,8 @@ class MutationLaw:
     integer_valued: bool = False
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mu) and math.isfinite(self.nu)):
+            raise ValueError("moment parameters must be finite")
         if self.mu < 0.0 or self.nu < 0.0:
             raise ValueError("moment parameters must be nonnegative")
         if self.poisson and self.nu != self.mu:
@@ -123,10 +126,6 @@ def infinite_population_moments(
     return Et, Vt
 
 
-def _binom_row(s: int, lam: float) -> np.ndarray:
-    return stats.binom.pmf(np.arange(s + 1), s, lam)
-
-
 def _size_law_steps(
     sched: EfficiencySchedule, S0: int, n: int, cap: int
 ) -> list[np.ndarray]:
@@ -145,7 +144,7 @@ def _size_law_steps(
             if p[idx] == 0.0:
                 continue
             s = S0 + idx
-            new[idx : idx + s + 1] += p[idx] * _binom_row(s, lam[c])
+            new[idx : idx + s + 1] += p[idx] * binom_row(s, lam[c])
         p = new
         steps.append(p)
     return steps
@@ -262,7 +261,7 @@ def exact_sample_moments(
                 continue
             s = S0 + idx
             j = np.arange(s + 1)
-            w = _binom_row(s, L)
+            w = binom_row(s, L)
             m = (s + j).astype(float)
             frac = j / m
             sl = slice(idx, idx + s + 1)

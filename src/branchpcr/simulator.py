@@ -20,8 +20,8 @@ import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
+from ._pmf import poisson_table
 from .moments import ExactMoments, MutationLaw
 from .schedule import DerivedSequences, EfficiencySchedule, mm_lambda
 
@@ -98,8 +98,7 @@ def _increment_sampler(law: MutationLaw):
     if law.poisson:
         if law.mu == 0.0:
             return "fixed", None
-        k_max = int(stats.poisson.ppf(1.0 - _PMF_TAIL, law.mu)) + 1
-        pmf = stats.poisson.pmf(np.arange(k_max + 1), law.mu)
+        pmf = poisson_table(law.mu, _PMF_TAIL)
         pmf = pmf / pmf.sum()
         return "table", pmf
     a, p = law.two_point_support()
@@ -345,8 +344,7 @@ def eta_star_distribution(
         if law.mu == 0.0:
             inc = np.array([1.0])
         else:
-            k_max = int(stats.poisson.ppf(1.0 - tail_tol, law.mu)) + 1
-            inc = stats.poisson.pmf(np.arange(k_max + 1), law.mu)
+            inc = poisson_table(law.mu, tail_tol)
             inc = inc / inc.sum()
     else:
         scale, p_atom = law.two_point_support()

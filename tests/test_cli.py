@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from branchpcr import cli
+
 REF_LAMBDAS = [0.872] * 20 + [0.743] * 5 + [0.146] * 5
 
 
@@ -133,6 +135,45 @@ def test_estimate_domain_error(tmp_path):
     proc = run_cli("estimate", "--config", cfg)
     assert proc.returncode == 3
     assert "domain error" in proc.stderr
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_estimate_all_zero_schedule(tmp_path):
+    cfg = write_config(tmp_path, {
+        "s0": 2, "n": 3, "schedule": {"lambdas": [0, 0, 0]},
+        "sample": {"ell": 4, "t": 0.1},
+    })
+    proc = run_cli("estimate", "--config", cfg)
+    assert proc.returncode == 3
+    assert "W_n = 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("bounds", "mutation", {"mean": math.nan, "var": 0.1}),
+    ("bounds", "mutation", {"mean": 0.05, "var": math.inf}),
+    ("estimate", "z", math.nan),
+])
+def test_nonfinite_input_gives_no_bare_nan(tmp_path, command, field, value):
+    raw = json.loads(open(ref_config(tmp_path)).read())
+    raw[field] = value
+    cfg = write_config(tmp_path, raw, name="nonfinite.json")
+    proc = run_cli(command, "--config", cfg)
+    assert proc.returncode in (2, 3), proc.stdout
+    assert "Traceback" not in proc.stderr
+    if proc.stdout:
+        strict_json(proc.stdout)
+
+
+def test_emit_json_refuses_nan(capsys):
+    with pytest.raises(ValueError):
+        cli._emit_json({"x": math.nan})
+    assert capsys.readouterr().out == ""
 
 
 def sim_config(tmp_path, **extra):
