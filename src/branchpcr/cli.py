@@ -60,32 +60,51 @@ def load_config(path: str) -> dict:
     return raw
 
 
+def _int_field(value, name: str) -> int:
+    """An integral JSON number (2 or 2.0, not 2.7, "2" or true)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config field '{name}' must be an integer")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ConfigError(f"config field '{name}' must be an integer, got {value}")
+        value = int(value)
+    return value
+
+
+def _float_field(value, name: str) -> float:
+    """A finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config field '{name}' must be a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"config field '{name}' must be finite, got {value}")
+    return value
+
+
 def parse_config(raw: dict) -> RunConfig:
     cfg = RunConfig()
-    if "s0" in raw:
-        cfg.s0 = int(raw["s0"])
-    if "n" in raw:
-        cfg.n = int(raw["n"])
+    for name in ("s0", "n", "seed", "replicates", "population_cap"):
+        if name in raw:
+            setattr(cfg, name, _int_field(raw[name], name))
     if "z" in raw:
-        cfg.z = float(raw["z"])
-    if "seed" in raw:
-        cfg.seed = int(raw["seed"])
-    if "replicates" in raw:
-        cfg.replicates = int(raw["replicates"])
-    if "population_cap" in raw:
-        cfg.population_cap = int(raw["population_cap"])
+        cfg.z = _float_field(raw["z"], "z")
 
     sched = raw.get("schedule")
     if sched is not None:
         if not isinstance(sched, dict) or ("lambdas" in sched) == ("mm" in sched):
             raise ConfigError("schedule block needs exactly one of 'lambdas' or 'mm'")
         if "lambdas" in sched:
-            cfg.sched = build_schedule(lambdas=sched["lambdas"])
+            lambdas = sched["lambdas"]
+            if not isinstance(lambdas, list):
+                raise ConfigError("schedule 'lambdas' must be a list of numbers")
+            cfg.sched = build_schedule(
+                lambdas=[_float_field(x, "schedule.lambdas") for x in lambdas])
         else:
             mm = sched["mm"]
             if not isinstance(mm, dict) or "C" not in mm or "D" not in mm:
                 raise ConfigError("mm schedule block needs 'C' and 'D'")
-            cfg.sched = build_schedule(mm_C=float(mm["C"]), mm_D=float(mm["D"]))
+            cfg.sched = build_schedule(mm_C=_float_field(mm["C"], "schedule.mm.C"),
+                                       mm_D=_float_field(mm["D"], "schedule.mm.D"))
 
     mut = raw.get("mutation")
     if mut is not None:
@@ -94,9 +113,13 @@ def parse_config(raw: dict) -> RunConfig:
         if "poisson" in mut:
             if "mean" in mut or "var" in mut:
                 raise ConfigError("mutation block needs exactly one form")
-            cfg.law = moments.poisson_law(float(mut["poisson"]["mu"]))
+            poisson = mut["poisson"]
+            if not isinstance(poisson, dict) or "mu" not in poisson:
+                raise ConfigError("mutation 'poisson' must be an object with 'mu'")
+            cfg.law = moments.poisson_law(_float_field(poisson["mu"], "mutation.poisson.mu"))
         elif "mean" in mut and "var" in mut:
-            cfg.law = moments.MutationLaw(mu=float(mut["mean"]), nu=float(mut["var"]))
+            cfg.law = moments.MutationLaw(mu=_float_field(mut["mean"], "mutation.mean"),
+                                          nu=_float_field(mut["var"], "mutation.var"))
         else:
             raise ConfigError("mutation block needs 'poisson' or 'mean'+'var'")
 
@@ -104,15 +127,15 @@ def parse_config(raw: dict) -> RunConfig:
     if sample is not None:
         if not isinstance(sample, dict) or "ell" not in sample:
             raise ConfigError("sample block needs 'ell'")
-        cfg.ell = int(sample["ell"])
+        cfg.ell = _int_field(sample["ell"], "sample.ell")
         if ("t" in sample) and ("mutations_total" in sample):
             raise ConfigError("sample block needs at most one of 't', 'mutations_total'")
         if "t" in sample:
-            cfg.t = float(sample["t"])
+            cfg.t = _float_field(sample["t"], "sample.t")
         elif "mutations_total" in sample:
             if cfg.ell < 1:
                 raise ConfigError("sample ell must be at least 1")
-            cfg.t = float(sample["mutations_total"]) / cfg.ell
+            cfg.t = _float_field(sample["mutations_total"], "sample.mutations_total") / cfg.ell
     return cfg
 
 
@@ -128,6 +151,8 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"{_SEED_ENV} is not an integer") from exc
     if cfg.seed is None:
         cfg.seed = 0
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     return cfg
 
 
@@ -290,6 +315,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cfg = _config_from_args(args)
     sched = _require(cfg.sched, "schedule")
     n = _require(cfg.n, "n")
@@ -365,6 +392,9 @@ def cmd_harmonic(args) -> int:
     if args.property_check:
         kwargs = {}
         if args.k_max is not None:
+            if args.k_max < 1:
+                raise ConfigError(f"--k-max must be at least 1 for --property-check, "
+                                  f"got {args.k_max}")
             kwargs["k_max"] = args.k_max
         violations = harmonic.inequality_violations(**kwargs)
         for v in violations:
@@ -487,7 +517,8 @@ def main(argv=None) -> int:
         })
         print(f"population cap exceeded: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        # OverflowError: a number too large for a float or a machine integer
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
 

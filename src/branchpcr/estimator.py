@@ -176,7 +176,8 @@ def poisson_interval(
     W = _W_n(seqs, n)
     Wp = float(seqs.Wp[n])
     mu_star = t / W
-    sigma_star = math.sqrt((t + t * t * Wp / W**2) / ell)
+    # mu_star^2 W'_n, not t^2 W'_n / W_n^2: W_n^2 underflows at tiny efficiencies
+    sigma_star = math.sqrt((t + mu_star * mu_star * Wp) / ell)
     sigma_naive = math.sqrt(t / ell)
     half = z * sigma_star / W
     if t > 0.0:

@@ -10,14 +10,13 @@ among k particles, two tagged ones both duplicated with probability
 j(j-1)/(k(k-1)) and exactly one did with probability 2j(k-j)/(k(k-1)).
 
 Also provides the integral representation of the centered harmonic mean A(k)
-(an adaptive Simpson quadrature of f^k f'^(-2l) for the offspring generating
-function f) and interval bounds for harmonic moments of the population size
-after n cycles.
+(an adaptive Gauss-Kronrod G7/K15 quadrature of f^k f'^(-2l) for the
+offspring generating function f) and interval bounds for harmonic moments of
+the population size after n cycles.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,32 +186,69 @@ def taylor_sandwich(k: int, lam: float) -> tuple[float, float]:
     return h_tilde / (1.0 + lam), g_tilde / (1.0 + lam) ** 2
 
 
-def _adaptive_simpson(g, a: float, b: float, tol: float, budget: int) -> float:
-    """Classic adaptive Simpson with Richardson correction, absolute tolerance."""
-    evals = 0
+# Gauss-Kronrod G7/K15 rule on [-1, 1] (Piessens et al., QUADPACK, 1983,
+# qk15): the positive Kronrod abscissae, outermost first, then the centre;
+# the Gauss nodes are the 2nd, 4th and 6th of them and the centre
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+# all 15 nodes in ascending order, with the K15 and the (zero-padded) G7 weights
+_GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_GK_K15 = np.array(_WGK[:-1] + _WGK[::-1])
+_GK_G7 = np.zeros(15)
+_GK_G7[1::2] = _WG[:-1] + _WG[::-1]
 
-    def f(x: float) -> float:
-        nonlocal evals
-        evals += 1
+
+def _gauss_kronrod(g, a: float, b: float, tol: float, budget: int) -> tuple[float, float]:
+    """Adaptive G7/K15 quadrature to absolute tolerance; (integral, error bound).
+
+    ``g`` takes an array of abscissae. Each pass evaluates it once over every
+    open interval; an interval is accepted when |K15 - G7| is within its share
+    of ``tol`` (halved on each split) and is split in two otherwise. The
+    returned error is the sum of |K15 - G7| over the accepted intervals.
+    """
+    lo, hi, share = np.array([a]), np.array([b]), np.array([tol])
+    total = err = 0.0
+    evals = 0
+    while lo.size:
+        evals += 15 * lo.size
         if evals > budget:
             raise RuntimeError(f"quadrature exceeded {budget} evaluations")
-        return g(x)
-
-    def recurse(a, b, fa, fm, fb, whole, tol):
-        m = 0.5 * (a + b)
-        flm = f(0.5 * (a + m))
-        frm = f(0.5 * (m + b))
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        return (recurse(a, m, fa, flm, fm, left, 0.5 * tol)
-                + recurse(m, b, fm, frm, fb, right, 0.5 * tol))
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, b, fa, fm, fb, whole, tol)
+        half = 0.5 * (hi - lo)
+        f = g((lo + half)[:, None] + half[:, None] * _GK_NODES)
+        k15 = half * (f @ _GK_K15)
+        diff = np.abs(k15 - half * (f @ _GK_G7))
+        done = diff <= share
+        total += float(np.sum(k15[done]))
+        err += float(np.sum(diff[done]))
+        lo, hi, share = lo[~done], hi[~done], share[~done]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        share = np.tile(0.5 * share, 2)
+    return total, err
 
 
 def A_integral(k: int, ell: int, lam: float) -> float:
@@ -230,12 +266,12 @@ def A_integral(k: int, ell: int, lam: float) -> float:
     if not 0.0 < lam < 1.0:
         raise ValueError("integral representation needs lambda strictly inside (0, 1)")
 
-    def integrand(t: float) -> float:
+    def integrand(t: np.ndarray) -> np.ndarray:
         ft = (1.0 - lam) * t + lam * t * t
         fpt = (1.0 - lam) + 2.0 * lam * t
         return ft**k / fpt ** (2 * ell)
 
-    return _adaptive_simpson(integrand, 0.0, 1.0, _QUAD_TOL, _QUAD_BUDGET)
+    return _gauss_kronrod(integrand, 0.0, 1.0, _QUAD_TOL, _QUAD_BUDGET)[0]
 
 
 @dataclass(frozen=True)
@@ -308,102 +344,127 @@ def inequality_violations(
     polynomial sandwiches, the pairwise identities, and the slow-convergence
     spot check of k A(k) at k = tail_k (within 15 percent of its limit).
     An empty list means every assertion held within ``slack``.
-    """
-    bad: list[str] = []
 
-    def check(ok: bool, label: str) -> None:
-        if not ok:
-            bad.append(label)
+    Each efficiency builds the rows Binomial(s, lambda), s = 0..k_max+1, once,
+    as one zero-padded matrix; every functional is a row reduction of it and
+    every inequality one boolean array over k. Labels come in the order of a
+    loop over k, then over the checks.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    bad: list[str] = []
+    size = k_max + 2
+    j = np.arange(size, dtype=float)
+    kcol = j[1:, None]             # rows k = 1..k_max+1
+    m = kcol + j                   # M_k at every duplication count j
+    r = kcol / m
+    ks = j[1:]                     # k = 1..k_max+1, for per-k arithmetic
+    kc = ks[:k_max]                # k = 1..k_max, the cells checked
+    ge2 = kc >= 2
+    km1 = np.maximum(kcol - 1.0, 1.0)
+    ell1ell2 = 1.0 + 2.0 * j / kcol + j * (j - 1.0) / (kcol * km1)
+    k2col = j[2:, None]            # k = 2..k_max+1, read from row k - 2
+    shift_den = (k2col + 1.0 + j) ** 2
 
     for lam in lambdas:
         n2 = lam * (1.0 - lam)
         alpha = lam / (1.0 + lam)
         inv = 1.0 / (1.0 + lam)
-        fams = {k: B_family(k, lam) for k in range(1, k_max + 2)}
-        hy_tables = {
-            y: {k: H_y(k, lam, y) for k in range(max(1, int(math.floor(-y)) + 1), k_max + 2)}
-            for y in y_values
-        }
+        w = np.zeros((size, size))
+        for s in range(size):
+            w[s, : s + 1] = binom_row(s, lam)
+        wk = w[1:]
 
-        for k in range(1, k_max + 1):
-            fam = fams[k]
-            tag = f"(k={k}, lam={lam})"
+        def mean(x: np.ndarray) -> np.ndarray:
+            return np.sum(wk * x, axis=1)
 
-            check(1.0 - alpha - slack <= fam.H <= 1.0 + slack, f"H range {tag}")
-            check(fam.A >= -slack, f"A nonnegative {tag}")
+        H, G = mean(r), mean(r * r)
+        A_ = H - inv
+        B = mean(j / m**2)
+        Bp = G - H * H
+        B2 = mean((j / m) ** 2)
+        Bpp = np.where(ks == 1, 0.0, mean(j * (kcol - j) / (km1 * m**2)))
+        B1 = np.where(ks == 1, 1.0, mean(kcol**2 * ell1ell2 / m**2))
+        bpp_shift = n2 * np.sum(w[:-2] * k2col / shift_den, axis=1)   # k = 2..k_max+1
+        seq = (ks + 1.0) * A_
+        scale = n2 * inv**3
+        taylor = np.array([taylor_sandwich(k, lam) for k in range(1, k_max + 1)])
 
-            check(fam.B <= alpha * (1.0 - alpha) / k + slack, f"B coefficient bound {tag}")
-            check(fam.Bp <= lam / (k + 1) + slack, f"B' coefficient bound {tag}")
-            check(fam.Bpp <= n2 / (k + 2) + slack, f"B'' coefficient bound {tag}")
+        H, G, A_, B, Bp, B2, Bpp, B1 = (x[:k_max] for x in (H, G, A_, B, Bp, B2, Bpp, B1))
+        checks: list[tuple[str, float | None, np.ndarray]] = [
+            ("H range", None, (1.0 - alpha - slack <= H) & (H <= 1.0 + slack)),
+            ("A nonnegative", None, A_ >= -slack),
+            ("B coefficient bound", None, B <= alpha * (1.0 - alpha) / kc + slack),
+            ("B' coefficient bound", None, Bp <= lam / (kc + 1) + slack),
+            ("B'' coefficient bound", None, Bpp <= n2 / (kc + 2) + slack),
+            ("G vs A bound", None, G <= inv**2 + 3.0 * A_ + slack),
+        ]
+        for p in range(1, 6):
+            moment = mean(r**p)[:k_max]
+            checks.append((f"power moment bound p={p}", None,
+                           moment <= inv**p + A_ * p * (p + 1) / 2.0 + slack))
+        checks += [
+            ("B' vs A upper", None, Bp <= A_ * (1.0 + 3.0 * lam) * inv + slack),
+            ("B vs A lower", None, B >= A_ / 2.0 - slack),
+            ("B' vs A lower", None, Bp >= (1.0 - lam) * A_ / 2.0 - slack),
+            ("(k+1)A nonincreasing", None, seq[1:] <= seq[:-1] + slack),
+            ("(k+1)A range", None, (alpha * (1.0 - lam) * inv**2 - slack <= seq[:-1])
+             & (seq[:-1] <= alpha * (1.0 - lam) + slack)),
+            ("A asymptotic range", None, (scale / (kc + 1) - slack <= A_)
+             & (A_ <= scale * (kc + 1) / kc**2 + slack)),
+            ("A asymptotic range k>=2", None,
+             ~ge2 | (A_ <= scale / np.maximum(kc - 1, 1) + slack)),
+            ("H Taylor upper", None, H <= taylor[:, 0] + slack),
+            ("G Taylor lower", None, G >= taylor[:, 1] - slack),
+            ("B''+B1 identity", None, ~ge2 | (np.abs(Bpp + B1 - 1.0) <= slack)),
+            ("B'' shift identity", None,
+             ~ge2 | (np.abs(Bpp - np.append(0.0, bpp_shift[: k_max - 1])) <= slack)),
+            # the pair functional is degenerate for a single particle
+            # (convention B''(1) = 0), so the lower bound starts at k = 2
+            ("B'' lower bound", None, ~ge2 | (Bpp >= n2 * inv**2 * kc / (kc + 1) ** 2 - slack)),
+            ("B2 decomposition", None, np.abs(B2 - (1.0 - H) ** 2 - Bp) <= slack),
+        ]
 
-            check(fam.G <= inv**2 + 3.0 * fam.A + slack, f"G vs A bound {tag}")
-            for p in range(1, 6):
-                check(
-                    power_moment(k, lam, p) <= inv**p + fam.A * p * (p + 1) / 2.0 + slack,
-                    f"power moment bound p={p} {tag}",
-                )
-            check(fam.Bp <= fam.A * (1.0 + 3.0 * lam) * inv + slack, f"B' vs A upper {tag}")
+        hy_checks = []
+        for y in y_values:
+            valid = ks + y > 0
+            den = np.where(valid[:, None], m + y, 1.0)
+            Hy = mean((kcol + y) / den)
+            den *= m**2
+            Cp = mean((m - 1.0) * j / den)[:k_max]
+            Cpp = mean(kcol * j / den)[:k_max]
+            C = np.where(ks == 1, 0.0, mean(kcol**2 * (kcol + y) * ell1ell2 / den))[:k_max]
+            on = valid[:k_max]
+            ky = kc + y
+            checks += [
+                ("C'' vs C'", y, ~on | (Cpp <= Cp + slack)),
+                ("C' vs 1-H", y, ~on | (ky * Cp <= 1.0 - H + slack)),
+                ("C vs H_y", y, ~on | (C <= Hy[:k_max] + slack)),
+                ("C' contraction", y, ~on | (ky * Cp <= alpha + slack)),
+            ]
+            if y >= 0:
+                checks.append(("C contraction", y, ~on | (C <= 1.0 - lam / (y + 2.0) + slack)))
+                hy_checks += [
+                    ("H_y nonincreasing", y, ~on | (Hy[1:] <= Hy[:-1] + slack)),
+                    ("H_y floor", y, ~on | (Hy[:-1] >= inv - slack)),
+                ]
+            elif y == -1.0:
+                on = on & ge2
+                checks.append(("C contraction shift -1", y, ~on | (C <= 1.0 - alpha + slack)))
+                hy_checks += [
+                    ("H_-1 nondecreasing", y, ~on | (Hy[1:] >= Hy[:-1] - slack)),
+                    ("H_-1 ceiling", y, ~on | (Hy[:-1] <= inv + slack)),
+                ]
+        checks += hy_checks
 
-            check(fam.B >= fam.A / 2.0 - slack, f"B vs A lower {tag}")
-            check(fam.Bp >= (1.0 - lam) * fam.A / 2.0 - slack, f"B' vs A lower {tag}")
-
-            seq_here = (k + 1) * fam.A
-            seq_next = (k + 2) * fams[k + 1].A
-            check(seq_next <= seq_here + slack, f"(k+1)A nonincreasing {tag}")
-            check(
-                alpha * (1.0 - lam) * inv**2 - slack <= seq_here <= alpha * (1.0 - lam) + slack,
-                f"(k+1)A range {tag}",
-            )
-
-            scale = n2 * inv**3
-            check(scale / (k + 1) - slack <= fam.A <= scale * (k + 1) / k**2 + slack,
-                  f"A asymptotic range {tag}")
-            if k >= 2:
-                check(fam.A <= scale / (k - 1) + slack, f"A asymptotic range k>=2 {tag}")
-
-            h_up, g_low = taylor_sandwich(k, lam)
-            check(fam.H <= h_up + slack, f"H Taylor upper {tag}")
-            check(fam.G >= g_low - slack, f"G Taylor lower {tag}")
-
-            if k >= 2:
-                check(abs(fam.Bpp + fam.B1 - 1.0) <= slack, f"B''+B1 identity {tag}")
-                check(abs(fam.Bpp - _bpp_via_shift(k, lam)) <= slack,
-                      f"B'' shift identity {tag}")
-                # the pair functional is degenerate for a single particle
-                # (convention B''(1) = 0), so the lower bound starts at k = 2
-                check(fam.Bpp >= n2 * inv**2 * k / (k + 1) ** 2 - slack,
-                      f"B'' lower bound {tag}")
-            check(abs(fam.B2 - (1.0 - fam.H) ** 2 - fam.Bp) <= slack,
-                  f"B2 decomposition {tag}")
-
-            for y in y_values:
-                if not k + y > 0:
-                    continue
-                cf = C_family(k, lam, y)
-                ytag = f"(k={k}, lam={lam}, y={y})"
-                check(cf.Cpp <= cf.Cp + slack, f"C'' vs C' {ytag}")
-                check((k + y) * cf.Cp <= 1.0 - fam.H + slack, f"C' vs 1-H {ytag}")
-                check(cf.C <= cf.Hy + slack, f"C vs H_y {ytag}")
-                check((k + y) * cf.Cp <= alpha + slack, f"C' contraction {ytag}")
-                if y >= 0:
-                    check(cf.C <= 1.0 - lam / (y + 2.0) + slack, f"C contraction {ytag}")
-                elif y == -1.0 and k >= 2:
-                    check(cf.C <= 1.0 - alpha + slack, f"C contraction shift -1 {ytag}")
-
-            for y in y_values:
-                table = hy_tables[y]
-                if k not in table or (k + 1) not in table:
-                    continue
-                ytag = f"(k={k}, lam={lam}, y={y})"
-                if y >= 0:
-                    check(table[k + 1] <= table[k] + slack, f"H_y nonincreasing {ytag}")
-                    check(table[k] >= inv - slack, f"H_y floor {ytag}")
-                elif y == -1.0 and k >= 2:
-                    check(table[k + 1] >= table[k] - slack, f"H_-1 nondecreasing {ytag}")
-                    check(table[k] <= inv + slack, f"H_-1 ceiling {ytag}")
+        failed = ~np.stack([ok for _, _, ok in checks], axis=1)   # (k, check)
+        for k0, c in np.argwhere(failed):
+            name, y, _ = checks[c]
+            yt = "" if y is None else f", y={y}"
+            bad.append(f"{name} (k={k0 + 1}, lam={lam}{yt})")
 
         tail = tail_k * A(tail_k, lam)
-        limit = n2 * inv**3
-        check(abs(tail - limit) <= 0.15 * limit + slack, f"kA(k) tail (lam={lam})")
+        if not abs(tail - scale) <= 0.15 * scale + slack:
+            bad.append(f"kA(k) tail (lam={lam})")
 
     return bad

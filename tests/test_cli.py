@@ -1,12 +1,16 @@
-"""End-to-end command-line runs via subprocess."""
+"""End-to-end command-line runs via subprocess, and config parsing in-process."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from branchpcr import cli
 
@@ -22,6 +26,14 @@ def run_cli(*args, env_extra=None):
         [sys.executable, "-m", "branchpcr.cli", *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def run_main(argv):
+    """cli.main in-process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -170,6 +182,18 @@ def test_nonfinite_input_gives_no_bare_nan(tmp_path, command, field, value):
         strict_json(proc.stdout)
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("simulate", "s0", 1e300),
+    ("bounds", "mutation", {"mean": 1e300, "var": 1.0}),
+])
+def test_huge_input_is_a_domain_error(tmp_path, command, field, value):
+    raw = json.loads(open(sim_config(tmp_path)).read())
+    raw[field] = value
+    code, out, err = run_main([command, "--config", write_config(tmp_path, raw, "huge.json")])
+    assert (code, out) == (3, "")
+    assert "domain error: " in err
+
+
 def test_emit_json_refuses_nan(capsys):
     with pytest.raises(ValueError):
         cli._emit_json({"x": math.nan})
@@ -283,6 +307,12 @@ def test_harmonic_property_check():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["count"] == 0 and payload["violations"] == []
+    # a check over an empty grid checked nothing, so it must not pass
+    for k_max in ("0", "-5"):
+        proc = run_cli("harmonic", "--property-check", "--k-max", k_max)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "config error: --k-max must be at least 1" in proc.stderr
 
 
 def test_mm_bounds(tmp_path):
@@ -304,3 +334,106 @@ def test_mm_bounds(tmp_path):
     }, name="det.json")
     bad = run_cli("mm", "--config", deterministic)
     assert bad.returncode == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("s0", 2.7), ("s0", "abc"), ("s0", True), ("s0", None), ("n", "30"), ("n", 30.5),
+    ("seed", 1.5), ("replicates", "many"), ("population_cap", False),
+    ("z", "2"), ("z", math.inf), ("z", True),
+    ("mutation", {"poisson": 0.1}), ("mutation", {"poisson": {"lam": 0.1}}),
+    ("mutation", {"poisson": {"mu": "0.1"}}), ("mutation", {"mean": math.nan, "var": 0.1}),
+    ("sample", {"ell": 28.5, "t": 0.1}), ("sample", {"ell": 28, "t": "0.1"}),
+    ("schedule", {"lambdas": "0.5"}), ("schedule", {"lambdas": [0.5, "0.5"]}),
+    ("schedule", {"mm": {"C": math.inf, "D": 1.0}}),
+])
+def test_config_fields_are_typed(tmp_path, field, value):
+    raw = json.loads(open(ref_config(tmp_path)).read())
+    raw[field] = value
+    code, out, err = run_main(["bounds", "--config", write_config(tmp_path, raw, "typed.json")])
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("config error: ")
+
+
+def test_config_accepts_integral_floats(tmp_path):
+    raw = json.loads(open(ref_config(tmp_path)).read())
+    plain = run_main(["bounds", "--config", write_config(tmp_path, raw, "plain.json")])
+    raw.update(s0=100.0, n=30.0)
+    as_floats = run_main(["bounds", "--config", write_config(tmp_path, raw, "floats.json")])
+    assert plain[0] == as_floats[0] == 0
+    assert plain[1] == as_floats[1]
+
+
+@pytest.mark.parametrize("flags, env_seed", [
+    (["--threads", "0"], None), (["--threads", "-2"], None),
+    (["--seed", "-1"], None), ([], "-4"),
+])
+def test_simulate_rejects_bad_threads_and_seeds(tmp_path, flags, env_seed):
+    env = {"BRANCHPCR_SEED": env_seed} if env_seed else None
+    proc = run_cli("simulate", "--config", sim_config(tmp_path), *flags, env_extra=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: ")
+    raw = json.loads(open(sim_config(tmp_path)).read())
+    raw["seed"] = -3
+    code, out, err = run_main(["simulate", "--config", write_config(tmp_path, raw, "neg.json")])
+    assert (code, out) == (2, "")
+    assert "seed must be nonnegative" in err
+
+
+_unit = st.floats(0.0, 1.0)
+_valid_configs = st.fixed_dictionaries({
+    "s0": st.integers(1, 8),
+    "n": st.integers(1, 6),
+    "seed": st.integers(0, 1000),
+    "z": st.floats(0.5, 4.0),
+    "replicates": st.integers(1, 30),
+    "schedule": st.one_of(
+        st.fixed_dictionaries({"lambdas": st.lists(_unit, min_size=6, max_size=6)}),
+        st.fixed_dictionaries({"mm": st.fixed_dictionaries(
+            {"C": st.floats(1.0, 2000.0), "D": st.floats(1.0, 2000.0)})})),
+    "mutation": st.one_of(
+        st.fixed_dictionaries({"poisson": st.fixed_dictionaries({"mu": st.floats(0.0, 2.0)})}),
+        st.fixed_dictionaries({"mean": st.floats(0.0, 2.0), "var": st.floats(0.0, 2.0)})),
+    "sample": st.one_of(
+        st.fixed_dictionaries({"ell": st.integers(1, 30), "t": st.floats(0.0, 5.0)}),
+        st.fixed_dictionaries({"ell": st.integers(1, 30),
+                               "mutations_total": st.floats(0.0, 50.0)})),
+}, optional={"population_cap": st.integers(1, 10**4)})
+# a value of the wrong type, a non-finite or out-of-range number, or a
+# missing field (None deletes it)
+_bad_values = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 0.5, 2.5, -0.5, 40]),
+)
+_SLOTS = ("s0", "n", "seed", "z", "replicates", "population_cap", "schedule", "mutation",
+          "sample", "schedule.lambdas", "schedule.mm", "schedule.mm.C", "mutation.poisson",
+          "mutation.poisson.mu", "mutation.mean", "mutation.var", "sample.ell", "sample.t",
+          "sample.mutations_total")
+
+
+def _corrupt(raw, slot, value):
+    *parents, leaf = slot.split(".")
+    for key in parents:
+        raw = raw.get(key) if isinstance(raw, dict) else None
+    if isinstance(raw, dict):
+        if value is None:
+            raw.pop(leaf, None)
+        else:
+            raw[leaf] = value
+
+
+@given(command=st.sampled_from(["bounds", "estimate", "simulate", "mm"]), raw=_valid_configs,
+       edits=st.lists(st.tuples(st.sampled_from(_SLOTS), _bad_values), max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_config_fuzz(tmp_path_factory, command, raw, edits):
+    for slot, value in edits:
+        _corrupt(raw, slot, value)
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run_main([command, "--config", str(path)])
+    assert code in (0, 2, 3, 4)
+    if out:
+        strict_json(out)

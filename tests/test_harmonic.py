@@ -1,7 +1,9 @@
 """Exact harmonic functionals: frozen values, identities, and the bounds."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,61 @@ def test_integral_recursion_spot():
             assert abs(lhs - rhs) < 1e-10, (k, ell)
 
 
+@pytest.mark.parametrize("lam", [1e-6, 0.5, 0.999, 1.0 - 1e-6])
+@pytest.mark.parametrize("k", [1, 40, 200])
+def test_integral_matches_centered_mean_at_extremes(k, lam):
+    quad = lam * (1.0 - lam) * harmonic.A_integral(k, 1, lam)
+    assert abs(quad - harmonic.A(k, lam)) <= 1e-12
+
+
+def _exact_integral(k, lam):
+    """I(k, 1) = A(k, lambda) / (lambda (1 - lambda)), at 40 digits."""
+    with mpmath.workdps(40):
+        L = mpmath.mpf(lam)
+        a = mpmath.fsum(mpmath.binomial(k, j) * L**j * (1 - L) ** (k - j) * k / (k + j)
+                        for j in range(k + 1)) - 1 / (1 + L)
+        return float(a / (L * (1 - L)))
+
+
+def test_quadrature_error_estimate_bounds_actual_error():
+    # the acceptance-4 grid; the estimate may fall short of the error only by
+    # the rounding of the returned double itself
+    for lam in [round(0.1 * i, 1) for i in range(1, 10)]:
+        for k in range(1, 41):
+            def integrand(t):
+                return ((1.0 - lam) * t + lam * t * t) ** k / ((1.0 - lam) + 2.0 * lam * t) ** 2
+
+            value, err = harmonic._gauss_kronrod(integrand, 0.0, 1.0, harmonic._QUAD_TOL,
+                                                 harmonic._QUAD_BUDGET)
+            exact = _exact_integral(k, lam)
+            assert err <= harmonic._QUAD_TOL
+            assert abs(value - exact) <= err + 4 * np.finfo(float).eps * exact, (k, lam)
+
+
+def test_quadrature_budget():
+    def kink(t):
+        return np.abs(t - 1.0 / 3.0)
+
+    value, err = harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12, 10**5)
+    assert abs(value - 5.0 / 18.0) <= err + 1e-15
+    with pytest.raises(RuntimeError):
+        harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12, 10)     # not even one pass
+    with pytest.raises(RuntimeError):
+        harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12, 100)    # a few splits
+
+
+def test_gauss_kronrod_rule_exactness():
+    # K15 integrates polynomials of degree <= 22 exactly and G7 those of
+    # degree <= 13; G7 misses x^14
+    x = harmonic._GK_NODES
+    for d in range(23):
+        exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+        assert abs(harmonic._GK_K15 @ x**d - exact) <= 1e-15, d
+        if d <= 13:
+            assert abs(harmonic._GK_G7 @ x**d - exact) <= 1e-15, d
+    assert abs(harmonic._GK_G7 @ x**14 - 2.0 / 15.0) > 1e-5
+
+
 def test_integral_domain():
     with pytest.raises(ValueError):
         harmonic.A_integral(3, 0, 0.5)
@@ -178,3 +235,98 @@ def test_size_harmonic_bounds_property(lams_list, S0, y):
 def test_inequality_suite_smoke():
     bad = harmonic.inequality_violations(k_max=8, lambdas=(0.3, 0.7, 1.0))
     assert bad == []
+    with pytest.raises(ValueError):
+        harmonic.inequality_violations(k_max=0)
+
+
+def _reference_violations(k_max, lambdas, y_values, slack, tail_k=500):
+    """The inequality suite as a plain loop over the public scalar functionals."""
+    bad = []
+
+    def check(ok, label):
+        if not ok:
+            bad.append(label)
+
+    for lam in lambdas:
+        n2 = lam * (1.0 - lam)
+        alpha = lam / (1.0 + lam)
+        inv = 1.0 / (1.0 + lam)
+        fams = {k: harmonic.B_family(k, lam) for k in range(1, k_max + 2)}
+        for k in range(1, k_max + 1):
+            fam = fams[k]
+            tag = f"(k={k}, lam={lam})"
+            check(1.0 - alpha - slack <= fam.H <= 1.0 + slack, f"H range {tag}")
+            check(fam.A >= -slack, f"A nonnegative {tag}")
+            check(fam.B <= alpha * (1.0 - alpha) / k + slack, f"B coefficient bound {tag}")
+            check(fam.Bp <= lam / (k + 1) + slack, f"B' coefficient bound {tag}")
+            check(fam.Bpp <= n2 / (k + 2) + slack, f"B'' coefficient bound {tag}")
+            check(fam.G <= inv**2 + 3.0 * fam.A + slack, f"G vs A bound {tag}")
+            for p in range(1, 6):
+                check(harmonic.power_moment(k, lam, p)
+                      <= inv**p + fam.A * p * (p + 1) / 2.0 + slack,
+                      f"power moment bound p={p} {tag}")
+            check(fam.Bp <= fam.A * (1.0 + 3.0 * lam) * inv + slack, f"B' vs A upper {tag}")
+            check(fam.B >= fam.A / 2.0 - slack, f"B vs A lower {tag}")
+            check(fam.Bp >= (1.0 - lam) * fam.A / 2.0 - slack, f"B' vs A lower {tag}")
+            seq_here, seq_next = (k + 1) * fam.A, (k + 2) * fams[k + 1].A
+            check(seq_next <= seq_here + slack, f"(k+1)A nonincreasing {tag}")
+            check(alpha * (1.0 - lam) * inv**2 - slack <= seq_here <= alpha * (1.0 - lam) + slack,
+                  f"(k+1)A range {tag}")
+            scale = n2 * inv**3
+            check(scale / (k + 1) - slack <= fam.A <= scale * (k + 1) / k**2 + slack,
+                  f"A asymptotic range {tag}")
+            if k >= 2:
+                check(fam.A <= scale / (k - 1) + slack, f"A asymptotic range k>=2 {tag}")
+            h_up, g_low = harmonic.taylor_sandwich(k, lam)
+            check(fam.H <= h_up + slack, f"H Taylor upper {tag}")
+            check(fam.G >= g_low - slack, f"G Taylor lower {tag}")
+            if k >= 2:
+                check(abs(fam.Bpp + fam.B1 - 1.0) <= slack, f"B''+B1 identity {tag}")
+                check(abs(fam.Bpp - harmonic._bpp_via_shift(k, lam)) <= slack,
+                      f"B'' shift identity {tag}")
+                check(fam.Bpp >= n2 * inv**2 * k / (k + 1) ** 2 - slack, f"B'' lower bound {tag}")
+            check(abs(fam.B2 - (1.0 - fam.H) ** 2 - fam.Bp) <= slack, f"B2 decomposition {tag}")
+            for y in y_values:
+                if not k + y > 0:
+                    continue
+                cf = harmonic.C_family(k, lam, y)
+                ytag = f"(k={k}, lam={lam}, y={y})"
+                check(cf.Cpp <= cf.Cp + slack, f"C'' vs C' {ytag}")
+                check((k + y) * cf.Cp <= 1.0 - fam.H + slack, f"C' vs 1-H {ytag}")
+                check(cf.C <= cf.Hy + slack, f"C vs H_y {ytag}")
+                check((k + y) * cf.Cp <= alpha + slack, f"C' contraction {ytag}")
+                if y >= 0:
+                    check(cf.C <= 1.0 - lam / (y + 2.0) + slack, f"C contraction {ytag}")
+                elif y == -1.0 and k >= 2:
+                    check(cf.C <= 1.0 - alpha + slack, f"C contraction shift -1 {ytag}")
+            for y in y_values:
+                if not k + y > 0:
+                    continue
+                here, nxt = harmonic.H_y(k, lam, y), harmonic.H_y(k + 1, lam, y)
+                ytag = f"(k={k}, lam={lam}, y={y})"
+                if y >= 0:
+                    check(nxt <= here + slack, f"H_y nonincreasing {ytag}")
+                    check(here >= inv - slack, f"H_y floor {ytag}")
+                elif y == -1.0 and k >= 2:
+                    check(nxt >= here - slack, f"H_-1 nondecreasing {ytag}")
+                    check(here <= inv + slack, f"H_-1 ceiling {ytag}")
+        tail = tail_k * harmonic.A(tail_k, lam)
+        limit = n2 * inv**3
+        check(abs(tail - limit) <= 0.15 * limit + slack, f"kA(k) tail (lam={lam})")
+    return bad
+
+
+@pytest.mark.parametrize("y_values", [harmonic.DEFAULT_Y_GRID, (-2.5, -1.0, 0.0, 3.0)])
+def test_inequality_suite_matches_reference(y_values):
+    kwargs = dict(k_max=8, lambdas=(0.05, 0.3, 0.7, 1.0), y_values=y_values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # masked cells must not divide by zero
+        for slack in (1e-12, -1e-9, -1e-3):
+            got = harmonic.inequality_violations(slack=slack, **kwargs)
+            want = _reference_violations(slack=slack, **kwargs)
+            assert sorted(got) == sorted(want), slack
+            if slack < 0:
+                assert len(got) > 100
+            else:
+                assert got == []
+        assert harmonic.inequality_violations() == []
