@@ -86,6 +86,9 @@ def parse_config(raw: dict) -> RunConfig:
     for name in ("s0", "n", "seed", "replicates", "population_cap"):
         if name in raw:
             setattr(cfg, name, _int_field(raw[name], name))
+    if cfg.population_cap is not None and cfg.population_cap > simulator.MAX_POPULATION_CAP:
+        raise ConfigError(f"config field 'population_cap' must be at most "
+                          f"{simulator.MAX_POPULATION_CAP}, got {cfg.population_cap}")
     if "z" in raw:
         cfg.z = _float_field(raw["z"], "z")
 
@@ -340,6 +343,8 @@ def cmd_simulate(args) -> int:
         "D_mean": mc.D_mean,
         "size_mean": mc.size_mean, "size_se": mc.size_se,
         "martingale_mean": mc.martingale_mean, "martingale_se": mc.martingale_se,
+        "peak_population": mc.peak_population, "occupied_classes": mc.occupied_classes,
+        "cap_headroom": mc.cap_headroom,
     }
     variance_fields = {
         "t_var": mc.t_var, "t_var_se": mc.t_var_se,
@@ -512,8 +517,8 @@ def main(argv=None) -> int:
             "error": "population_cap",
             "gen": exc.gen,
             "size": exc.size,
-            "completed_cycles": len(exc.trajectory) - 1,
-            "partial_sizes": [s.size for s in exc.trajectory],
+            "completed_cycles": len(exc.sizes) - 1,
+            "partial_sizes": exc.sizes,
         })
         print(f"population cap exceeded: {exc}", file=sys.stderr)
         return 4

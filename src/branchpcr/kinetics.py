@@ -38,6 +38,11 @@ class MMParams:
                 f"D = {self.D} exceeds C + S0 = {self.C + self.S0}; "
                 "the first-cycle efficiency would leave (0, 1]"
             )
+        if not (math.isfinite(self.b) and math.isfinite(self.s0)):
+            raise ValueError(
+                f"C = {self.C}, D = {self.D} and S0 = {self.S0} give b = C/D = {self.b} "
+                f"and s0 = S0/C = {self.s0}; both must be finite"
+            )
 
     @property
     def s0(self) -> float:

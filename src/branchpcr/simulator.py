@@ -1,17 +1,22 @@
 """Simulation of the duplication process and exact small-instance enumeration.
 
-Populations are stored as count tables keyed by an integer mutation count m;
-a particle's state is m times ``state_scale``. Poisson increment laws live on
+Populations are stored as counts keyed by an integer mutation count m; a
+particle's state is m times ``state_scale``. Poisson increment laws live on
 the integer lattice directly (scale 1). A general (mu, nu) law is realized as
 the two-point distribution on {0, a} with a = (nu + mu^2)/mu and atom
 probability p = mu^2/(nu + mu^2), which matches both moments. Each cycle
-draws one binomial per occupied class for the duplication count and one
-multinomial (or binomial, for two-point laws) for the increments, so the cost
+draws a binomial duplication count per occupied class and a multinomial (or,
+for two-point laws, binomial) split of the copies' increments, so the cost
 scales with the number of occupied classes rather than the population size.
 
-Monte Carlo replicates use independent Philox streams seeded by (seed,
-replicate), aggregated in fixed-size chunks so results are identical for any
-thread count.
+``simulate`` runs one trajectory on a dict of counts. The Monte Carlo engine
+(``simulate_batch``, ``monte_carlo_moments``) steps a chunk of up to
+``_CHUNK`` = 1024 replicates at once as an int64 (replicates x classes)
+count array, with one array-valued draw per cycle. Stream contract: chunk c
+(replicates c*1024 .. c*1024 + 1023) draws everything, its trajectories
+first and then its sample draws, from Generator(Philox(SeedSequence((seed,
+c)))). Results are a pure function of the inputs and bit-identical for any
+thread count, since threads only carry whole chunks.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ from .moments import ExactMoments, MutationLaw
 from .schedule import DerivedSequences, EfficiencySchedule, mm_lambda
 
 DEFAULT_POPULATION_CAP = 10**8
+MAX_POPULATION_CAP = 2**62 - 1  # the engine's sizes stay within it, so a doubling fits in int64
 _CHUNK = 1024
 _PMF_TAIL = 1e-12
+_DRAW_CELLS = 1 << 20           # most (class, increment) cells in one multinomial draw
 
 
 @dataclass(frozen=True)
@@ -79,18 +86,18 @@ class PopulationState:
 class PopulationCapExceeded(RuntimeError):
     """Raised when a trajectory outgrows the population cap.
 
-    Carries the trajectory simulated so far (up to the last cycle that
-    stayed within the cap) plus the offending generation and size.
+    Carries the offending generation and size and the sizes of that
+    trajectory at cycles 0..gen-1.
     """
 
-    def __init__(self, trajectory: list[PopulationState], gen: int, size: int):
+    def __init__(self, gen: int, size: int, sizes: list[int]):
         super().__init__(
             f"population reached {size} at cycle {gen}, above the cap; "
-            f"partial trajectory has {len(trajectory)} snapshots"
+            f"partial trajectory has {len(sizes)} snapshots"
         )
-        self.trajectory = trajectory
         self.gen = gen
         self.size = size
+        self.sizes = sizes
 
 
 def _increment_sampler(law: MutationLaw):
@@ -154,15 +161,14 @@ def simulate(
                 if dups - hits:
                     new[m] += dups - hits
             else:
-                draws = rng.multinomial(dups, payload)
-                for inc, cnt in enumerate(draws):
+                for inc, cnt in enumerate(rng.multinomial(dups, payload).tolist()):
                     if cnt:
-                        new[m + inc] = new.get(m + inc, 0) + int(cnt)
+                        new[m + inc] = new.get(m + inc, 0) + cnt
         table = new
         size = sum(table.values())
         realized = realized + (float(lam),)
         if size > population_cap:
-            raise PopulationCapExceeded(traj, c + 1, size)
+            raise PopulationCapExceeded(c + 1, size, [s.size for s in traj])
         traj.append(PopulationState(c + 1, size, dict(table), scale, realized))
     return traj
 
@@ -177,8 +183,168 @@ def draw_sample(state: PopulationState, ell: int, rng: np.random.Generator) -> n
 
 
 @dataclass(frozen=True)
+class ReplicateBatch:
+    """States of a block of replicates after ``gen`` cycles, one row each.
+
+    ``counts[i, m]`` is the number of particles of replicate i that carry m
+    increments (state m times ``state_scale``); ``lambdas[i]`` holds the
+    efficiencies replicate i realized in cycles 1..gen.
+    """
+
+    gen: int
+    counts: np.ndarray
+    lambdas: np.ndarray
+    state_scale: float
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self.counts.sum(axis=1)
+
+    def values(self) -> np.ndarray:
+        return np.arange(self.counts.shape[1]) * self.state_scale
+
+    def sample_means(self, ell: int, rng: np.random.Generator) -> np.ndarray:
+        """Mean of ell with-replacement draws of particle states, per row."""
+        if ell < 1:
+            raise ValueError("sample size must be at least 1")
+        picks = rng.multinomial(ell, self.counts / self.sizes[:, None])
+        return picks @ self.values() / ell
+
+
+def _map_chunks(fn, replicates: int, seed: int, threads: int) -> list:
+    """fn(rows, rng) on each chunk of at most _CHUNK replicates, in chunk order."""
+    chunks = range(-(-replicates // _CHUNK))
+
+    def run(c):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
+        return fn(min(_CHUNK, replicates - c * _CHUNK), rng)
+
+    if threads > 1 and len(chunks) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(run, chunks))
+    return [run(c) for c in chunks]
+
+
+def _widen(a: np.ndarray, width: int) -> np.ndarray:
+    """Pad the columns of a 2-D array with zeros up to ``width``."""
+    return np.pad(a, ((0, 0), (0, width - a.shape[1])))
+
+
+def _check_run(spec: ProcessSpec, n: int, replicates: int, population_cap: int) -> None:
+    """Argument checks shared by the engine's entry points."""
+    if n < 0:
+        raise ValueError("cycle count must be nonnegative")
+    if replicates < 1:
+        raise ValueError("need at least one replicate")
+    if max(spec.S0, population_cap) > MAX_POPULATION_CAP:
+        raise ValueError(f"initial size and population cap must not exceed "
+                         f"{MAX_POPULATION_CAP}, the engine's 64-bit limit")
+
+
+def _run_chunk(
+    spec: ProcessSpec,
+    n: int,
+    rows: int,
+    rng: np.random.Generator,
+    population_cap: int,
+    marks: tuple[int, ...],
+) -> list[ReplicateBatch]:
+    """Step ``rows`` replicates for n cycles as one count array; a batch per mark.
+
+    Each cycle draws one array binomial for the duplications, then one array
+    binomial (two-point law) or multinomial over the increment table (Poisson
+    law) for the increments of the copies.
+    """
+    sched = spec.sched
+    deterministic = sched.kind == "deterministic"
+    lam_seq = sched.prefix(n) if deterministic else None
+    if not deterministic:
+        mm_lambda(spec.S0, sched.mm_C, sched.mm_D)  # sizes only grow: checks every cycle
+    kind, payload = _increment_sampler(spec.law)
+    scale = _state_scale(spec.law)
+    counts = np.full((rows, 1), spec.S0, dtype=np.int64)
+    sizes = counts[:, 0]
+    history = [sizes]
+    lams = np.empty((rows, n))
+    batches = []
+    for c in range(n + 1):
+        if c in marks:
+            batches.append(ReplicateBatch(c, counts, lams[:, :c].copy(), scale))
+        if c == n:
+            break
+        if deterministic:
+            lam = lam_seq[c]
+            lams[:, c] = lam
+        else:
+            lams[:, c] = sched.mm_D / (sched.mm_C + sizes)
+            lam = lams[:, c:c + 1]
+        dups = rng.binomial(counts, lam)
+        width = counts.shape[1]
+        if kind == "fixed":
+            new = counts + dups
+        elif kind == "bernoulli":
+            hits = rng.binomial(dups, payload)
+            new = np.zeros((rows, width + 1), dtype=np.int64)
+            new[:, :width] = counts + dups - hits
+            new[:, 1:] += hits
+        else:
+            new = np.zeros((rows, width + len(payload) - 1), dtype=np.int64)
+            new[:, :width] = counts
+            # row blocks bound the (rows, width, len(pmf)) draw array; the
+            # stream is consumed cell by cell, so the blocking leaves it unchanged
+            step = max(1, _DRAW_CELLS // (width * len(payload)))
+            for lo in range(0, rows, step):
+                draws = rng.multinomial(dups[lo:lo + step], payload)
+                for inc in range(len(payload)):
+                    new[lo:lo + step, inc:inc + width] += draws[:, :, inc]
+        counts = new[:, :np.flatnonzero(new.any(axis=0))[-1] + 1]
+        sizes = sizes + dups.sum(axis=1)
+        over = np.flatnonzero(sizes > population_cap)
+        if over.size:
+            i = int(over[0])
+            raise PopulationCapExceeded(c + 1, int(sizes[i]), [int(h[i]) for h in history])
+        history.append(sizes)
+    return batches
+
+
+def simulate_batch(
+    spec: ProcessSpec,
+    n: int,
+    replicates: int,
+    seed: int,
+    marks: tuple[int, ...] | None = None,
+    population_cap: int = DEFAULT_POPULATION_CAP,
+) -> list[ReplicateBatch]:
+    """Run ``replicates`` trajectories for n cycles; one batch per cycle mark.
+
+    ``marks`` defaults to the final cycle. Row r of every batch is replicate
+    r; chunk c of the replicates runs on Generator(Philox(SeedSequence((seed,
+    c)))), the streams ``monte_carlo_moments`` uses for its trajectories.
+    """
+    _check_run(spec, n, replicates, population_cap)
+    marks = (n,) if marks is None else tuple(marks)
+    if any(not 0 <= m <= n for m in marks) or list(marks) != sorted(set(marks)):
+        raise ValueError(f"cycle marks must increase within 0..{n}, got {marks}")
+    chunks = _map_chunks(
+        lambda rows, rng: _run_chunk(spec, n, rows, rng, population_cap, marks),
+        replicates, seed, 1)
+    out = []
+    for j, m in enumerate(marks):
+        parts = [chunk[j] for chunk in chunks]
+        width = max(b.counts.shape[1] for b in parts)
+        counts = np.concatenate([_widen(b.counts, width) for b in parts])
+        lambdas = np.concatenate([b.lambdas for b in parts])
+        out.append(ReplicateBatch(m, counts, lambdas, parts[0].state_scale))
+    return out
+
+
+@dataclass(frozen=True)
 class MonteCarloMoments:
-    """Replicate-averaged statistics with standard errors."""
+    """Replicate-averaged statistics with standard errors.
+
+    ``peak_population`` and ``occupied_classes`` are maxima over replicates
+    and cycles; ``cap_headroom`` is the population cap over the peak.
+    """
 
     replicates: int
     n: int
@@ -197,6 +363,9 @@ class MonteCarloMoments:
     size_se: float
     martingale_mean: float
     martingale_se: float
+    peak_population: int
+    occupied_classes: int
+    cap_headroom: float
     harmonic: dict[float, tuple[float, float]] = field(default_factory=dict)
     eta_hist: dict[int, float] | None = None
     eta_hist_sd: dict[int, float] | None = None
@@ -224,6 +393,54 @@ def _var_se(x: np.ndarray) -> tuple[float, float]:
     return s2, float(np.sqrt(max(m4 - s2 * s2 * (r - 3) / (r - 1), 0.0) / r))
 
 
+def _chunk_stats(batch: ReplicateBatch, ell: int, rng: np.random.Generator,
+                 shifts: tuple[float, ...], histogram: bool) -> dict:
+    """Row reductions of one chunk's final batch, the sampled means drawn from rng."""
+    counts = batch.counts
+    sizes = batch.sizes
+    frac = counts / sizes[:, None]
+    values = batch.values()
+    M = frac @ values
+    dev = values[None, :] - M[:, None]
+    sq = frac * dev * dev
+    out = {
+        "t": batch.sample_means(ell, rng),
+        "M": M,
+        "D": sq.sum(axis=1),
+        "mu3": (sq * dev).sum(axis=1),
+        "mu4": (sq * dev * dev).sum(axis=1),
+        "size": sizes.astype(float),
+        "mart": np.prod(1.0 / (1.0 + batch.lambdas), axis=1) * sizes,
+        "occupied": int((counts > 0).sum(axis=1).max()),
+        "harm": {y: 1.0 / (sizes + y) for y in shifts},
+    }
+    if histogram:
+        out["hist"] = np.stack([frac.sum(axis=0), (frac * frac).sum(axis=0)])
+    return out
+
+
+def _sample_var_se(M: np.ndarray, D: np.ndarray, mu3: np.ndarray, mu4: np.ndarray,
+                   ell: int) -> float:
+    """Standard error of the sample variance of t, from the replicates' state laws.
+
+    A sampled mean t is ell draws from its replicate's states, whose mean M,
+    variance D and third and fourth central moments are known exactly. The
+    variance and fourth central moment of t that enter the large-sample
+    error are taken as their expectations given each replicate's states
+    (Rao-Blackwell), not as moments of the drawn t. The drawn t of few
+    replicates often miss the upper tail, and then understate both the
+    variance and its error.
+    """
+    r = len(M)
+    if r < 2:
+        return 0.0
+    d = M - M.mean()
+    var = float(np.sum(d * d) / (r - 1) + np.mean(D) / ell)
+    m4 = float(np.mean(d**4 + 6.0 * d * d * D / ell + 4.0 * d * mu3 / ell**2
+                       + (mu4 + 3.0 * (ell - 1) * D * D) / ell**3))
+    return float(np.sqrt(max(m4 - var * var * (r - 3) / (r - 1), 0.0) / r))
+
+
 def monte_carlo_moments(
     spec: ProcessSpec,
     n: int,
@@ -238,82 +455,44 @@ def monte_carlo_moments(
 ) -> MonteCarloMoments:
     """Replicate the process and aggregate sample statistics.
 
-    Each replicate r runs on Generator(Philox(SeedSequence((seed, r)))), so
-    the result is a pure function of (spec, n, ell, replicates, seed) no
-    matter how many threads carry the chunks.
+    Chunk c of the replicates runs its trajectories and then its sample draws
+    on Generator(Philox(SeedSequence((seed, c)))), so the result is a pure
+    function of (spec, n, ell, replicates, seed) whatever ``threads`` is.
     """
-    if replicates < 1:
-        raise ValueError("need at least one replicate")
+    _check_run(spec, n, replicates, population_cap)
+    if ell < 1:
+        raise ValueError("sample size must be at least 1")
     for y in harmonic_shifts:
         if spec.S0 + y <= 0:
             raise ValueError(f"harmonic shift {y} reaches zero at the initial size")
 
-    def run_chunk(start: int, stop: int):
-        width = stop - start
-        t = np.empty(width)
-        Mz = np.empty(width)
-        Dz = np.empty(width)
-        sizes = np.empty(width)
-        mart = np.empty(width)
-        harm = {y: np.empty(width) for y in harmonic_shifts}
-        hist_sums: dict[int, list[float]] = {}
-        for i in range(width):
-            rep = start + i
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep))))
-            final = simulate(spec, n, rng, population_cap)[-1]
-            t[i] = float(np.mean(draw_sample(final, ell, rng)))
-            Mz[i] = final.mean()
-            Dz[i] = final.second_moment() - Mz[i] ** 2
-            sizes[i] = final.size
-            gamma_n = float(np.prod(1.0 / (1.0 + np.array(final.realized_lambdas))))
-            mart[i] = gamma_n * final.size
-            for y in harmonic_shifts:
-                harm[y][i] = 1.0 / (final.size + y)
-            if collect_histogram:
-                for m, frac in final.histogram().items():
-                    cell = hist_sums.setdefault(m, [0.0, 0.0])
-                    cell[0] += frac
-                    cell[1] += frac * frac
-        return t, Mz, Dz, sizes, mart, harm, hist_sums
+    def run(rows, rng):
+        final = _run_chunk(spec, n, rows, rng, population_cap, (n,))[0]
+        return _chunk_stats(final, ell, rng, harmonic_shifts, collect_histogram)
 
-    bounds = [(s, min(s + _CHUNK, replicates)) for s in range(0, replicates, _CHUNK)]
-    if threads > 1 and len(bounds) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda b: run_chunk(*b), bounds))
-    else:
-        results = [run_chunk(*b) for b in bounds]
-
-    t = np.concatenate([r[0] for r in results])
-    Mz = np.concatenate([r[1] for r in results])
-    Dz = np.concatenate([r[2] for r in results])
-    sizes = np.concatenate([r[3] for r in results])
-    mart = np.concatenate([r[4] for r in results])
-    harm_all = {
-        y: np.concatenate([r[5][y] for r in results]) for y in harmonic_shifts
-    }
+    chunks = _map_chunks(run, replicates, seed, threads)
+    cols = {key: np.concatenate([ch[key] for ch in chunks])
+            for key in ("t", "M", "D", "mu3", "mu4", "size", "mart")}
     eta_hist = eta_hist_sd = None
-    scale = _state_scale(spec.law)
     if collect_histogram:
-        merged: dict[int, list[float]] = {}
-        for r in results:
-            for m, (s1, s2) in r[6].items():
-                cell = merged.setdefault(m, [0.0, 0.0])
-                cell[0] += s1
-                cell[1] += s2
+        width = max(ch["hist"].shape[1] for ch in chunks)
+        s1, s2 = sum(_widen(ch["hist"], width) for ch in chunks)
         R = replicates
-        eta_hist = {m: s1 / R for m, (s1, _) in sorted(merged.items())}
-        eta_hist_sd = {}
-        for m, (s1, s2) in sorted(merged.items()):
-            var = (s2 - s1 * s1 / R) / (R - 1) if R > 1 else 0.0
-            eta_hist_sd[m] = float(np.sqrt(max(var, 0.0)))
+        var = (s2 - s1 * s1 / R) / (R - 1) if R > 1 else np.zeros(width)
+        seen = np.flatnonzero(s1 > 0)
+        eta_hist = {int(m): float(s1[m] / R) for m in seen}
+        eta_hist_sd = {int(m): float(np.sqrt(max(var[m], 0.0))) for m in seen}
 
+    t = cols["t"]
     t_mean, t_se = _mean_se(t)
-    t_var, t_var_se = _var_se(t)
-    M_mean, M_se = _mean_se(Mz)
-    M_var, M_var_se = _var_se(Mz)
-    D_mean, D_se = _mean_se(Dz)
-    size_mean, size_se = _mean_se(sizes)
-    mart_mean, mart_se = _mean_se(mart)
+    t_var = float(np.var(t, ddof=1)) if replicates > 1 else 0.0
+    t_var_se = _sample_var_se(cols["M"], cols["D"], cols["mu3"], cols["mu4"], ell)
+    M_mean, M_se = _mean_se(cols["M"])
+    M_var, M_var_se = _var_se(cols["M"])
+    D_mean, D_se = _mean_se(cols["D"])
+    size_mean, size_se = _mean_se(cols["size"])
+    mart_mean, mart_se = _mean_se(cols["mart"])
+    peak = int(cols["size"].max())
     return MonteCarloMoments(
         replicates=replicates, n=n, ell=ell,
         t_mean=t_mean, t_se=t_se, t_var=t_var, t_var_se=t_var_se,
@@ -321,9 +500,13 @@ def monte_carlo_moments(
         D_mean=D_mean, D_se=D_se,
         size_mean=size_mean, size_se=size_se,
         martingale_mean=mart_mean, martingale_se=mart_se,
-        harmonic={y: _mean_se(v) for y, v in harm_all.items()},
+        peak_population=peak,
+        occupied_classes=max(ch["occupied"] for ch in chunks),
+        cap_headroom=population_cap / peak,
+        harmonic={y: _mean_se(np.concatenate([ch["harm"][y] for ch in chunks]))
+                  for y in harmonic_shifts},
         eta_hist=eta_hist, eta_hist_sd=eta_hist_sd,
-        state_scale=scale,
+        state_scale=_state_scale(spec.law),
         t_values=t if keep_samples else None,
     )
 
@@ -517,7 +700,7 @@ def simulate_general(
         table = new
         size = sum(table.values())
         if size > population_cap:
-            raise PopulationCapExceeded(traj, c + 1, size)  # type: ignore[arg-type]
+            raise PopulationCapExceeded(c + 1, size, [s.size for s in traj])
         traj.append(GeneralPopulation(c + 1, size, dict(table)))
     return traj
 

@@ -24,11 +24,10 @@ from branchpcr.moments import (
 from branchpcr.schedule import build_schedule, derived_sequences
 from branchpcr.simulator import (
     ProcessSpec,
-    draw_sample,
     enumerate_tiny,
     eta_star_distribution,
     monte_carlo_moments,
-    simulate,
+    simulate_batch,
 )
 
 
@@ -215,23 +214,18 @@ def test_acceptance_8_saturating_growth_bounds():
     spec = ProcessSpec(params.as_schedule(), law, params.S0)
     reps = 10_000
     marks = (10, 50)
-    w_sum = {m: 0.0 for m in marks}
-    t_sum = {m: 0.0 for m in marks}
-    for rep in range(reps):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((808, rep))))
-        traj = simulate(spec, 50, rng)
-        alphas = np.array(traj[-1].realized_lambdas)
-        alphas = alphas / (1.0 + alphas)
-        for m in marks:
-            w_sum[m] += float(alphas[:m].sum())
-            t_sum[m] += float(draw_sample(traj[m], 1, rng)[0])
+    batches = simulate_batch(spec, 50, reps, 808, marks=marks)
+    rng = np.random.Generator(np.random.Philox(808))
+    w_bar, t_bar = {}, {}
+    for m, batch in zip(marks, batches):
+        w_bar[m] = float(np.mean(np.sum(batch.lambdas / (1.0 + batch.lambdas), axis=1)))
+        t_bar[m] = float(np.mean(batch.sample_means(1, rng)))
     failures = []
     for m in marks:
         wb = w_bounds(params, m)
-        w_bar = w_sum[m] / reps
-        ratio = t_sum[m] / reps / law.mu
-        if not wb.lower <= w_bar <= wb.upper:
-            failures.append(f"n={m}: w {w_bar} outside [{wb.lower}, {wb.upper}]")
+        ratio = t_bar[m] / law.mu
+        if not wb.lower <= w_bar[m] <= wb.upper:
+            failures.append(f"n={m}: w {w_bar[m]} outside [{wb.lower}, {wb.upper}]")
         if not wb.lower - 1.5 <= ratio <= wb.upper:
             failures.append(
                 f"n={m}: E(t)/mu {ratio} outside [{wb.lower - 1.5}, {wb.upper}]")

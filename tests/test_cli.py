@@ -10,7 +10,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from branchpcr import cli
 
@@ -194,6 +194,14 @@ def test_huge_input_is_a_domain_error(tmp_path, command, field, value):
     assert "domain error: " in err
 
 
+def test_mm_overflowing_rate_ratio_is_a_domain_error(tmp_path):
+    cfg = write_config(tmp_path, {"s0": 1, "n": 10,
+                                  "schedule": {"mm": {"C": 1e300, "D": 1e-300}}})
+    code, out, err = run_main(["mm", "--config", cfg])
+    assert (code, out) == (3, "")
+    assert "b = C/D = inf" in err and "must be finite" in err
+
+
 def test_emit_json_refuses_nan(capsys):
     with pytest.raises(ValueError):
         cli._emit_json({"x": math.nan})
@@ -268,8 +276,9 @@ def test_simulate_population_cap(tmp_path):
     assert proc.returncode == 4
     payload = json.loads(proc.stdout)
     assert payload["error"] == "population_cap"
-    assert payload["partial_sizes"][0] == 1
-    assert payload["size"] > 10**8
+    assert payload["partial_sizes"] == [2**g for g in range(27)]
+    assert (payload["gen"], payload["size"]) == (27, 2**27)
+    assert payload["completed_cycles"] == 26
     assert "population cap exceeded" in proc.stderr
 
 
@@ -285,6 +294,9 @@ def test_simulate_population_cap_config_field(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["size_mean"] == 2**28
+    assert payload["peak_population"] == 2**28
+    assert payload["cap_headroom"] == 10**9 / 2**28
+    assert 1 <= payload["occupied_classes"] <= 29
 
 
 def test_harmonic_table(tmp_path):
@@ -345,6 +357,7 @@ def test_mm_bounds(tmp_path):
     ("sample", {"ell": 28.5, "t": 0.1}), ("sample", {"ell": 28, "t": "0.1"}),
     ("schedule", {"lambdas": "0.5"}), ("schedule", {"lambdas": [0.5, "0.5"]}),
     ("schedule", {"mm": {"C": math.inf, "D": 1.0}}),
+    ("population_cap", 2**62), pytest.param("population_cap", 10**400, id="population_cap-1e400"),
 ])
 def test_config_fields_are_typed(tmp_path, field, value):
     raw = json.loads(open(ref_config(tmp_path)).read())
@@ -427,6 +440,10 @@ def _corrupt(raw, slot, value):
 
 @given(command=st.sampled_from(["bounds", "estimate", "simulate", "mm"]), raw=_valid_configs,
        edits=st.lists(st.tuples(st.sampled_from(_SLOTS), _bad_values), max_size=2))
+@example(command="mm", edits=[], raw={
+    "s0": 1, "n": 6, "seed": 0, "z": 2.0, "replicates": 1,
+    "schedule": {"mm": {"C": 1e300, "D": 1e-300}},
+    "mutation": {"poisson": {"mu": 0.05}}, "sample": {"ell": 1, "t": 0.0}})
 @settings(max_examples=300, deadline=None)
 def test_config_fuzz(tmp_path_factory, command, raw, edits):
     for slot, value in edits:

@@ -19,7 +19,7 @@ from branchpcr.estimator import (
 )
 from branchpcr.moments import exact_Vn_Vpn, moment_envelope, poisson_law
 from branchpcr.schedule import build_schedule, derived_sequences
-from branchpcr.simulator import ProcessSpec, draw_sample, simulate
+from branchpcr.simulator import ProcessSpec, monte_carlo_moments
 
 REF_LAMBDAS = [0.872] * 20 + [0.743] * 5 + [0.146] * 5
 REF_T = 17.0 / 28.0  # 17 mutations across 28 draws
@@ -223,11 +223,10 @@ def test_interval_coverage():
     seqs = ref_seqs()
     spec = ProcessSpec(sched, poisson_law(mu), 10)
     reps, hits = 2000, 0
-    for rep in range(reps):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((2024, rep))))
-        state = simulate(spec, 30, rng, population_cap=10**9)[-1]
-        t = float(draw_sample(state, REF_ELL, rng).mean())
-        pi = poisson_interval(t, seqs, 30, REF_ELL, z=2.0)
+    mc = monte_carlo_moments(spec, 30, REF_ELL, reps, 2024, keep_samples=True,
+                             population_cap=10**9)
+    for t in mc.t_values:
+        pi = poisson_interval(float(t), seqs, 30, REF_ELL, z=2.0)
         if pi.lo <= mu <= pi.hi:
             hits += 1
     assert hits / reps >= 0.70

@@ -25,6 +25,10 @@ def test_params_validation():
         MMParams(C=10.0, D=5.0, S0=0)
     with pytest.raises(ValueError):
         MMParams(C=10.0, D=12.0, S0=1)  # first-cycle efficiency above one
+    with pytest.raises(ValueError, match="must be finite"):
+        MMParams(C=1e300, D=1e-300, S0=1)  # b = C/D overflows
+    with pytest.raises(ValueError, match="must be finite"):
+        MMParams(C=1e-310, D=1e-310, S0=1)  # s0 = S0/C overflows
     p = MMParams(C=1000.0, D=1000.0, S0=1000)
     assert p.b == pytest.approx(1.0)
     assert p.s0 == pytest.approx(1.0)

@@ -1,8 +1,11 @@
 """Monte Carlo engine, tiny exact enumeration, and general branching checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from branchpcr.kinetics import MMParams
 from branchpcr.moments import (
     MutationLaw,
     exact_sample_moments,
@@ -12,8 +15,10 @@ from branchpcr.moments import (
     theorem_k_bound,
     variance_envelope,
 )
-from branchpcr.schedule import build_schedule, derived_sequences
+from branchpcr.schedule import build_schedule, derived_sequences, mm_lambda
+from branchpcr import simulator
 from branchpcr.simulator import (
+    MAX_POPULATION_CAP,
     PopulationCapExceeded,
     ProcessSpec,
     draw_sample,
@@ -21,6 +26,7 @@ from branchpcr.simulator import (
     eta_star_distribution,
     monte_carlo_moments,
     simulate,
+    simulate_batch,
     simulate_general,
     theorem_j_mean,
 )
@@ -68,38 +74,142 @@ def test_draw_sample_statistics():
         draw_sample(state, 0, rng)
 
 
+def assert_same_moments(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+
+
 def test_monte_carlo_thread_invariance():
+    # three chunks of the batched engine, the last one partial
     spec = spec_for([0.6] * 5)
-    kw = dict(n=5, ell=4, replicates=64, seed=123, harmonic_shifts=(0.0, 1.0))
-    one = monte_carlo_moments(spec, threads=1, **kw)
-    three = monte_carlo_moments(spec, threads=3, **kw)
-    assert one.t_mean == three.t_mean
-    assert one.t_var == three.t_var
-    assert one.martingale_mean == three.martingale_mean
-    assert one.harmonic == three.harmonic
-    diff = monte_carlo_moments(spec, threads=1, n=5, ell=4, replicates=64, seed=124)
-    assert one.t_mean != diff.t_mean
+    kw = dict(n=5, ell=4, replicates=2 * 1024 + 300, seed=123, harmonic_shifts=(0.0, 1.0),
+              collect_histogram=True, keep_samples=True)
+    runs = [monte_carlo_moments(spec, threads=k, **kw) for k in (1, 2, 3)]
+    for other in runs[1:]:
+        assert_same_moments(runs[0], other)
+    kw["seed"] = 124
+    diff = monte_carlo_moments(spec, threads=1, **kw)
+    assert runs[0].t_mean != diff.t_mean
+
+
+def test_multinomial_row_blocks_leave_the_stream(monkeypatch):
+    # wide Poisson tables are drawn in row blocks of at most _DRAW_CELLS cells;
+    # one row per block must give the same results as one block per chunk
+    spec = spec_for([0.7] * 6, mu=0.4)
+    kw = dict(n=6, ell=3, replicates=1024 + 40, seed=9, collect_histogram=True,
+              keep_samples=True)
+    whole = monte_carlo_moments(spec, **kw)
+    monkeypatch.setattr(simulator, "_DRAW_CELLS", 16)
+    assert_same_moments(whole, monte_carlo_moments(spec, **kw))
 
 
 def test_monte_carlo_validation():
     spec = spec_for([0.5] * 3)
     with pytest.raises(ValueError):
         monte_carlo_moments(spec, 3, 1, replicates=0, seed=1)
+    for run in (lambda **kw: monte_carlo_moments(spec, ell=1, replicates=4, seed=1, **kw),
+                lambda **kw: simulate_batch(spec, replicates=4, seed=1, **kw)):
+        with pytest.raises(ValueError, match="cycle count must be nonnegative"):
+            run(n=-1)
+        with pytest.raises(ValueError, match="64-bit"):
+            run(n=3, population_cap=MAX_POPULATION_CAP + 1)
+    with pytest.raises(ValueError, match="64-bit"):
+        simulate_batch(spec_for([0.5] * 3, S0=MAX_POPULATION_CAP + 1), 3, 4, 1)
     with pytest.raises(ValueError):
         monte_carlo_moments(spec, 3, 1, replicates=4, seed=1, harmonic_shifts=(-2.0,))
+    with pytest.raises(ValueError):
+        simulate_batch(spec, 3, 4, 1, marks=(2, 4))
+    with pytest.raises(ValueError):
+        simulate_batch(spec, 3, 4, 1, marks=(2, 1))
+    with pytest.raises(ValueError):
+        simulate_batch(spec, 3, 0, 1)
+    with pytest.raises(ValueError):  # first-cycle efficiency D/(C + S0) above one
+        simulate_batch(ProcessSpec(build_schedule(mm_C=10.0, mm_D=12.0), poisson_law(0.1), 1),
+                       3, 4, 1)
+    with pytest.raises(ValueError):
+        simulate_batch(spec, 3, 4, 1)[0].sample_means(0, np.random.Generator(np.random.Philox(0)))
 
 
 def test_monte_carlo_against_envelopes():
     lams = [0.5] * 6
-    spec = spec_for(lams, mu=0.05, S0=2)
-    seqs = derived_sequences(spec.sched, 6)
-    mc = monte_carlo_moments(spec, 6, 5, replicates=4000, seed=11, threads=2)
-    dp = exact_sample_moments(spec.sched, spec.law, 2, 6, 5)
-    assert mc.t_mean == pytest.approx(dp.Et, abs=4 * mc.t_se)
-    assert mc.t_var == pytest.approx(dp.Vt, abs=4 * mc.t_var_se)
-    assert mc.martingale_mean == pytest.approx(2.0, abs=4 * mc.martingale_se)
-    fme = first_moment_envelope(seqs, spec.law, 2, 6)
-    assert fme.Et_lo - 4 * mc.t_se <= mc.t_mean <= fme.Et_hi + 4 * mc.t_se
+    for law in (poisson_law(0.05), MutationLaw(mu=0.1, nu=0.04), poisson_law(0.0)):
+        spec = ProcessSpec(build_schedule(lams), law, 2)
+        seqs = derived_sequences(spec.sched, 6)
+        mc = monte_carlo_moments(spec, 6, 5, replicates=4000, seed=11, threads=2)
+        dp = exact_sample_moments(spec.sched, spec.law, 2, 6, 5)
+        assert mc.t_mean == pytest.approx(dp.Et, abs=4 * mc.t_se)
+        assert mc.t_var == pytest.approx(dp.Vt, abs=4 * mc.t_var_se)
+        assert mc.M_mean == pytest.approx(dp.M_eta, abs=4 * mc.M_se)
+        assert mc.martingale_mean == pytest.approx(2.0, abs=4 * mc.martingale_se)
+        fme = first_moment_envelope(seqs, spec.law, 2, 6)
+        assert fme.Et_lo - 4 * mc.t_se <= mc.t_mean <= fme.Et_hi + 4 * mc.t_se
+
+
+def test_sample_variance_error_matches_drawn_samples():
+    # at many replicates the error from the replicates' state laws agrees with
+    # the large-sample error computed from the drawn sample means themselves
+    for law in (poisson_law(0.3), MutationLaw(mu=0.2, nu=0.1)):
+        spec = ProcessSpec(build_schedule([0.5] * 6), law, 2)
+        mc = monte_carlo_moments(spec, 6, 3, 20_000, 1, keep_samples=True)
+        r = len(mc.t_values)
+        d = mc.t_values - mc.t_values.mean()
+        s2 = float(d @ d) / (r - 1)
+        plug_in = np.sqrt((np.mean(d**4) - s2 * s2 * (r - 3) / (r - 1)) / r)
+        assert mc.t_var == pytest.approx(s2, rel=1e-12)
+        assert mc.t_var_se == pytest.approx(plug_in, rel=0.1)
+
+
+def test_monte_carlo_counters():
+    spec = spec_for([0.5] * 4, mu=0.3)
+    mc = monte_carlo_moments(spec, 4, 2, replicates=500, seed=3, population_cap=10**4)
+    final = simulate_batch(spec, 4, 500, 3)[0]
+    assert mc.peak_population == final.sizes.max()
+    assert mc.occupied_classes == (final.counts > 0).sum(axis=1).max()
+    assert mc.cap_headroom == 10**4 / mc.peak_population
+
+
+def test_batch_full_efficiency_doubles():
+    spec = spec_for([1.0] * 5, S0=3)
+    batches = simulate_batch(spec, 5, 40, 0, marks=tuple(range(6)))
+    for g, batch in enumerate(batches):
+        assert batch.gen == g
+        assert (batch.sizes == 3 * 2**g).all()
+        assert (batch.lambdas == 1.0).all() and batch.lambdas.shape == (40, g)
+
+
+def test_batch_population_cap():
+    spec = spec_for([1.0] * 10, S0=1)
+    with pytest.raises(PopulationCapExceeded) as ei:
+        simulate_batch(spec, 10, 8, 1, population_cap=100)
+    assert (ei.value.gen, ei.value.size) == (7, 128)
+    assert ei.value.sizes == [2**g for g in range(7)]
+    # random growth: the first cycle where any row passes the cap, and the
+    # first such row, as read off the uncapped run on the same stream
+    spec = spec_for([0.7] * 12, S0=1)
+    sizes = np.array([b.sizes for b in simulate_batch(spec, 12, 300, 5, marks=tuple(range(13)))])
+    cap = 100
+    gen = int(np.flatnonzero((sizes > cap).any(axis=1))[0])
+    rows = np.flatnonzero(sizes[gen] > cap)
+    assert len(rows) > 1
+    row = int(rows[0])
+    for run in (lambda: simulate_batch(spec, 12, 300, 5, population_cap=cap),
+                lambda: monte_carlo_moments(spec, 12, 1, 300, 5, population_cap=cap)):
+        with pytest.raises(PopulationCapExceeded) as ei:
+            run()
+        assert (ei.value.gen, ei.value.size) == (gen, sizes[gen, row])
+        assert ei.value.sizes == sizes[:gen, row].tolist()
+
+
+def test_batch_saturating_efficiency_follows_row_size():
+    params = MMParams(C=50.0, D=51.0, S0=1)
+    spec = ProcessSpec(params.as_schedule(), poisson_law(0.05), params.S0)
+    batches = simulate_batch(spec, 12, 200, 4, marks=tuple(range(13)))
+    for c in range(12):
+        want = [mm_lambda(int(s), params.C, params.D) for s in batches[c].sizes]
+        assert batches[c + 1].lambdas[:, c].tolist() == want
+        assert np.array_equal(batches[c + 1].lambdas[:, :c], batches[c].lambdas)
+    assert len(set(batches[12].lambdas[:, -1].tolist())) > 1
 
 
 def test_monte_carlo_keep_samples():
@@ -119,8 +229,7 @@ def test_population_cap_exception():
     err = ei.value
     assert err.size > 100
     assert 0 < err.gen <= 10
-    assert err.trajectory[0].size == 1
-    assert err.trajectory[-1].gen < 10
+    assert err.sizes == [2**g for g in range(err.gen)]
 
 
 # ----- limiting sample distribution -----
