@@ -7,22 +7,29 @@ and the rest of a row follows from the ratio recurrence p_{j+1}/p_j, walked
 outward from the mode so every step shrinks the value and the tails underflow
 gracefully to zero.
 
-These two functions are the package's only source of binomial and Poisson
-weights: the harmonic functionals, the size-law and moment programs and the
-simulator's increment table all read them.
+``binom_band`` does this for many rows at once: the mode values in one array
+pass, the walks as 2-D cumulative products, and each row cut to a band
+around its mean past which Hoeffding's inequality leaves at most
+``BAND_TAIL`` of the mass. ``binom_row`` is its uncut one-row case, and
+``size_transitions`` steps a size law S -> S + Binomial(S, lambda) through
+such bands. With ``poisson_table`` they are the package's only source of
+binomial and Poisson weights: the harmonic functionals, the size-law and
+moment programs and the simulator's increment table all read them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 _LN_2PI = math.log(2.0 * math.pi)
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 0..15 (40-digit
-# values rounded to double; n = 0 is never looked up)
-_STIRLERR = (
+# values rounded to double; 0 stands at n = 0, where it is used by
+# convention, and at n = 16, past which the series takes over)
+_STIRLERR = np.array((
     0.0,
     0.08106146679532726,
     0.0413406959554093,
@@ -39,84 +46,193 @@ _STIRLERR = (
     0.006408994188004207,
     0.0059513701127588475,
     0.005554733551962801,
-)
+    0.0,
+))
 _S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 
-
-def _stirlerr(n: int) -> float:
-    if n <= 15:
-        return _STIRLERR[n]
-    nn = float(n) * n
-    if n > 500:
-        return (_S0 - _S1 / nn) / n
-    if n > 80:
-        return (_S0 - (_S1 - _S2 / nn) / nn) / n
-    if n > 35:
-        return (_S0 - (_S1 - (_S2 - _S3 / nn) / nn) / nn) / n
-    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
+# A cut binomial row keeps the duplication counts within t of its mean s lam,
+# where 2 exp(-2 t^2 / s) = BAND_TAIL: by Hoeffding (1963), as a row is a sum
+# of s independent indicators, that bounds the mass it leaves out
+BAND_TAIL = 1e-17
+# band weights per block of source sizes in ``size_transitions``, which
+# bounds the memory of the size programs
+_BLOCK_CELLS = 1 << 18
 
 
-def _bd0(x: float, m: float) -> float:
-    """Deviance x log(x/m) + m - x, by its series where the terms cancel."""
-    if abs(x - m) < 0.1 * (x + m):
-        v = (x - m) / (x + m)
-        s = (x - m) * v
-        ej = 2.0 * x * v
-        v *= v
-        j = 3
-        while True:
-            ej *= v
-            s1 = s + ej / j
-            if s1 == s:
-                return s
-            s = s1
-            j += 2
-    return x * math.log(x / m) + m - x
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """stirlerr at each integer-valued n >= 0: the table, then its series."""
+    big = np.maximum(n, 16.0)
+    nn = big * big
+    series = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / big
+    return _STIRLERR[np.minimum(n, 16.0).astype(np.intp)] + (n > 15.0) * series
 
 
-def _binom_at(x: int, n: int, p: float, q: float) -> float:
-    """Binomial(n, p) probability of x, with q = 1 - p; 0 < p < 1."""
-    if x == 0:
-        return math.exp(n * math.log1p(-p))
-    if x == n:
-        return math.exp(n * math.log(p))
-    lc = (
-        _stirlerr(n) - _stirlerr(x) - _stirlerr(n - x)
-        - _bd0(x, n * p) - _bd0(n - x, n * q)
-    )
-    return math.exp(lc - 0.5 * (_LN_2PI + math.log(x) + math.log1p(-x / n)))
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Deviance x log(x/m) + m - x at each pair; x, m >= 0, m > 0 where x > 0.
+
+    Where the two terms cancel (|x - m| < (x + m)/10) it is summed as the
+    series in v = (x - m)/(x + m), whose terms shrink by v^2 < 1/100: a term
+    that leaves every sum unchanged leaves it unchanged for the smaller ones
+    after it too. At x = 0 it is m.
+    """
+    d = x - m
+    near = np.abs(d) < 0.1 * (x + m)
+    v = near * d / np.maximum(x + m, 1e-300)
+    s = d * v
+    ej = 2.0 * x * v
+    v *= v
+    j = 3
+    while True:
+        ej *= v
+        s1 = s + ej / j
+        if (s1 == s).all():
+            break
+        s = s1
+        j += 2
+    xlogx = x * np.log((x + (x == 0.0)) / np.maximum(m, 1e-300))
+    return np.where(near, s, xlogx + m - x)
+
+
+def _binom_mode(x: np.ndarray, n: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Binomial(n, p) probability of x at each entry, with q = 1 - p.
+
+    Loader's form: exp of Stirling remainders and deviances, over
+    sqrt(2 pi x (n - x)/n). At x = 0 the remainders cancel and the root is
+    left out, which gives q^n = exp(-n p - bd0(n, n q)); x = n likewise.
+    """
+    k = len(x)
+    st = _stirlerr(np.concatenate((n, x, n - x)))
+    bd = _bd0(np.concatenate((x, n - x)), np.concatenate((n * p, n * q)))
+    lc = st[:k] - st[k : 2 * k] - st[2 * k :] - bd[:k] - bd[k:]
+    inner = (x > 0.0) & (x < n)
+    xi, ni = np.where(inner, x, 1.0), np.where(inner, n, 2.0)
+    return np.exp(lc - inner * (0.5 * (_LN_2PI + np.log(xi) + np.log1p(-xi / ni))))
+
+
+def band_limits(
+    s: np.ndarray, lam: np.ndarray | float, tail: float = BAND_TAIL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First and last duplication count kept in each Binomial(s, lam) row.
+
+    Returns float arrays (lo, hi, cut): ``cut`` is Hoeffding's bound on the
+    mass outside [lo, hi], one term for each side that drops anything, each
+    at most tail/2. ``tail = 0`` keeps whole rows.
+    """
+    s = np.asarray(s, dtype=float)
+    if tail == 0.0:
+        zero = 0.0 * s
+        return zero, s, zero
+    mean = s * lam
+    t = np.sqrt(s * (0.5 * math.log(2.0 / tail)))
+    lo = np.maximum(np.ceil(mean - t), 0.0)
+    hi = np.minimum(np.floor(mean + t), s)
+    # a count dropped below lo (above hi) lies at least mean - lo + 1
+    # (hi + 1 - mean) > t from the mean
+    scale = -2.0 / np.maximum(s, 1.0)
+    cut = ((lo > 0.0) * np.exp(scale * (mean - lo + 1.0) ** 2)
+           + (hi < s) * np.exp(scale * (hi + 1.0 - mean) ** 2))
+    return lo, hi, cut
+
+
+def binom_band(
+    s: np.ndarray, lam: np.ndarray | float, tail: float = BAND_TAIL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binomial(s_i, lam_i) rows, each cut to its band from ``band_limits``.
+
+    ``lam`` is one efficiency or one per row. Returns (lo, w, cut): w[i, c]
+    is the probability of lo[i] + c duplications among s[i] particles, zero
+    past the row's band; lo is an int array and cut the per-row tail bound.
+    """
+    s = np.asarray(s, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    q = 1.0 - lam
+    m = np.minimum(s, np.floor((s + 1.0) * lam))
+    lo, hi, cut = band_limits(s, lam, tail)
+    j = lo[:, None] + np.arange(int((hi - lo).max()) + 1.0)
+    S, L, Q, M = s[:, None], lam[..., None], q[..., None], m[:, None]
+    # p_j/p_{j-1} = (s - j + 1) lam / (j q) above the mode and p_j/p_{j+1} =
+    # (j + 1) q / ((s - j) lam) below it, each cumulated outward from the mode
+    # (value 1). lam and q enter each ratio apart, never as one rounded lam/q
+    # whose error every step would repeat. Past the band the ratio is 0.
+    inside = j <= hi[:, None]
+    up = inside.astype(float)
+    np.divide((S - j + 1.0) * L, j * Q, out=up, where=inside & (j > M))
+    down = np.ones_like(j)
+    np.divide((j + 1.0) * Q, (S - j) * L, out=down, where=j < M)
+    w = np.cumprod(up, axis=1)
+    w *= np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+    # 1 - lam = q (1 + c) exactly; the rounding of q itself is in every ratio,
+    # so the value |j - m| steps out from the mode is off by (1 + c)^(j - m)
+    c = ((1.0 - q) - lam) / np.where(q > 0.0, q, 1.0)
+    pm = _binom_mode(m, s, lam, q)
+    w *= (pm * (1.0 + c * m))[:, None] - (pm * c)[:, None] * j
+    return lo.astype(np.int64), w, cut
 
 
 def binom_row(s: int, lam: float) -> np.ndarray:
-    """Binomial(s, lam) probabilities of 0..s."""
-    if lam == 0.0 or lam == 1.0:
-        row = np.zeros(s + 1)
-        row[s if lam else 0] = 1.0
-        return row
-    q = 1.0 - lam
-    m = min(s, int((s + 1) * lam))
-    i = np.arange(s + 1.0)
-    # p_{i+1}/p_i = a_i/b_i for i = 0..s-1; lam and q enter each ratio apart,
-    # never as one rounded lam/q whose error every step would repeat
-    a = (s - i[:-1]) * lam
-    b = i[1:] * q
-    row = np.empty(s + 1)
-    row[m] = 1.0
-    row[m + 1 :] = np.cumprod(a[m:] / b[m:])
-    row[:m] = np.cumprod(b[:m][::-1] / a[:m][::-1])[::-1]
-    # 1 - lam = q (1 + c) exactly; the rounding of q itself is in every ratio,
-    # so the value |m - i| steps out from the mode is off by (1 + c)^(i - m)
-    c = ((1.0 - q) - lam) / q
-    pm = _binom_at(m, s, lam, q)
-    row *= pm * (1.0 + c * m) - (pm * c) * i
-    return row
+    """Binomial(s, lam) probabilities of 0..s: the uncut one-row band."""
+    return binom_band(np.array([s]), lam, tail=0.0)[1][0]
+
+
+@dataclass(frozen=True)
+class SizeBand:
+    """The banded rows s -> s + Binomial(s, lam) of a block of source sizes."""
+
+    rows: slice         # the sources' positions in the current support
+    s: np.ndarray       # (K, 1) source sizes
+    lam: np.ndarray     # (K,) their efficiencies
+    j: np.ndarray       # (K, B) duplication counts
+    w: np.ndarray       # (K, B) their probabilities, zero past each band
+    to: np.ndarray      # (K, B) positions of s + j in the next support
+    cut: np.ndarray     # (K,) bound on each row's mass outside its band
+
+    def scatter(self, x: np.ndarray, width: int) -> np.ndarray:
+        """Sum x over the (source, j) cells that land on each next size."""
+        return np.bincount(self.to.ravel(), x.ravel(), width)
+
+
+def size_transitions(lam_at, S0: int, n: int, cap: int):
+    """The step S_k = S_{k-1} + Binomial(S_{k-1}, lam) of each cycle, banded.
+
+    ``lam_at(c, s)`` gives the efficiency of cycle c + 1 at source sizes s.
+    Yields (first, width, bands) per cycle: the next support is the sizes
+    first .. first + width - 1, and ``bands`` yields the current support's
+    rows as ``SizeBand`` blocks of at most _BLOCK_CELLS weights each. The
+    support starts at {S0} and is the union of the bands, so it grows by
+    about lam s + 4.5 sqrt(s) a cycle; its largest size must stay <= cap.
+    """
+    base, width = S0, 1
+    for c in range(n):
+        s = base + np.arange(width, dtype=float)
+        lam = lam_at(c, s)
+        lo, hi, _ = band_limits(s, lam)
+        base, top = int((s + lo).min()), int((s + hi).max())
+        if top > cap:
+            raise ValueError(f"size support reaches {top} at cycle {c + 1}, above cap {cap}")
+        width = top - base + 1
+        rows = max(1, _BLOCK_CELLS // int((hi - lo).max() + 1.0))
+        yield base, width, _size_bands(s, lam, base, width, rows)
+
+
+def _size_bands(s: np.ndarray, lam: np.ndarray, first: int, width: int, rows: int):
+    """The rows of sources s, ``rows`` at a time, into a support from ``first``."""
+    for a in range(0, len(s), rows):
+        sl = slice(a, a + rows)
+        lo, w, cut = binom_band(s[sl], lam[sl])
+        j = lo[:, None] + np.arange(w.shape[1])
+        src = s[sl, None]
+        # cells past a row's band carry weight 0; clipping keeps them in range
+        to = np.minimum(src.astype(np.int64) - first + j, width - 1)
+        yield SizeBand(sl, src, lam[sl], j.astype(float), w, to, cut)
 
 
 def _poisson_at(x: int, mu: float) -> float:
     """Poisson(mu) probability of x; mu > 0."""
     if x == 0:
         return math.exp(-mu)
-    return math.exp(-_stirlerr(x) - _bd0(x, mu)) / math.sqrt(2.0 * math.pi * x)
+    xa = np.array([float(x)])
+    lc = _stirlerr(xa) + _bd0(xa, np.array([mu]))
+    return math.exp(-float(lc[0])) / math.sqrt(2.0 * math.pi * x)
 
 
 def poisson_table(mu: float, tail: float) -> np.ndarray:

@@ -46,6 +46,20 @@ def point_estimate(t: float, seqs: DerivedSequences, n: int) -> float:
     return t / _W_n(seqs, n)
 
 
+def _correction_ratios(
+    seqs: DerivedSequences, S0: int, n: int
+) -> tuple[float, float, float, float, float]:
+    """(W_n, r, r'', den_lo, den_hi): the relative corrections v_n/W_n and
+    v''_n/W_n, and the bracket denominators 1 - r/(S0+1), 1 - r''/(S0+1)."""
+    _check_n(seqs, n)
+    if S0 < 1:
+        raise ValueError("initial population must be at least 1")
+    W = _W_n(seqs, n)
+    r = float(seqs.v[n]) / W
+    rpp = float(seqs.vpp[n]) / W
+    return W, r, rpp, 1.0 - r / (S0 + 1), 1.0 - rpp / (S0 + 1)
+
+
 def finite_population_bracket(
     t: float, seqs: DerivedSequences, S0: int, n: int, strict: bool = False
 ) -> tuple[float, float]:
@@ -58,17 +72,10 @@ def finite_population_bracket(
     +inf when a denominator is not positive (only for extreme schedules).
     """
     _check_t(t)
-    _check_n(seqs, n)
-    if S0 < 1:
-        raise ValueError("initial population must be at least 1")
+    W, r, _, den_lo, den_hi = _correction_ratios(seqs, S0, n)
     if strict and S0 < 2:
         raise ValueError("the strict upper route needs at least two founders")
-    W = _W_n(seqs, n)
     mu_star = t / W
-    r = float(seqs.v[n]) / W
-    rpp = float(seqs.vpp[n]) / W
-    den_lo = 1.0 - r / (S0 + 1)
-    den_hi = 1.0 - rpp / (S0 + 1)
     lo = mu_star / den_lo if den_lo > 0.0 else math.inf
     hi = mu_star / den_hi if den_hi > 0.0 else math.inf
     if strict:
@@ -92,14 +99,7 @@ class CorrectionRatios:
 
 def correction_ratio_report(seqs: DerivedSequences, S0: int, n: int) -> CorrectionRatios:
     """How much the finite-size correction can stretch mu_star."""
-    _check_n(seqs, n)
-    if S0 < 1:
-        raise ValueError("initial population must be at least 1")
-    W = _W_n(seqs, n)
-    r = float(seqs.v[n]) / W
-    rpp = float(seqs.vpp[n]) / W
-    den_lo = 1.0 - r / (S0 + 1)
-    den_hi = 1.0 - rpp / (S0 + 1)
+    _, r, rpp, den_lo, den_hi = _correction_ratios(seqs, S0, n)
     return CorrectionRatios(
         n=n, S0=S0, r=r, rpp=rpp,
         lo_multiplier=1.0 / den_lo if den_lo > 0.0 else math.inf,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pmf import binom_row
+from ._pmf import binom_band, binom_row
 from .schedule import EfficiencySchedule, derived_sequences, gamma_sequence
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(
@@ -345,10 +345,10 @@ def inequality_violations(
     spot check of k A(k) at k = tail_k (within 15 percent of its limit).
     An empty list means every assertion held within ``slack``.
 
-    Each efficiency builds the rows Binomial(s, lambda), s = 0..k_max+1, once,
-    as one zero-padded matrix; every functional is a row reduction of it and
-    every inequality one boolean array over k. Labels come in the order of a
-    loop over k, then over the checks.
+    Each efficiency builds the rows Binomial(s, lambda), s = 0..k_max+1, as
+    one zero-padded matrix in one call of the band kernel; every functional
+    is a row reduction of it and every inequality one boolean array over k.
+    Labels come in the order of a loop over k, then over the checks.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -370,9 +370,7 @@ def inequality_violations(
         n2 = lam * (1.0 - lam)
         alpha = lam / (1.0 + lam)
         inv = 1.0 / (1.0 + lam)
-        w = np.zeros((size, size))
-        for s in range(size):
-            w[s, : s + 1] = binom_row(s, lam)
+        w = binom_band(np.arange(size), lam, tail=0.0)[1]
         wk = w[1:]
 
         def mean(x: np.ndarray) -> np.ndarray:

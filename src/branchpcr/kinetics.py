@@ -3,7 +3,9 @@
 When the per-cycle efficiency is lambda_k = D / (C + S_{k-1}), the running
 sum w_n of alpha_k = lambda_k / (1 + lambda_k) is random but trapped between
 deterministic logarithmic envelopes in n. Combined with the finite-population
-correction for the sampled mean, this brackets E(t) without simulating.
+correction for the sampled mean, this brackets E(t) without simulating. The
+exact E[w_n], from the size laws of the banded dynamic program, is the
+reference the envelopes are checked against.
 Everything is in natural logarithms.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .moments import MutationLaw
+from .moments import DEFAULT_SIZE_CAP, MutationLaw, size_laws
 from .schedule import EfficiencySchedule, build_schedule
 
 
@@ -85,6 +87,20 @@ def w_bounds(params: MMParams, n: int) -> WBounds:
         w_star = pref * math.log(1.0 + n * s0 / (2.0 * b * (1.0 + s0) ** 2))
     upper = w_plus if w_star is None else min(w_plus, w_star)
     return WBounds(n=n, lower=lower, w_plus=w_plus, w_star=w_star, upper=upper)
+
+
+def exact_w_mean(params: MMParams, n: int, cap: int = DEFAULT_SIZE_CAP) -> float:
+    """E[w_n] from the exact size laws of S_0..S_{n-1}.
+
+    alpha_k = D/(C + D + S_{k-1}) is a function of the size, so E[w_n] sums
+    D E[1/(S_{k-1} + C + D)] over k. The laws come from the banded size
+    program; as alpha_k < 1, the sum is short by at most the sum of their
+    ``tail_mass`` bounds (k 1e-17 for the law of S_k).
+    """
+    if n < 0:
+        raise ValueError("cycle count must be nonnegative")
+    laws = size_laws(params.as_schedule(), params.S0, n - 1, cap) if n else []
+    return sum(params.D * law.harmonic_moment(params.C + params.D) for law in laws)
 
 
 def zeta_sum(n: int, t: float) -> float:

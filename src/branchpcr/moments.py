@@ -4,8 +4,9 @@ The population after n cycles carries an empirical state distribution; its
 mean measure has first moment mu (W_n - V_n) where V_n sums the per-cycle
 harmonic corrections A_k = E[A(S_{k-1}, lambda_k)]. This module computes the
 infinite-population values, exact finite-population references (a size-law
-dynamic program and a joint size-and-moment dynamic program), and interval
-envelopes assembled from the correction sums of the schedule module.
+dynamic program and a joint size-and-moment dynamic program, each a reduction
+of one banded binomial step per cycle that reports the mass it left out), and
+interval envelopes assembled from the correction sums of the schedule module.
 
 The sample variance of an ell-sample adds a remainder R_n (the variance of
 the conditional mean). R_n is bounded by iterating the one-step recursion
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import harmonic
-from ._pmf import binom_row
+from ._pmf import size_transitions
 from .schedule import DerivedSequences, EfficiencySchedule
 
 DEFAULT_SIZE_CAP = 2_000_000
@@ -99,11 +99,18 @@ class MomentEnvelope:
 
 @dataclass(frozen=True)
 class SizeLaw:
-    """Exact distribution of the population size after n cycles."""
+    """Exact distribution of the population size after n cycles.
+
+    Each cycle's binomial rows are cut to bands (``_pmf.BAND_TAIL``), so
+    ``probs`` carries all but at most ``tail_mass`` of the probability:
+    Hoeffding's bound on the mass left out, summed over cycles with each
+    source size's probability as weight. ``probs`` is not renormalized.
+    """
 
     n: int
     sizes: np.ndarray
     probs: np.ndarray
+    tail_mass: float
 
     def mean(self) -> float:
         return float(np.sum(self.sizes * self.probs))
@@ -126,36 +133,46 @@ def infinite_population_moments(
     return Et, Vt
 
 
-def _size_law_steps(
-    sched: EfficiencySchedule, S0: int, n: int, cap: int
-) -> list[np.ndarray]:
-    """Probability vectors of S_k over sizes S0..max, for k = 0..n."""
+def _cycles(sched: EfficiencySchedule, S0: int, n: int, cap: int):
+    """Banded size steps of cycles 1..n; saturating lambda = D/(C + s) per size s."""
     if S0 < 1:
         raise ValueError("initial population must be at least 1")
-    lam = sched.prefix(n)
-    if S0 * 2**n > cap:
-        raise ValueError(f"size support 2^{n} * {S0} exceeds cap {cap}")
-    p = np.array([1.0])
-    steps = [p]
-    for c in range(n):
-        width = len(p)
-        new = np.zeros(2 * (S0 + width - 1) - S0 + 1)
-        for idx in range(width):
-            if p[idx] == 0.0:
-                continue
-            s = S0 + idx
-            new[idx : idx + s + 1] += p[idx] * binom_row(s, lam[c])
+    if sched.kind != "michaelis_menten":
+        lam = sched.prefix(n)
+        return size_transitions(lambda c, s: np.full(len(s), lam[c]), S0, n, cap)
+    C, D = sched.mm_C, sched.mm_D
+    if D > C + S0:
+        raise ValueError(f"D={D} exceeds C + S0={C + S0}, efficiency would exceed 1")
+    return size_transitions(lambda c, s: D / (C + s), S0, n, cap)
+
+
+def _size_laws(sched: EfficiencySchedule, S0: int, n: int, cap: int):
+    steps = _cycles(sched, S0, n, cap)
+    p, tail = np.ones(1), 0.0
+    yield SizeLaw(n=0, sizes=np.array([S0]), probs=p, tail_mass=tail)
+    for k, (first, width, bands) in enumerate(steps, 1):
+        new = np.zeros(width)
+        for b in bands:
+            pb = p[b.rows]
+            new += b.scatter(pb[:, None] * b.w, width)
+            tail += float(pb @ b.cut)
         p = new
-        steps.append(p)
-    return steps
+        yield SizeLaw(n=k, sizes=first + np.arange(width), probs=p, tail_mass=tail)
+
+
+def size_laws(
+    sched: EfficiencySchedule, S0: int, n: int, cap: int = DEFAULT_SIZE_CAP
+) -> list[SizeLaw]:
+    """Exact laws of S_0..S_n, by one banded binomial convolution per cycle."""
+    return list(_size_laws(sched, S0, n, cap))
 
 
 def size_law(
     sched: EfficiencySchedule, S0: int, n: int, cap: int = DEFAULT_SIZE_CAP
 ) -> SizeLaw:
-    """Exact law of S_n by one binomial convolution per cycle."""
-    p = _size_law_steps(sched, S0, n, cap)[-1]
-    return SizeLaw(n=n, sizes=S0 + np.arange(len(p)), probs=p)
+    """Exact law of S_n, by one banded binomial convolution per cycle."""
+    *_, last = _size_laws(sched, S0, n, cap)
+    return last
 
 
 def exact_Vn_Vpn(
@@ -167,28 +184,28 @@ def exact_Vn_Vpn(
 ) -> tuple[np.ndarray, float, float]:
     """Exact correction sums (A_k sequence, V_n, V'_n).
 
-    A_k averages the harmonic correction A(s, lambda_k) over the exact size
-    law of S_{k-1}. V'_n uses the scalar composition A_k^2 + (1 - 2 alpha_k)
-    A_k by default; ``expectation_reading`` instead averages the composition
-    inside the expectation, for sensitivity checks (it can only be larger).
+    A_k averages the harmonic correction A(s, lambda_k) = E[s/(s + J)] -
+    1/(1 + lambda_k), J ~ Binomial(s, lambda_k), over the exact size law of
+    S_{k-1}; each A(s, lambda_k) is a row reduction of the cycle's band.
+    V'_n uses the scalar composition A_k^2 + (1 - 2 alpha_k) A_k by default;
+    ``expectation_reading`` instead averages the composition inside the
+    expectation, for sensitivity checks (it can only be larger).
     """
     lam = sched.prefix(n)
-    steps = _size_law_steps(sched, S0, n, cap)
-    A_seq = np.zeros(n)
-    Vp = 0.0
-    for k in range(1, n + 1):
-        L = lam[k - 1]
-        alpha_k = L / (1.0 + L)
-        p = steps[k - 1]
-        a_vals = np.array([harmonic.A(S0 + idx, L) for idx in range(len(p)) if p[idx] != 0.0])
-        p_nz = p[p != 0.0]
-        A_k = float(np.sum(p_nz * a_vals))
-        A_seq[k - 1] = A_k
-        if expectation_reading:
-            Vp += float(np.sum(p_nz * a_vals**2)) + (1.0 - 2.0 * alpha_k) * A_k
-        else:
-            Vp += A_k**2 + (1.0 - 2.0 * alpha_k) * A_k
-    return A_seq, float(np.sum(A_seq)), Vp
+    A_seq, A2_seq = np.zeros(n), np.zeros(n)
+    p = np.ones(1)
+    for c, (_, width, bands) in enumerate(_cycles(sched, S0, n, cap)):
+        new = np.zeros(width)
+        for b in bands:
+            pb = p[b.rows]
+            a = np.sum(b.w * b.s / (b.s + b.j), axis=1) - 1.0 / (1.0 + b.lam)
+            A_seq[c] += pb @ a
+            A2_seq[c] += pb @ (a * a)
+            new += b.scatter(pb[:, None] * b.w, width)
+        p = new
+    alpha = lam / (1.0 + lam)
+    second = A2_seq if expectation_reading else A_seq**2
+    return A_seq, float(np.sum(A_seq)), float(np.sum(second + (1.0 - 2.0 * alpha) * A_seq))
 
 
 @dataclass(frozen=True)
@@ -198,7 +215,9 @@ class ExactMoments:
     Per final size s the program tracks the probability and the restricted
     expectations of the empirical mean, its square, and the empirical second
     moment, so every downstream quantity (including the remainder R_n and the
-    variance of an ell-sample mean) follows exactly.
+    variance of an ell-sample mean) follows exactly. ``tail_mass`` bounds the
+    probability the banded binomial steps left out of ``p``, as for
+    ``SizeLaw``; nothing is renormalized.
     """
 
     n: int
@@ -216,6 +235,7 @@ class ExactMoments:
     m1: np.ndarray     # E[M(zeta_n) 1_{S_n=s}]
     m2: np.ndarray     # E[M(zeta_n)^2 1_{S_n=s}]
     q: np.ndarray      # E[M2(zeta_n) 1_{S_n=s}]
+    tail_mass: float   # bound on 1 - sum(p), from the band cuts
 
 
 def exact_sample_moments(
@@ -228,70 +248,48 @@ def exact_sample_moments(
 ) -> ExactMoments:
     """Exact first and second moments of empirical and sampled means.
 
-    One pass per cycle over the size support. Conditional on j duplications
-    among s particles, the duplicating set is a uniform j-subset independent
-    of the accumulated states, which closes the system of four restricted
-    moments propagated here.
+    One banded pass per cycle over the size support. Conditional on j
+    duplications among s particles, the duplicating set is a uniform j-subset
+    independent of the accumulated states, which closes the system of four
+    restricted moments propagated here.
     """
     if ell < 1:
         raise ValueError("sample size must be at least 1")
-    if S0 < 1:
-        raise ValueError("initial population must be at least 1")
-    lam = sched.prefix(n)
-    if S0 * 2**n > cap:
-        raise ValueError(f"size support 2^{n} * {S0} exceeds cap {cap}")
     mu, nu = law.mu, law.nu
     mu2 = mu * mu
-
-    p = np.array([1.0])
-    m1 = np.zeros(1)
-    m2 = np.zeros(1)
-    q = np.zeros(1)
-
-    for c in range(n):
-        L = lam[c]
-        width = len(p)
-        new_len = 2 * (S0 + width - 1) - S0 + 1
-        pn = np.zeros(new_len)
-        m1n = np.zeros(new_len)
-        m2n = np.zeros(new_len)
-        qn = np.zeros(new_len)
-        for idx in range(width):
-            if p[idx] == 0.0 and m2[idx] == 0.0:
-                continue
-            s = S0 + idx
-            j = np.arange(s + 1)
-            w = binom_row(s, L)
-            m = (s + j).astype(float)
+    vals = np.array([[1.0], [0.0], [0.0], [0.0]])  # p, m1, m2, q at S_0
+    first, tail = S0, 0.0
+    for first, width, bands in _cycles(sched, S0, n, cap):
+        new = np.zeros((4, width))
+        for b in bands:
+            s, j, w = b.s, b.j, b.w
+            pb, m1b, m2b, qb = vals[:, b.rows, None]
+            m = s + j
             frac = j / m
-            sl = slice(idx, idx + s + 1)
-            pn[sl] += w * p[idx]
-            m1n[sl] += w * (m1[idx] + mu * frac * p[idx])
-            qn[sl] += w * (q[idx] + (2.0 * mu * m1[idx] + (nu + mu2) * p[idx]) * frac)
-            if s == 1:
-                pair = np.zeros(2)
-            else:
-                pair = j * (j - 1) / (s * (s - 1.0))
+            pair = j * (j - 1.0) / (s * np.maximum(s - 1.0, 1.0))
             m2num = (
-                (s * s * (1.0 + 2.0 * j / s) + s * s * pair) * m2[idx]
-                + (j - s * pair) * q[idx]
-                + 2.0 * mu * j * m * m1[idx]
-                + (j * nu + j * j * mu2) * p[idx]
+                (s * s * (1.0 + 2.0 * j / s) + s * s * pair) * m2b
+                + (j - s * pair) * qb
+                + 2.0 * mu * j * m * m1b
+                + (j * nu + j * j * mu2) * pb
             )
-            m2n[sl] += w * m2num / m**2
-        p, m1, m2, q = pn, m1n, m2n, qn
-
+            new[0] += b.scatter(w * pb, width)
+            new[1] += b.scatter(w * (m1b + mu * frac * pb), width)
+            new[2] += b.scatter(w * m2num / m**2, width)
+            new[3] += b.scatter(w * (qb + (2.0 * mu * m1b + (nu + mu2) * pb) * frac), width)
+            tail += float(pb[:, 0] @ b.cut)
+        vals = new
+    p, m1, m2, q = vals
     M_eta = float(m1.sum())
     EM2 = float(m2.sum())
     M2_eta = float(q.sum())
     Rn = EM2 - M_eta**2
     D_eta = M2_eta - M_eta**2
-    Et = M_eta
     Vt = D_eta / ell + (1.0 - 1.0 / ell) * Rn
     return ExactMoments(
-        n=n, S0=S0, ell=ell, Et=Et, Vt=Vt, Rn=Rn,
+        n=n, S0=S0, ell=ell, Et=M_eta, Vt=Vt, Rn=Rn,
         M_eta=M_eta, M2_eta=M2_eta, D_eta=D_eta, D_zeta_mean=M2_eta - EM2,
-        sizes=S0 + np.arange(len(p)), p=p, m1=m1, m2=m2, q=q,
+        sizes=first + np.arange(len(p)), p=p, m1=m1, m2=m2, q=q, tail_mass=tail,
     )
 
 

@@ -636,7 +636,7 @@ def enumerate_tiny(
     return ExactMoments(
         n=n, S0=S0, ell=ell, Et=M_eta, Vt=Vt, Rn=Rn,
         M_eta=M_eta, M2_eta=M2_eta, D_eta=D_eta, D_zeta_mean=M2_eta - EM2,
-        sizes=sizes, p=p_v, m1=m1_v, m2=m2_v, q=q_v,
+        sizes=sizes, p=p_v, m1=m1_v, m2=m2_v, q=q_v, tail_mass=0.0,
     )
 
 

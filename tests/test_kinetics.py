@@ -7,13 +7,14 @@ import pytest
 
 from branchpcr.kinetics import (
     MMParams,
+    exact_w_mean,
     random_efficiency_envelope,
     w_bounds,
     zeta_sum,
 )
-from branchpcr.moments import poisson_law
+from branchpcr.moments import exact_sample_moments, poisson_law
 from branchpcr.schedule import mm_lambda
-from branchpcr.simulator import ProcessSpec, simulate
+from branchpcr.simulator import ProcessSpec, simulate, simulate_batch
 
 
 def test_params_validation():
@@ -154,3 +155,25 @@ def test_realized_efficiency_sums_inside_bounds():
     assert w.lower <= w_bar <= w.upper
     assert lam_over_s <= 2.0 / p.S0 + 1e-12
     assert 1.0 / p.S0 - inv_final - 0.05 <= alpha_over_s <= 1.0 / (p.S0 - 1) + 1e-12
+
+
+def test_exact_w_mean_inside_bounds_and_monte_carlo():
+    # the exact oracle of the saturating model, C = 10, D = 11, one founder
+    params = MMParams(C=10.0, D=11.0, S0=1)
+    n = 20
+    exact = exact_w_mean(params, n)
+    assert exact == pytest.approx(4.2002, abs=5e-5)
+    wb = w_bounds(params, n)
+    assert wb.lower <= exact <= wb.upper            # [2.398, 6.812]
+    assert exact_w_mean(params, 0) == 0.0
+    assert exact_w_mean(params, 1) == pytest.approx(11.0 / 22.0)
+    # the mean realized sum of alpha over simulated trajectories
+    law = poisson_law(0.05)
+    spec = ProcessSpec(params.as_schedule(), law, params.S0)
+    (batch,) = simulate_batch(spec, n, 4000, 2026, marks=(n,))
+    w = np.sum(batch.lambdas / (1.0 + batch.lambdas), axis=1)
+    assert abs(w.mean() - exact) <= 4.0 * w.std(ddof=1) / math.sqrt(len(w))
+    # and the exact E(t) of one draw lies inside its envelope
+    lo, hi = random_efficiency_envelope(params, law, n)
+    dp = exact_sample_moments(params.as_schedule(), law, params.S0, n, 1)
+    assert lo <= dp.Et <= hi and dp.tail_mass <= n * 1e-17

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from branchpcr import harmonic
+from branchpcr._pmf import binom_row
 from branchpcr.moments import (
     MutationLaw,
     Rn_recursion_bound,
@@ -17,10 +18,11 @@ from branchpcr.moments import (
     poisson_law,
     rn_upper_bound,
     size_law,
+    size_laws,
     theorem_k_bound,
     variance_envelope,
 )
-from branchpcr.schedule import build_schedule, derived_sequences
+from branchpcr.schedule import build_schedule, derived_sequences, mm_lambda
 from branchpcr.simulator import enumerate_tiny
 
 REF_LAMBDAS = [0.872] * 20 + [0.743] * 5 + [0.146] * 5
@@ -223,6 +225,177 @@ def test_single_founder_single_cycle_mean():
     # half the time nothing happens; otherwise the sampled particle carries
     # the fresh increment with probability 1/2
     assert dp.Et == pytest.approx(0.05 / 4)
+
+
+# ----- the banded programs against the dense loops they replaced -----
+
+def dense_size_law_steps(sched, S0, n):
+    """Probability vectors of S_k over sizes S0..S0 2^k, one full row per source."""
+    lam = sched.prefix(n)
+    p = np.array([1.0])
+    steps = [p]
+    for c in range(n):
+        width = len(p)
+        new = np.zeros(2 * (S0 + width - 1) - S0 + 1)
+        for idx in range(width):
+            if p[idx] == 0.0:
+                continue
+            s = S0 + idx
+            new[idx : idx + s + 1] += p[idx] * binom_row(s, lam[c])
+        p = new
+        steps.append(p)
+    return steps
+
+
+def dense_exact_Vn_Vpn(sched, S0, n, steps):
+    """(A_k sequence, V_n, V'_n, V'_n in the expectation reading) over dense laws."""
+    lam = sched.prefix(n)
+    A_seq = np.zeros(n)
+    Vp, Vp_exp = 0.0, 0.0
+    for k in range(1, n + 1):
+        L = lam[k - 1]
+        alpha_k = L / (1.0 + L)
+        p = steps[k - 1]
+        a_vals = np.array([harmonic.A(S0 + idx, L) for idx in range(len(p)) if p[idx] != 0.0])
+        p_nz = p[p != 0.0]
+        A_k = float(np.sum(p_nz * a_vals))
+        A_seq[k - 1] = A_k
+        Vp_exp += float(np.sum(p_nz * a_vals**2)) + (1.0 - 2.0 * alpha_k) * A_k
+        Vp += A_k**2 + (1.0 - 2.0 * alpha_k) * A_k
+    return A_seq, float(np.sum(A_seq)), Vp, Vp_exp
+
+
+def dense_exact_sample_moments(sched, law, S0, n, ell):
+    """(Et, Vt, Rn, M_eta, M2_eta, D_eta) by the dense joint program."""
+    lam = sched.prefix(n)
+    mu, nu = law.mu, law.nu
+    mu2 = mu * mu
+    p, m1, m2, q = np.array([1.0]), np.zeros(1), np.zeros(1), np.zeros(1)
+    for c in range(n):
+        L = lam[c]
+        width = len(p)
+        new_len = 2 * (S0 + width - 1) - S0 + 1
+        pn, m1n, m2n, qn = (np.zeros(new_len) for _ in range(4))
+        for idx in range(width):
+            if p[idx] == 0.0 and m2[idx] == 0.0:
+                continue
+            s = S0 + idx
+            j = np.arange(s + 1)
+            w = binom_row(s, L)
+            m = (s + j).astype(float)
+            frac = j / m
+            sl = slice(idx, idx + s + 1)
+            pn[sl] += w * p[idx]
+            m1n[sl] += w * (m1[idx] + mu * frac * p[idx])
+            qn[sl] += w * (q[idx] + (2.0 * mu * m1[idx] + (nu + mu2) * p[idx]) * frac)
+            pair = np.zeros(2) if s == 1 else j * (j - 1) / (s * (s - 1.0))
+            m2num = (
+                (s * s * (1.0 + 2.0 * j / s) + s * s * pair) * m2[idx]
+                + (j - s * pair) * q[idx]
+                + 2.0 * mu * j * m * m1[idx]
+                + (j * nu + j * j * mu2) * p[idx]
+            )
+            m2n[sl] += w * m2num / m**2
+        p, m1, m2, q = pn, m1n, m2n, qn
+    M_eta, EM2, M2_eta = float(m1.sum()), float(m2.sum()), float(q.sum())
+    Rn = EM2 - M_eta**2
+    D_eta = M2_eta - M_eta**2
+    return D_eta / ell + (1.0 - 1.0 / ell) * Rn, Rn, M_eta, M2_eta, D_eta
+
+
+DENSE_CASES = [
+    [0.5] * 10,
+    [0.9] * 7,
+    [0.0, 0.5, 1.0, 0.3, 0.7],
+    [1.0, 0.0, 0.7, 0.2, 0.6, 0.1],
+    list(np.linspace(0.05, 0.95, 8)),
+]
+
+
+@pytest.mark.parametrize("lams", DENSE_CASES)
+@pytest.mark.parametrize("S0", [1, 2, 3])
+def test_banded_programs_match_dense_loops(S0, lams):
+    n = len(lams) if S0 == 1 else min(len(lams), 8)
+    sched = build_schedule(lams)
+    # size law: the banded support is a window of the dense one, and the two
+    # laws differ by no more than the mass the bands left out
+    steps = dense_size_law_steps(sched, S0, n)
+    dense = steps[-1]
+    law = size_law(sched, S0, n)
+    assert law.tail_mass <= n * 1e-17
+    placed = np.zeros(len(dense))
+    placed[law.sizes - S0] = law.probs
+    assert np.sum(np.abs(placed - dense)) <= law.tail_mass + 1e-15
+    bulk = dense >= 1e-3
+    np.testing.assert_allclose(placed[bulk], dense[bulk], rtol=1e-13)
+    sizes = S0 + np.arange(len(dense))
+    assert law.mean() == pytest.approx(float(np.sum(sizes * dense)), rel=1e-13)
+    for y in (0.0, 1.0, 5.0):
+        assert law.harmonic_moment(y) == pytest.approx(
+            float(np.sum(dense / (sizes + y))), rel=1e-13)
+    # correction sums, both readings; A_k = H - 1/(1 + lambda) with H near 1,
+    # so its float resolution is about 1e-16 absolute
+    A_ref, Vn_ref, *Vpn_refs = dense_exact_Vn_Vpn(sched, S0, n, steps)
+    for reading, Vpn_ref in zip((False, True), Vpn_refs):
+        A_seq, Vn, Vpn = exact_Vn_Vpn(sched, S0, n, expectation_reading=reading)
+        np.testing.assert_allclose(A_seq, A_ref, rtol=1e-13, atol=2e-16)
+        assert Vn == pytest.approx(Vn_ref, rel=1e-13, abs=1e-16)
+        assert Vpn == pytest.approx(Vpn_ref, rel=1e-13, abs=1e-16)
+    # the joint moment program
+    for mlaw in (poisson_law(0.07), MutationLaw(mu=0.1, nu=0.04)):
+        dp = exact_sample_moments(sched, mlaw, S0, n, 3)
+        assert dp.tail_mass <= n * 1e-17
+        assert dp.tail_mass == pytest.approx(law.tail_mass, rel=1e-12, abs=1e-30)
+        ref = dense_exact_sample_moments(sched, mlaw, S0, n, 3)
+        for f, want in zip(("Vt", "Rn", "M_eta", "M2_eta", "D_eta"), ref):
+            assert getattr(dp, f) == pytest.approx(want, rel=1e-13, abs=1e-16), f
+        assert dp.Et == dp.M_eta
+
+
+def test_size_laws_path():
+    sched = build_schedule([0.5, 0.9, 0.3])
+    laws = size_laws(sched, 2, 3)
+    assert [law.n for law in laws] == [0, 1, 2, 3]
+    assert laws[0].tail_mass == 0.0 and list(laws[0].sizes) == [2]
+    for k, law in enumerate(laws):
+        one = size_law(sched, 2, k)
+        np.testing.assert_array_equal(one.sizes, law.sizes)
+        np.testing.assert_array_equal(one.probs, law.probs)
+        assert one.tail_mass == law.tail_mass
+
+
+def test_banded_support_stays_narrow():
+    # the carried support, not S0 2^n, is checked against the cap
+    lams = [0.5] * 12
+    law = size_law(build_schedule(lams), 2, 12)
+    assert law.sizes[-1] < 4000 < 2 * 2**12
+    assert size_law(build_schedule(lams), 2, 12, cap=4000).sizes[-1] == law.sizes[-1]
+    with pytest.raises(ValueError, match="above cap"):
+        size_law(build_schedule(lams), 2, 12, cap=law.sizes[-1] - 1)
+    assert float(law.probs.sum()) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_size_law_saturating_schedule():
+    # lambda = D/(C + s) per source size, D/(C + S0) = 1 at the start
+    sched = build_schedule(mm_C=10.0, mm_D=11.0)
+    laws = size_laws(sched, 1, 20, cap=5000)
+    # the first step is the point mass at 2 (the band of a point mass also
+    # holds zeros: here size 1)
+    np.testing.assert_array_equal(laws[1].probs[laws[1].sizes == 2], [1.0])
+    assert laws[1].probs.sum() == 1.0
+    law = laws[-1]
+    assert law.sizes[-1] <= 5000 < 2**20
+    assert law.tail_mass <= 20 * 1e-17
+    assert float(law.probs.sum()) == pytest.approx(1.0, abs=1e-14)
+    # one more cycle by hand from the law after 19: E[S_20] = E[S_19 (1 + lambda)]
+    prev = laws[-2]
+    lam = np.array([mm_lambda(int(s), 10.0, 11.0) for s in prev.sizes])
+    assert law.mean() == pytest.approx(float(np.sum(prev.probs * prev.sizes * (1 + lam))),
+                                       rel=1e-13)
+    with pytest.raises(ValueError):
+        size_law(build_schedule(mm_C=1.0, mm_D=3.0), 1, 2)
+    with pytest.raises(ValueError):
+        exact_Vn_Vpn(sched, 1, 2)
 
 
 # ----- envelopes -----

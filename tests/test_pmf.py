@@ -1,4 +1,4 @@
-"""The binomial row and Poisson table against scipy and 40-digit mpmath."""
+"""The binomial rows, their bands and the Poisson table against scipy and 40-digit mpmath."""
 
 import json
 import subprocess
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from branchpcr._pmf import binom_row, poisson_table
+from branchpcr._pmf import BAND_TAIL, band_limits, binom_band, binom_row, poisson_table
 
 SIZES = (1, 2, 3, 5, 16, 17, 40, 100, 501, 4096, 8192)
 LAMBDAS = (1e-9, 0.01, 0.146, 0.5, 0.743, 0.872, 0.99, 1 - 1e-9)
@@ -66,6 +66,57 @@ def test_binom_row_extreme_lambda(lam):
         assert np.all(row >= 0.0)
         assert row.sum() == pytest.approx(1.0, abs=1e-13)
         assert np.dot(np.arange(s + 1), row) == pytest.approx(s * lam, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS + (0.0, 1.0))
+def test_band_rows_match_binom_row(lam):
+    # all sizes in one call, so rows of very different widths share a matrix
+    sizes = np.array((0,) + SIZES)
+    lo, w, cut = binom_band(sizes, lam)
+    lo_f, hi_f, cut_f = band_limits(sizes, lam)
+    np.testing.assert_array_equal(lo, lo_f)
+    np.testing.assert_array_equal(cut, cut_f)
+    assert np.all(cut <= BAND_TAIL)
+    for i, s in enumerate(sizes):
+        row = binom_row(int(s), lam)
+        hi = int(hi_f[i])
+        band = w[i, : hi - lo[i] + 1]
+        assert np.all(w[i, hi - lo[i] + 1 :] == 0.0)
+        ref = row[lo[i] : hi + 1]
+        big = ref > 1e-250
+        np.testing.assert_allclose(band[big], ref[big], rtol=1e-15, atol=0)
+        assert np.all(band[~big] <= 1e-249)
+        # the mass left out is within Hoeffding's bound
+        outside = row[: lo[i]].sum() + row[hi + 1 :].sum()
+        assert outside <= cut[i]
+        if lam in (0.0, 1.0):
+            assert band[int(s * lam) - lo[i]] == 1.0
+
+
+def test_band_limits():
+    s = np.array([0.0, 1.0, 19.0, 20.0, 1000.0, 8192.0])
+    for lam in (0.0, 0.3, 1.0):
+        lo, hi, cut = band_limits(s, lam)
+        assert np.all((0 <= lo) & (lo <= s * lam) & (s * lam <= hi) & (hi <= s))
+        # rows up to s = 19 are whole: the cut half-width 4.46 sqrt(s) >= s
+        whole = (lo == 0) & (hi == s)
+        assert np.all(whole[s <= 19]) and not np.any(whole[s >= 1000])
+        assert np.all(cut[whole] == 0.0) and np.all(cut <= BAND_TAIL)
+        np.testing.assert_array_equal(band_limits(s, lam, tail=0.0)[1], s)
+    lo, hi, _ = band_limits(np.array([8192.0]), 0.5)
+    assert hi[0] - lo[0] + 1 < 820
+
+
+def test_band_per_row_efficiency():
+    s = np.arange(1.0, 400.0)
+    lam = 11.0 / (10.0 + s)       # a saturating schedule, D/(C + s)
+    lo, w, _ = binom_band(s, lam)
+    hi = band_limits(s, lam)[1].astype(int)
+    for i in (0, 9, 10, 120, 398):
+        row = binom_row(int(s[i]), lam[i])
+        width = hi[i] - lo[i] + 1
+        np.testing.assert_allclose(w[i, :width], row[lo[i] : hi[i] + 1], rtol=1e-15, atol=0)
+        assert np.all(w[i, width:] == 0.0)
 
 
 @pytest.mark.parametrize("mu", MUS)
