@@ -12,9 +12,12 @@ pass, the walks as 2-D cumulative products, and each row cut to a band
 around its mean past which Hoeffding's inequality leaves at most
 ``BAND_TAIL`` of the mass. ``binom_row`` is its uncut one-row case, and
 ``size_transitions`` steps a size law S -> S + Binomial(S, lambda) through
-such bands. With ``poisson_table`` they are the package's only source of
-binomial and Poisson weights: the harmonic functionals, the size-law and
-moment programs and the simulator's increment table all read them.
+such bands: each cycle it drops the ends of the law that hold at most
+``BAND_TAIL/4`` each and cuts the rows of the sizes it keeps at
+``BAND_TAIL/2``, so a cycle leaves out at most ``BAND_TAIL``. With
+``poisson_table`` they are the package's only source of binomial and
+Poisson weights: the harmonic functionals, the size-law and moment programs
+and the simulator's increment table all read them.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ _S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 # where 2 exp(-2 t^2 / s) = BAND_TAIL: by Hoeffding (1963), as a row is a sum
 # of s independent indicators, that bounds the mass it leaves out
 BAND_TAIL = 1e-17
+# ``size_transitions`` spends BAND_TAIL per cycle: at most a quarter at each
+# end of the law, where it drops sizes, and half in the cuts of the rows of
+# the sizes it keeps (a mass-weighted average of the row cuts)
+_END_TAIL = BAND_TAIL / 4
+_ROW_TAIL = BAND_TAIL / 2
 # band weights per block of source sizes in ``size_transitions``, which
 # bounds the memory of the size programs
 _BLOCK_CELLS = 1 << 18
@@ -116,21 +124,23 @@ def band_limits(
 
     Returns float arrays (lo, hi, cut): ``cut`` is Hoeffding's bound on the
     mass outside [lo, hi], one term for each side that drops anything, each
-    at most tail/2. ``tail = 0`` keeps whole rows.
+    at most tail/2. A row with lam 0 or 1 is the point mass at s lam: its
+    band is that one cell and its cut 0. ``tail = 0`` keeps whole rows.
     """
     s = np.asarray(s, dtype=float)
     if tail == 0.0:
         zero = 0.0 * s
         return zero, s, zero
     mean = s * lam
-    t = np.sqrt(s * (0.5 * math.log(2.0 / tail)))
+    spread = lam * (1.0 - lam) > 0.0
+    t = spread * np.sqrt(s * (0.5 * math.log(2.0 / tail)))
     lo = np.maximum(np.ceil(mean - t), 0.0)
     hi = np.minimum(np.floor(mean + t), s)
     # a count dropped below lo (above hi) lies at least mean - lo + 1
     # (hi + 1 - mean) > t from the mean
     scale = -2.0 / np.maximum(s, 1.0)
-    cut = ((lo > 0.0) * np.exp(scale * (mean - lo + 1.0) ** 2)
-           + (hi < s) * np.exp(scale * (hi + 1.0 - mean) ** 2))
+    cut = spread * ((lo > 0.0) * np.exp(scale * (mean - lo + 1.0) ** 2)
+                    + (hi < s) * np.exp(scale * (hi + 1.0 - mean) ** 2))
     return lo, hi, cut
 
 
@@ -191,39 +201,49 @@ class SizeBand:
         return np.bincount(self.to.ravel(), x.ravel(), width)
 
 
-def size_transitions(lam_at, S0: int, n: int, cap: int):
-    """The step S_k = S_{k-1} + Binomial(S_{k-1}, lam) of each cycle, banded.
+def size_transitions(lam_at, c: int, first: int, p: np.ndarray, cap: int):
+    """Cycle c + 1 of S_k = S_{k-1} + Binomial(S_{k-1}, lam), banded and trimmed.
 
-    ``lam_at(c, s)`` gives the efficiency of cycle c + 1 at source sizes s.
-    Yields (first, width, bands) per cycle: the next support is the sizes
-    first .. first + width - 1, and ``bands`` yields the current support's
-    rows as ``SizeBand`` blocks of at most _BLOCK_CELLS weights each. The
-    support starts at {S0} and is the union of the bands, so it grows by
-    about lam s + 4.5 sqrt(s) a cycle; its largest size must stay <= cap.
+    ``p`` is the current law: the probabilities of the sizes first ..
+    first + len(p) - 1. ``lam_at(c, s)`` gives the efficiency of cycle c + 1
+    at source sizes s. The leading and the trailing sizes of p that hold at
+    most BAND_TAIL/4 of the mass at each end are dropped, and the rows of
+    the kept sizes are cut at BAND_TAIL/2, so the step leaves out at most
+    BAND_TAIL. Returns (dropped, first, width, bands): ``dropped`` is the
+    mass of the dropped sizes, the next support is the sizes first ..
+    first + width - 1, and ``bands`` yields the kept rows as ``SizeBand``
+    blocks of at most _BLOCK_CELLS weights each, whose ``rows`` slice p.
+    The support is the union of the bands, so it grows by about
+    lam s + 4.5 sqrt(s) a cycle; its largest size must stay <= cap.
     """
-    base, width = S0, 1
-    for c in range(n):
-        s = base + np.arange(width, dtype=float)
-        lam = lam_at(c, s)
-        lo, hi, _ = band_limits(s, lam)
-        base, top = int((s + lo).min()), int((s + hi).max())
-        if top > cap:
-            raise ValueError(f"size support reaches {top} at cycle {c + 1}, above cap {cap}")
-        width = top - base + 1
-        rows = max(1, _BLOCK_CELLS // int((hi - lo).max() + 1.0))
-        yield base, width, _size_bands(s, lam, base, width, rows)
+    lead = int(np.searchsorted(np.cumsum(p), _END_TAIL, side="right"))
+    trail = int(np.searchsorted(np.cumsum(p[::-1]), _END_TAIL, side="right"))
+    kept = slice(lead, len(p) - trail)
+    dropped = float(p[:lead].sum() + p[kept.stop :].sum())
+    s = first + np.arange(kept.start, kept.stop, dtype=float)
+    lam = lam_at(c, s)
+    lo, hi, _ = band_limits(s, lam, _ROW_TAIL)
+    base, top = int((s + lo).min()), int((s + hi).max())
+    if top > cap:
+        raise ValueError(f"size support reaches {top} at cycle {c + 1}, above cap {cap}")
+    width = top - base + 1
+    rows = max(1, _BLOCK_CELLS // int((hi - lo).max() + 1.0))
+    return dropped, base, width, _size_bands(s, lam, kept.start, base, width, rows)
 
 
-def _size_bands(s: np.ndarray, lam: np.ndarray, first: int, width: int, rows: int):
-    """The rows of sources s, ``rows`` at a time, into a support from ``first``."""
+def _size_bands(s: np.ndarray, lam: np.ndarray, at: int, first: int, width: int, rows: int):
+    """The rows of sources s, ``rows`` at a time, into a support from ``first``.
+
+    s[0] sits at position ``at`` of the current support.
+    """
     for a in range(0, len(s), rows):
         sl = slice(a, a + rows)
-        lo, w, cut = binom_band(s[sl], lam[sl])
+        lo, w, cut = binom_band(s[sl], lam[sl], _ROW_TAIL)
         j = lo[:, None] + np.arange(w.shape[1])
         src = s[sl, None]
         # cells past a row's band carry weight 0; clipping keeps them in range
         to = np.minimum(src.astype(np.int64) - first + j, width - 1)
-        yield SizeBand(sl, src, lam[sl], j.astype(float), w, to, cut)
+        yield SizeBand(slice(at + a, at + a + len(src)), src, lam[sl], j.astype(float), w, to, cut)
 
 
 def _poisson_at(x: int, mu: float) -> float:

@@ -220,20 +220,28 @@ _GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _GK_K15 = np.array(_WGK[:-1] + _WGK[::-1])
 _GK_G7 = np.zeros(15)
 _GK_G7[1::2] = _WG[:-1] + _WG[::-1]
+# equal pieces of the first quadrature pass
+_GK_PIECES = 16
+_EPS = float(np.finfo(float).eps)
 
 
 def _gauss_kronrod(g, a: float, b: float, tol: float, budget: int) -> tuple[float, float]:
     """Adaptive G7/K15 quadrature to absolute tolerance; (integral, error bound).
 
-    ``g`` takes an array of abscissae. Each pass evaluates it once over every
-    open interval; an interval is accepted when |K15 - G7| is within its share
-    of ``tol`` (halved on each split) and is split in two otherwise. The
-    returned error is the sum of |K15 - G7| over the accepted intervals.
+    ``g`` takes an array of abscissae. The first pass covers [a, b] in
+    _GK_PIECES equal pieces, each with an equal share of ``tol``; each pass
+    evaluates g once over every open interval, accepts an interval when
+    |K15 - G7| is within its share and splits it in two, halving the share,
+    otherwise. The returned error is the sum of |K15 - G7| over the accepted
+    intervals plus a bound on the rounding of their rule sums and of the
+    final sum, after QUADPACK's qk15 (Piessens et al., 1983).
     """
-    lo, hi, share = np.array([a]), np.array([b]), np.array([tol])
-    total = err = 0.0
-    evals = 0
-    while lo.size:
+    edges = np.linspace(a, b, _GK_PIECES + 1)
+    lo, hi = edges[:-1], edges[1:]
+    share = np.full(_GK_PIECES, tol / _GK_PIECES)
+    total = err = size = 0.0
+    accepted = evals = 0
+    while True:
         evals += 15 * lo.size
         if evals > budget:
             raise RuntimeError(f"quadrature exceeded {budget} evaluations")
@@ -242,13 +250,21 @@ def _gauss_kronrod(g, a: float, b: float, tol: float, budget: int) -> tuple[floa
         k15 = half * (f @ _GK_K15)
         diff = np.abs(k15 - half * (f @ _GK_G7))
         done = diff <= share
-        total += float(np.sum(k15[done]))
-        err += float(np.sum(diff[done]))
-        lo, hi, share = lo[~done], hi[~done], share[~done]
+        total += k15[done].sum()
+        err += diff[done].sum()
+        size += (np.abs(half) * (np.abs(f) @ _GK_K15))[done].sum()
+        accepted += int(done.sum())
+        if done.all():
+            break
+        lo, hi, share = lo[~done], hi[~done], 0.5 * share[~done]
         mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        share = np.tile(0.5 * share, 2)
-    return total, err
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        share = np.concatenate((share, share))
+    # with u = eps/2, a rule sum (a 15-term dot product times the rounded
+    # half-width) is off by at most 17 u of its sum of |terms|, and summing
+    # the accepted intervals adds at most (accepted - 1) u of their total;
+    # eps in place of u leaves room for the second-order terms
+    return float(total), float(err + (16 + accepted) * _EPS * size)
 
 
 def A_integral(k: int, ell: int, lam: float) -> float:

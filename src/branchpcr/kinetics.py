@@ -94,8 +94,9 @@ def exact_w_mean(params: MMParams, n: int, cap: int = DEFAULT_SIZE_CAP) -> float
 
     alpha_k = D/(C + D + S_{k-1}) is a function of the size, so E[w_n] sums
     D E[1/(S_{k-1} + C + D)] over k. The laws come from the banded size
-    program; as alpha_k < 1, the sum is short by at most the sum of their
-    ``tail_mass`` bounds (k 1e-17 for the law of S_k).
+    program, which drops the lightest ends of each law and cuts its rows; as
+    alpha_k < 1, the sum is short by at most the sum of their ``tail_mass``
+    bounds (k 1e-17 for the law of S_k, trims and cuts together).
     """
     if n < 0:
         raise ValueError("cycle count must be nonnegative")

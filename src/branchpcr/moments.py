@@ -63,13 +63,19 @@ class MutationLaw:
 
         The law p delta_a + (1-p) delta_0 with a = (nu + mu^2)/mu and
         p = mu^2/(nu + mu^2) matches (mu, nu) exactly. Requires mu > 0 unless
-        the law is degenerate at zero.
+        the law is degenerate at zero, and a finite a.
         """
         if self.mu == 0.0:
             if self.nu == 0.0:
                 return 0.0, 0.0
             raise ValueError("no two-point law on {0, a} has zero mean and positive variance")
-        return self.second_moment / self.mu, self.mu**2 / self.second_moment
+        if self.second_moment == 0.0:
+            # nu = 0 and mu^2 underflows: the point mass at mu
+            return self.mu, 1.0
+        a = self.second_moment / self.mu
+        if not math.isfinite(a):
+            raise ValueError(f"two-point atom (nu + mu^2)/mu overflows at mu={self.mu}, nu={self.nu}")
+        return a, self.mu**2 / self.second_moment
 
 
 def poisson_law(mu: float) -> MutationLaw:
@@ -101,10 +107,12 @@ class MomentEnvelope:
 class SizeLaw:
     """Exact distribution of the population size after n cycles.
 
-    Each cycle's binomial rows are cut to bands (``_pmf.BAND_TAIL``), so
-    ``probs`` carries all but at most ``tail_mass`` of the probability:
-    Hoeffding's bound on the mass left out, summed over cycles with each
-    source size's probability as weight. ``probs`` is not renormalized.
+    Each cycle drops the lightest ends of the law and cuts the binomial rows
+    of the sizes it keeps to bands (``_pmf.size_transitions``), so ``probs``
+    carries all but at most ``tail_mass`` of the probability: the dropped
+    mass plus Hoeffding's bound on the mass the bands left out, weighted by
+    each source size's probability, summed over cycles. That is at most
+    ``_pmf.BAND_TAIL`` = 1e-17 per cycle. ``probs`` is not renormalized.
     """
 
     n: int
@@ -133,31 +141,33 @@ def infinite_population_moments(
     return Et, Vt
 
 
-def _cycles(sched: EfficiencySchedule, S0: int, n: int, cap: int):
-    """Banded size steps of cycles 1..n; saturating lambda = D/(C + s) per size s."""
+def _efficiency(sched: EfficiencySchedule, S0: int, n: int):
+    """lam_at(c, s) of cycles 1..n; saturating lambda = D/(C + s) per size s."""
     if S0 < 1:
         raise ValueError("initial population must be at least 1")
     if sched.kind != "michaelis_menten":
         lam = sched.prefix(n)
-        return size_transitions(lambda c, s: np.full(len(s), lam[c]), S0, n, cap)
+        return lambda c, s: np.full(len(s), lam[c])
     C, D = sched.mm_C, sched.mm_D
     if D > C + S0:
         raise ValueError(f"D={D} exceeds C + S0={C + S0}, efficiency would exceed 1")
-    return size_transitions(lambda c, s: D / (C + s), S0, n, cap)
+    return lambda c, s: D / (C + s)
 
 
 def _size_laws(sched: EfficiencySchedule, S0: int, n: int, cap: int):
-    steps = _cycles(sched, S0, n, cap)
-    p, tail = np.ones(1), 0.0
+    lam_at = _efficiency(sched, S0, n)
+    first, p, tail = S0, np.ones(1), 0.0
     yield SizeLaw(n=0, sizes=np.array([S0]), probs=p, tail_mass=tail)
-    for k, (first, width, bands) in enumerate(steps, 1):
+    for c in range(n):
+        dropped, first, width, bands = size_transitions(lam_at, c, first, p, cap)
+        tail += dropped
         new = np.zeros(width)
         for b in bands:
             pb = p[b.rows]
             new += b.scatter(pb[:, None] * b.w, width)
             tail += float(pb @ b.cut)
         p = new
-        yield SizeLaw(n=k, sizes=first + np.arange(width), probs=p, tail_mass=tail)
+        yield SizeLaw(n=c + 1, sizes=first + np.arange(width), probs=p, tail_mass=tail)
 
 
 def size_laws(
@@ -192,9 +202,11 @@ def exact_Vn_Vpn(
     expectation, for sensitivity checks (it can only be larger).
     """
     lam = sched.prefix(n)
+    lam_at = _efficiency(sched, S0, n)
     A_seq, A2_seq = np.zeros(n), np.zeros(n)
-    p = np.ones(1)
-    for c, (_, width, bands) in enumerate(_cycles(sched, S0, n, cap)):
+    first, p = S0, np.ones(1)
+    for c in range(n):
+        _, first, width, bands = size_transitions(lam_at, c, first, p, cap)
         new = np.zeros(width)
         for b in bands:
             pb = p[b.rows]
@@ -216,8 +228,9 @@ class ExactMoments:
     expectations of the empirical mean, its square, and the empirical second
     moment, so every downstream quantity (including the remainder R_n and the
     variance of an ell-sample mean) follows exactly. ``tail_mass`` bounds the
-    probability the banded binomial steps left out of ``p``, as for
-    ``SizeLaw``; nothing is renormalized.
+    probability the trimmed, banded binomial steps left out of ``p``; the
+    steps are those of ``size_law``, so ``sizes`` and ``tail_mass`` are its
+    own. Nothing is renormalized.
     """
 
     n: int
@@ -235,7 +248,7 @@ class ExactMoments:
     m1: np.ndarray     # E[M(zeta_n) 1_{S_n=s}]
     m2: np.ndarray     # E[M(zeta_n)^2 1_{S_n=s}]
     q: np.ndarray      # E[M2(zeta_n) 1_{S_n=s}]
-    tail_mass: float   # bound on 1 - sum(p), from the band cuts
+    tail_mass: float   # bound on 1 - sum(p), from the trims and band cuts
 
 
 def exact_sample_moments(
@@ -257,9 +270,12 @@ def exact_sample_moments(
         raise ValueError("sample size must be at least 1")
     mu, nu = law.mu, law.nu
     mu2 = mu * mu
+    lam_at = _efficiency(sched, S0, n)
     vals = np.array([[1.0], [0.0], [0.0], [0.0]])  # p, m1, m2, q at S_0
     first, tail = S0, 0.0
-    for first, width, bands in _cycles(sched, S0, n, cap):
+    for c in range(n):
+        dropped, first, width, bands = size_transitions(lam_at, c, first, vals[0], cap)
+        tail += dropped
         new = np.zeros((4, width))
         for b in bands:
             s, j, w = b.s, b.j, b.w

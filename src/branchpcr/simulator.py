@@ -130,7 +130,8 @@ def simulate(
     """Run one trajectory for n cycles; snapshots for cycles 0..n.
 
     Michaelis-Menten schedules compute each cycle's efficiency from the
-    current size; deterministic schedules must cover n cycles.
+    current size; deterministic schedules must cover n cycles. Each cycle
+    builds a new table, which its snapshot keeps without a copy.
     """
     if n < 0:
         raise ValueError("cycle count must be nonnegative")
@@ -142,7 +143,7 @@ def simulate(
     table: dict[int, int] = {0: spec.S0}
     size = spec.S0
     realized: tuple[float, ...] = ()
-    traj = [PopulationState(0, size, dict(table), scale, realized)]
+    traj = [PopulationState(0, size, table, scale, realized)]
     for c in range(n):
         lam = lam_seq[c] if deterministic else mm_lambda(size, spec.sched.mm_C, spec.sched.mm_D)
         new: dict[int, int] = {}
@@ -169,7 +170,7 @@ def simulate(
         realized = realized + (float(lam),)
         if size > population_cap:
             raise PopulationCapExceeded(c + 1, size, [s.size for s in traj])
-        traj.append(PopulationState(c + 1, size, dict(table), scale, realized))
+        traj.append(PopulationState(c + 1, size, table, scale, realized))
     return traj
 
 
@@ -683,7 +684,7 @@ def simulate_general(
         raise ValueError("initial population must be at least 1")
     _check_general_inputs(arity_pmfs, child_means, n)
     table: dict[float, int] = {0.0: S0}
-    traj = [GeneralPopulation(0, S0, dict(table))]
+    traj = [GeneralPopulation(0, S0, table)]
     for c in range(n):
         arities = sorted(arity_pmfs[c])
         probs = np.array([arity_pmfs[c][j] for j in arities])
@@ -701,7 +702,7 @@ def simulate_general(
         size = sum(table.values())
         if size > population_cap:
             raise PopulationCapExceeded(c + 1, size, [s.size for s in traj])
-        traj.append(GeneralPopulation(c + 1, size, dict(table)))
+        traj.append(GeneralPopulation(c + 1, size, table))
     return traj
 
 

@@ -444,6 +444,14 @@ def _corrupt(raw, slot, value):
     "s0": 1, "n": 6, "seed": 0, "z": 2.0, "replicates": 1,
     "schedule": {"mm": {"C": 1e300, "D": 1e-300}},
     "mutation": {"poisson": {"mu": 0.05}}, "sample": {"ell": 1, "t": 0.0}})
+@example(command="simulate", edits=[], raw={
+    "s0": 1, "n": 1, "seed": 0, "z": 1.0, "replicates": 1,
+    "schedule": {"mm": {"C": 1.0, "D": 1.0}},
+    "mutation": {"mean": 1.6e-208, "var": 0.0}, "sample": {"ell": 1, "t": 0.0}})
+@example(command="simulate", edits=[], raw={
+    "s0": 1, "n": 1, "seed": 0, "z": 1.0, "replicates": 1,
+    "schedule": {"mm": {"C": 1.0, "D": 1.0}},
+    "mutation": {"mean": 2.2e-309, "var": 1.0}, "sample": {"ell": 1, "t": 0.0}})
 @settings(max_examples=300, deadline=None)
 def test_config_fuzz(tmp_path_factory, command, raw, edits):
     for slot, value in edits:

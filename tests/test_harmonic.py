@@ -152,10 +152,21 @@ def test_quadrature_budget():
 
     value, err = harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12, 10**5)
     assert abs(value - 5.0 / 18.0) <= err + 1e-15
+    # the first pass takes 16 pieces of 15 evaluations each
     with pytest.raises(RuntimeError):
         harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12, 10)     # not even one pass
     with pytest.raises(RuntimeError):
-        harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12, 100)    # a few splits
+        harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12, 100)    # not even one pass
+    # a budget that admits the first pass and a few splits, not convergence
+    evals = []
+
+    def counted(t):
+        evals.append(t.size)
+        return kink(t)
+
+    with pytest.raises(RuntimeError):
+        harmonic._gauss_kronrod(counted, 0.0, 1.0, 1e-12, 400)
+    assert evals[0] == 240 and len(evals) > 2 and sum(evals) <= 400
 
 
 def test_gauss_kronrod_rule_exactness():

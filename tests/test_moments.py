@@ -61,6 +61,11 @@ def test_two_point_support():
     assert MutationLaw(mu=0.0, nu=0.0).two_point_support() == (0.0, 0.0)
     with pytest.raises(ValueError):
         MutationLaw(mu=0.0, nu=0.1).two_point_support()
+    # mu^2 underflows to 0: still the point mass at mu
+    assert MutationLaw(mu=1.6e-208, nu=0.0).two_point_support() == (1.6e-208, 1.0)
+    # nu/mu overflows: no finite atom
+    with pytest.raises(ValueError, match="overflows"):
+        MutationLaw(mu=2.2e-309, nu=1.0).two_point_support()
 
 
 # ----- infinite-population limits -----
@@ -375,12 +380,49 @@ def test_banded_support_stays_narrow():
     assert float(law.probs.sum()) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("lam, S0, n", [(0.3, 3, 16), (0.5, 2, 14)])
+def test_trimmed_support_keeps_its_budget(lam, S0, n):
+    # each cycle drops the ends of the law worth at most 1e-17/4 apiece
+    sched = build_schedule([lam] * n)
+    law = size_law(sched, S0, n)
+    assert law.tail_mass <= n * 1e-17
+    assert law.mean() == pytest.approx(S0 * (1.0 + lam) ** n, rel=1e-13)
+    for y in (0.0, 1.0, 5.0):
+        hb = harmonic.harmonic_moment_bounds(sched, S0, n, y)
+        assert hb.lower <= law.harmonic_moment(y) <= hb.upper, y
+    dp = exact_sample_moments(sched, poisson_law(0.07), S0, n, 3)
+    np.testing.assert_array_equal(dp.sizes, law.sizes)
+    assert dp.tail_mass == law.tail_mass
+
+
+def test_trimmed_mass_enters_tail_mass():
+    # a lambda = 0 cycle cuts no row, so it moves the law only by the trim:
+    # its tail_mass grows by exactly the mass of the sizes it dropped
+    sched = build_schedule([0.5] * 10 + [0.0])
+    *_, before, after = size_laws(sched, 2, 11)
+    kept = np.isin(before.sizes, after.sizes)
+    np.testing.assert_array_equal(after.probs, before.probs[kept])
+    dropped = float(before.probs[~kept].sum())
+    assert 0.0 < dropped <= 1e-17 / 2
+    assert after.tail_mass - before.tail_mass == pytest.approx(dropped, rel=1e-9, abs=0.0)
+    dp = exact_sample_moments(sched, poisson_law(0.07), 2, 11, 3)
+    assert dp.tail_mass == after.tail_mass
+
+
+def test_trimmed_support_at_benchmark_scale():
+    # S0 = 2, lambda = 0.5, n = 11: the untrimmed support held 2,002 sizes,
+    # about half of them with a joint mass below 1e-17
+    law = size_law(build_schedule([0.5] * 11), 2, 11)
+    assert len(law.sizes) <= 1100
+    assert law.tail_mass <= 11 * 1e-17
+
+
 def test_size_law_saturating_schedule():
     # lambda = D/(C + s) per source size, D/(C + S0) = 1 at the start
     sched = build_schedule(mm_C=10.0, mm_D=11.0)
     laws = size_laws(sched, 1, 20, cap=5000)
-    # the first step is the point mass at 2 (the band of a point mass also
-    # holds zeros: here size 1)
+    # the first step is the point mass at 2 (the band of a point mass is
+    # its one size)
     np.testing.assert_array_equal(laws[1].probs[laws[1].sizes == 2], [1.0])
     assert laws[1].probs.sum() == 1.0
     law = laws[-1]

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from branchpcr._pmf import BAND_TAIL, band_limits, binom_band, binom_row, poisson_table
+from branchpcr._pmf import (
+    BAND_TAIL, band_limits, binom_band, binom_row, poisson_table, size_transitions,
+)
 
 SIZES = (1, 2, 3, 5, 16, 17, 40, 100, 501, 4096, 8192)
 LAMBDAS = (1e-9, 0.01, 0.146, 0.5, 0.743, 0.872, 0.99, 1 - 1e-9)
@@ -98,13 +100,31 @@ def test_band_limits():
     for lam in (0.0, 0.3, 1.0):
         lo, hi, cut = band_limits(s, lam)
         assert np.all((0 <= lo) & (lo <= s * lam) & (s * lam <= hi) & (hi <= s))
-        # rows up to s = 19 are whole: the cut half-width 4.46 sqrt(s) >= s
-        whole = (lo == 0) & (hi == s)
-        assert np.all(whole[s <= 19]) and not np.any(whole[s >= 1000])
-        assert np.all(cut[whole] == 0.0) and np.all(cut <= BAND_TAIL)
+        assert np.all(cut <= BAND_TAIL)
         np.testing.assert_array_equal(band_limits(s, lam, tail=0.0)[1], s)
+    # rows up to s = 19 are whole: the cut half-width 4.46 sqrt(s) >= s
+    lo, hi, cut = band_limits(s, 0.3)
+    whole = (lo == 0) & (hi == s)
+    assert np.all(whole[s <= 19]) and not np.any(whole[s >= 1000])
+    assert np.all(cut[whole] == 0.0)
     lo, hi, _ = band_limits(np.array([8192.0]), 0.5)
     assert hi[0] - lo[0] + 1 < 820
+
+
+@pytest.mark.parametrize("lam", (0.0, 1.0))
+@pytest.mark.parametrize("s", (5, 1000))
+def test_band_point_mass_rows(s, lam):
+    # lambda 0 or 1 puts all the mass on s lambda: a one-cell band, cut 0
+    lo, hi, cut = band_limits(np.array([float(s)]), lam)
+    assert lo[0] == hi[0] == s * lam and cut[0] == 0.0
+    lo, w, cut = binom_band(np.array([s]), lam)
+    assert lo[0] == s * lam and cut[0] == 0.0
+    np.testing.assert_array_equal(w, [[1.0]])
+    # among rows that spread, one per row
+    lams = np.array([lam, 0.5])
+    lo, hi, cut = band_limits(np.array([float(s), float(s)]), lams)
+    assert lo[0] == hi[0] == s * lam and cut[0] == 0.0
+    assert lo[1] < hi[1]
 
 
 def test_band_per_row_efficiency():
@@ -117,6 +137,29 @@ def test_band_per_row_efficiency():
         width = hi[i] - lo[i] + 1
         np.testing.assert_allclose(w[i, :width], row[lo[i] : hi[i] + 1], rtol=1e-15, atol=0)
         assert np.all(w[i, width:] == 0.0)
+
+
+def test_size_transitions_trims_light_ends():
+    # sizes 10..17; the two lightest leading and trailing sizes each hold at
+    # most BAND_TAIL/4 together, the third trailing one tips past it
+    p = np.array([1e-18, 1e-18, 0.5, 0.5 - 5e-18, 1e-18, 1e-18, 1e-18, 1e-18])
+    dropped, first, width, bands = size_transitions(
+        lambda c, s: np.full(len(s), 0.5), 0, 10, p, cap=100)
+    assert dropped == p[:2].sum() + p[-2:].sum()
+    (band,) = bands
+    assert band.rows == slice(2, 6)
+    np.testing.assert_array_equal(band.s[:, 0], [12, 13, 14, 15])
+    # rows this short are whole, so the next support is 12 .. 30
+    assert (first, width) == (12, 19) and np.all(band.cut == 0.0)
+    with pytest.raises(ValueError, match="above cap"):
+        size_transitions(lambda c, s: np.full(len(s), 0.5), 0, 10, p, cap=29)
+    # long rows are cut at BAND_TAIL/2 each
+    p = np.full(100, 0.01)
+    dropped, _, _, bands = size_transitions(
+        lambda c, s: np.full(len(s), 0.3), 0, 5000, p, cap=10**5)
+    cut = np.concatenate([b.cut for b in bands])
+    assert dropped == 0.0 and len(cut) == 100
+    assert np.all((0.0 < cut) & (cut <= BAND_TAIL / 2))
 
 
 @pytest.mark.parametrize("mu", MUS)

@@ -55,6 +55,13 @@ def test_simulate_is_seed_deterministic():
     assert (a.size != c.size) or (a.states != c.states)
 
 
+def test_simulate_snapshots_hold_their_own_tables():
+    traj = simulate(spec_for([0.5] * 6), 6, np.random.Generator(np.random.Philox(7)))
+    assert len({id(state.states) for state in traj}) == len(traj)
+    for state in traj:
+        assert sum(state.states.values()) == state.size
+
+
 def test_simulate_full_efficiency_doubles():
     spec = spec_for([1.0] * 5, S0=3)
     traj = simulate(spec, 5, np.random.Generator(np.random.Philox(0)))
