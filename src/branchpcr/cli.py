@@ -3,6 +3,10 @@
 One JSON object per invocation on stdout (or CSV with --format csv);
 human-oriented diagnostics go to stderr. Exit codes: 0 success, 2 config
 error, 3 domain error or failed checks, 4 population cap exceeded.
+
+Each command imports the layers it runs inside its own function, so a call
+loads only those: ``harmonic`` never loads the simulator, ``bounds`` never
+loads the harmonic layer.
 """
 
 from __future__ import annotations
@@ -14,11 +18,14 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import estimator, harmonic, kinetics, moments, simulator
 from .schedule import EfficiencySchedule, build_schedule, derived_sequences
+
+if TYPE_CHECKING:
+    from .moments import MutationLaw
 
 _SEED_ENV = "BRANCHPCR_SEED"
 
@@ -32,7 +39,7 @@ class RunConfig:
     s0: int | None = None
     n: int | None = None
     sched: EfficiencySchedule | None = None
-    law: moments.MutationLaw | None = None
+    law: MutationLaw | None = None
     ell: int | None = None
     t: float | None = None
     z: float = 2.0
@@ -86,9 +93,12 @@ def parse_config(raw: dict) -> RunConfig:
     for name in ("s0", "n", "seed", "replicates", "population_cap"):
         if name in raw:
             setattr(cfg, name, _int_field(raw[name], name))
-    if cfg.population_cap is not None and cfg.population_cap > simulator.MAX_POPULATION_CAP:
-        raise ConfigError(f"config field 'population_cap' must be at most "
-                          f"{simulator.MAX_POPULATION_CAP}, got {cfg.population_cap}")
+    if cfg.population_cap is not None:
+        from .simulator import MAX_POPULATION_CAP
+
+        if cfg.population_cap > MAX_POPULATION_CAP:
+            raise ConfigError(f"config field 'population_cap' must be at most "
+                              f"{MAX_POPULATION_CAP}, got {cfg.population_cap}")
     if "z" in raw:
         cfg.z = _float_field(raw["z"], "z")
 
@@ -113,16 +123,18 @@ def parse_config(raw: dict) -> RunConfig:
     if mut is not None:
         if not isinstance(mut, dict):
             raise ConfigError("mutation block must be an object")
+        from .moments import MutationLaw, poisson_law
+
         if "poisson" in mut:
             if "mean" in mut or "var" in mut:
                 raise ConfigError("mutation block needs exactly one form")
             poisson = mut["poisson"]
             if not isinstance(poisson, dict) or "mu" not in poisson:
                 raise ConfigError("mutation 'poisson' must be an object with 'mu'")
-            cfg.law = moments.poisson_law(_float_field(poisson["mu"], "mutation.poisson.mu"))
+            cfg.law = poisson_law(_float_field(poisson["mu"], "mutation.poisson.mu"))
         elif "mean" in mut and "var" in mut:
-            cfg.law = moments.MutationLaw(mu=_float_field(mut["mean"], "mutation.mean"),
-                                          nu=_float_field(mut["var"], "mutation.var"))
+            cfg.law = MutationLaw(mu=_float_field(mut["mean"], "mutation.mean"),
+                                  nu=_float_field(mut["var"], "mutation.var"))
         else:
             raise ConfigError("mutation block needs 'poisson' or 'mean'+'var'")
 
@@ -215,13 +227,15 @@ def _emit(payload, fmt: str) -> None:
 
 
 def cmd_bounds(args) -> int:
+    from .moments import moment_envelope
+
     cfg = _config_from_args(args)
     sched = _require(cfg.sched, "schedule")
     n = _require(cfg.n, "n")
     seqs = derived_sequences(sched, n)
     envelope = None
     if cfg.law is not None and cfg.s0 is not None:
-        envelope = moments.moment_envelope(seqs, cfg.law, cfg.s0, n, cfg.ell or 1)
+        envelope = moment_envelope(seqs, cfg.law, cfg.s0, n, cfg.ell or 1)
     else:
         print("note: no mutation/s0 block, emitting sequences only", file=sys.stderr)
     if args.format == "csv":
@@ -265,12 +279,14 @@ def _golden_fixture() -> dict:
 
 def run_golden_checks() -> tuple[list[dict], bool]:
     """Recompute the built-in reference analysis and diff against pinned values."""
+    from .estimator import estimate_report, finite_population_bracket
+
     fx = _golden_fixture()
     cfg = parse_config(fx["config"])
     seqs = derived_sequences(cfg.sched, cfg.n)
     exp = fx["expected"]
     tol = fx["tolerances"]
-    report = estimator.estimate_report(cfg.t, seqs, cfg.s0, cfg.n, cfg.ell, cfg.z)
+    report = estimate_report(cfg.t, seqs, cfg.s0, cfg.n, cfg.ell, cfg.z)
     checks = []
 
     def check(name, computed, expected, tolerance):
@@ -289,7 +305,7 @@ def run_golden_checks() -> tuple[list[dict], bool]:
     check("ci_lo", report.ci_lo, exp["ci"][0], tol["ci"])
     check("ci_hi", report.ci_hi, exp["ci"][1], tol["ci"])
     for s0_key, (blo, bhi) in exp["brackets"].items():
-        lo, hi = estimator.finite_population_bracket(cfg.t, seqs, int(s0_key), cfg.n)
+        lo, hi = finite_population_bracket(cfg.t, seqs, int(s0_key), cfg.n)
         check(f"bracket_lo_s0_{s0_key}", lo, blo, tol["bracket"])
         check(f"bracket_hi_s0_{s0_key}", hi, bhi, tol["bracket"])
     return checks, all(c["pass"] for c in checks)
@@ -304,6 +320,8 @@ def cmd_estimate(args) -> int:
                   f"expected {c['expected']} ±{c['tol']}", file=sys.stderr)
         _emit({"checks": checks, "all_pass": ok}, args.format)
         return 0 if ok else 3
+    from .estimator import estimate_report
+
     cfg = _config_from_args(args)
     sched = _require(cfg.sched, "schedule")
     n = _require(cfg.n, "n")
@@ -311,13 +329,18 @@ def cmd_estimate(args) -> int:
     ell = _require(cfg.ell, "sample.ell")
     t = _require(cfg.t, "sample.t or sample.mutations_total")
     seqs = derived_sequences(sched, n)
-    report = estimator.estimate_report(t, seqs, s0, n, ell, cfg.z, strict=args.strict)
+    report = estimate_report(t, seqs, s0, n, ell, cfg.z, strict=args.strict)
     print(report.text(), file=sys.stderr)
     _emit(report, args.format)
     return 0
 
 
 def cmd_simulate(args) -> int:
+    from .moments import moment_envelope
+    from .simulator import (
+        PopulationCapExceeded, ProcessSpec, eta_star_distribution, monte_carlo_moments,
+    )
+
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cfg = _config_from_args(args)
@@ -326,16 +349,27 @@ def cmd_simulate(args) -> int:
     s0 = _require(cfg.s0, "s0")
     law = _require(cfg.law, "mutation")
     ell = cfg.ell or 1
-    spec = simulator.ProcessSpec(sched=sched, law=law, S0=s0)
+    spec = ProcessSpec(sched=sched, law=law, S0=s0)
     deterministic = sched.kind == "deterministic"
     collect = bool(args.tv) and law.integer_valued and deterministic
     print(f"simulating {cfg.replicates} replicates (seed {cfg.seed}, "
           f"threads {args.threads})", file=sys.stderr)
     cap_kw = {} if cfg.population_cap is None else {"population_cap": cfg.population_cap}
-    mc = simulator.monte_carlo_moments(
-        spec, n, ell, cfg.replicates, cfg.seed,
-        threads=args.threads, collect_histogram=collect, **cap_kw,
-    )
+    try:
+        mc = monte_carlo_moments(
+            spec, n, ell, cfg.replicates, cfg.seed,
+            threads=args.threads, collect_histogram=collect, **cap_kw,
+        )
+    except PopulationCapExceeded as exc:
+        _emit_json({
+            "error": "population_cap",
+            "gen": exc.gen,
+            "size": exc.size,
+            "completed_cycles": len(exc.sizes) - 1,
+            "partial_sizes": exc.sizes,
+        })
+        print(f"population cap exceeded: {exc}", file=sys.stderr)
+        return 4
     payload = {
         "replicates": mc.replicates, "n": n, "ell": ell, "seed": cfg.seed,
         "t_mean": mc.t_mean, "t_se": mc.t_se,
@@ -360,7 +394,7 @@ def cmd_simulate(args) -> int:
     )
     if deterministic:
         seqs = derived_sequences(sched, n)
-        env = moments.moment_envelope(seqs, law, s0, n, ell)
+        env = moment_envelope(seqs, law, s0, n, ell)
         flags = {
             "Et": "pass" if env.Et_lo - 4 * mc.t_se <= mc.t_mean <= env.Et_hi + 4 * mc.t_se
             else "fail",
@@ -374,7 +408,7 @@ def cmd_simulate(args) -> int:
         payload["envelope"] = env
         payload["envelope_flags"] = flags
         if collect and mc.eta_hist is not None:
-            values, probs = simulator.eta_star_distribution(seqs, law, n)
+            values, probs = eta_star_distribution(seqs, law, n)
             support = {int(v) for v in values} | set(mc.eta_hist)
             tv = 0.5 * sum(
                 abs(mc.eta_hist.get(m, 0.0)
@@ -393,7 +427,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _float_arg(text: str, name: str) -> float:
+    """A finite number given on the command line."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name} must be a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
 def cmd_harmonic(args) -> int:
+    from .harmonic import family_table, inequality_violations
+
     if args.property_check:
         kwargs = {}
         if args.k_max is not None:
@@ -401,32 +448,29 @@ def cmd_harmonic(args) -> int:
                 raise ConfigError(f"--k-max must be at least 1 for --property-check, "
                                   f"got {args.k_max}")
             kwargs["k_max"] = args.k_max
-        violations = harmonic.inequality_violations(**kwargs)
+        violations = inequality_violations(**kwargs)
         for v in violations:
             print(f"violation: {v}", file=sys.stderr)
         _emit({"violations": violations, "count": len(violations)}, args.format)
         return 0 if not violations else 3
     k_max = 12 if args.k_max is None else args.k_max
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    lambdas = [float(x) for x in args.lambdas.split(",")] if args.lambdas else [0.1, 0.3, 0.5, 0.7, 0.9]
+    lambdas = ([_float_arg(x, "--lambdas entry") for x in args.lambdas.split(",")]
+               if args.lambdas else [0.1, 0.3, 0.5, 0.7, 0.9])
+    y = None if args.y is None else _float_arg(args.y, "--y")
     rows = []
-    for lam in lambdas:
-        for k in range(1, k_max + 1):
-            fam = harmonic.B_family(k, lam)
-            row = {
-                "k": k, "lambda": lam, "H": fam.H, "A": fam.A, "G": fam.G,
-                "B": fam.B, "Bp": fam.Bp, "Bpp": fam.Bpp, "B1": fam.B1, "B2": fam.B2,
-            }
-            if args.y is not None:
-                cf = harmonic.C_family(k, lam, args.y)
-                row.update({"C": cf.C, "Cp": cf.Cp, "Cpp": cf.Cpp, "Hy": cf.Hy})
-            rows.append(row)
+    for fam, cf in family_table(k_max, lambdas, y):
+        row = {
+            "k": fam.k, "lambda": fam.lam, "H": fam.H, "A": fam.A, "G": fam.G,
+            "B": fam.B, "Bp": fam.Bp, "Bpp": fam.Bpp, "B1": fam.B1, "B2": fam.B2,
+        }
+        if cf is not None:
+            row.update({"C": cf.C, "Cp": cf.Cp, "Cpp": cf.Cpp, "Hy": cf.Hy})
+        rows.append(row)
     if args.format == "json":
         _emit_json({"rows": rows})
     else:
         cols = ["k", "lambda", "H", "A", "G", "B", "Bp", "Bpp", "B1", "B2"]
-        if args.y is not None:
+        if y is not None:
             cols += ["C", "Cp", "Cpp", "Hy"]
         print(",".join(cols))
         for row in rows:
@@ -435,21 +479,23 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_mm(args) -> int:
+    from .kinetics import MMParams, random_efficiency_envelope, w_bounds
+
     cfg = _config_from_args(args)
     n = _require(cfg.n, "n")
     s0 = _require(cfg.s0, "s0")
     sched = _require(cfg.sched, "schedule")
     if sched.kind != "michaelis_menten":
         raise ConfigError("mm command needs a schedule block of the 'mm' form")
-    params = kinetics.MMParams(C=sched.mm_C, D=sched.mm_D, S0=s0)
-    wb = kinetics.w_bounds(params, n)
+    params = MMParams(C=sched.mm_C, D=sched.mm_D, S0=s0)
+    wb = w_bounds(params, n)
     payload = {
         "n": n, "C": params.C, "D": params.D, "s0_scaled": params.s0, "b": params.b,
         "w_lower": wb.lower, "w_plus": wb.w_plus, "w_star": wb.w_star,
         "w_upper": wb.upper,
     }
     if cfg.law is not None:
-        lo, hi = kinetics.random_efficiency_envelope(params, cfg.law, n)
+        lo, hi = random_efficiency_envelope(params, cfg.law, n)
         payload["Et_lo"] = lo
         payload["Et_hi"] = hi
     _emit(payload, args.format)
@@ -493,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--lambdas", help="comma-separated efficiency grid")
-    p.add_argument("--y", type=float, default=None, help="shift for the C-family columns")
+    p.add_argument("--y", default=None, help="shift for the C-family columns")
     p.add_argument("--property-check", action="store_true",
                    help="re-run the inequality suite; exit 0 when clean")
     p.set_defaults(func=cmd_harmonic)
@@ -512,16 +558,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except simulator.PopulationCapExceeded as exc:
-        _emit_json({
-            "error": "population_cap",
-            "gen": exc.gen,
-            "size": exc.size,
-            "completed_cycles": len(exc.sizes) - 1,
-            "partial_sizes": exc.sizes,
-        })
-        print(f"population cap exceeded: {exc}", file=sys.stderr)
-        return 4
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         # OverflowError: a number too large for a float or a machine integer
         print(f"domain error: {exc}", file=sys.stderr)

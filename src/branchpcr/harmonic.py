@@ -17,7 +17,9 @@ the population size after n cycles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +46,13 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"duplication probability {lam} outside [0, 1]")
 
 
+def _check_shift(k: int, y: float) -> None:
+    if not math.isfinite(y):
+        raise ValueError(f"shift y must be finite, got {y}")
+    if not k + y > 0:
+        raise ValueError(f"k + y = {k + y} must be positive")
+
+
 def _binom_weights(k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Duplication counts 0..k and their Binomial(k, lambda) weights."""
     return np.arange(k + 1), binom_row(k, lam)
@@ -61,11 +70,10 @@ def binomial_mix(k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def H_y(k: int, lam: float, y: float) -> float:
-    """Shifted harmonic mean E[(k + y)/(M_k + y)]. Requires k + y > 0."""
+    """Shifted harmonic mean E[(k + y)/(M_k + y)]. Requires finite y, k + y > 0."""
     _check_k(k)
     _check_lambda(lam)
-    if not k + y > 0:
-        raise ValueError(f"k + y = {k + y} must be positive")
+    _check_shift(k, y)
     j, w = _binom_weights(k, lam)
     return float(np.sum(w * (k + y) / (k + j + y)))
 
@@ -118,7 +126,11 @@ def B_family(k: int, lam: float) -> HarmonicFamily:
     """All second-order coefficients at (k, lambda), exactly."""
     _check_k(k)
     _check_lambda(lam)
-    j, w = _binom_weights(k, lam)
+    return _b_family(k, lam, *_binom_weights(k, lam))
+
+
+def _b_family(k: int, lam: float, j: np.ndarray, w: np.ndarray) -> HarmonicFamily:
+    """B_family from the duplication counts j = 0..k and their weights w."""
     m = (k + j).astype(float)
     h = float(np.sum(w * k / m))
     g = float(np.sum(w * (k / m) ** 2))
@@ -149,23 +161,61 @@ class CFamily:
 
 
 def C_family(k: int, lam: float, y: float) -> CFamily:
-    """The C coefficients at (k, lambda, y). Requires k + y > 0."""
+    """The C coefficients at (k, lambda, y). Requires finite y and k + y > 0."""
     _check_k(k)
     _check_lambda(lam)
-    if not k + y > 0:
-        raise ValueError(f"k + y = {k + y} must be positive")
-    j, w = _binom_weights(k, lam)
+    _check_shift(k, y)
+    return _c_family(k, lam, y, *_binom_weights(k, lam))
+
+
+def _c_family(k: int, lam: float, y: float, j: np.ndarray, w: np.ndarray) -> CFamily:
+    """C_family from the duplication counts j = 0..k and their weights w.
+
+    (k + y)/(M_k + y) is formed as one ratio and 1/(M_k + y) divided in last,
+    so a shift near the largest float gives the finite limit (C -> B1, H_y -> 1,
+    C' and C'' -> 0) instead of inf/inf.
+    """
     m = (k + j).astype(float)
-    cp = float(np.sum(w * (m - 1.0) * j / (m**2 * (m + y))))
-    cpp = float(np.sum(w * k * j / (m**2 * (m + y))))
+    ratio = (k + y) / (m + y)
+    cp = float(np.sum(w * (m - 1.0) * j / m**2 / (m + y)))
+    cpp = float(np.sum(w * k * j / m**2 / (m + y)))
     if k == 1:
         c = 0.0
     else:
         pair = j * (j - 1) / (k * (k - 1))
         ell1ell2 = 1.0 + 2.0 * j / k + pair
-        c = float(np.sum(w * k**2 * (k + y) * ell1ell2 / (m**2 * (m + y))))
-    hy = float(np.sum(w * (k + y) / (m + y)))
+        c = float(np.sum(w * k**2 * ell1ell2 / m**2 * ratio))
+    hy = float(np.sum(w * ratio))
     return CFamily(k=k, lam=lam, y=y, C=c, Cp=cp, Cpp=cpp, Hy=hy)
+
+
+def family_table(
+    k_max: int, lambdas: Sequence[float], y: float | None = None
+) -> list[tuple[HarmonicFamily, CFamily | None]]:
+    """B_family, and C_family at shift y, for each lambda and k = 1..k_max.
+
+    Rows come lambda by lambda, k ascending; the C entry is None without y.
+    Each lambda takes its rows Binomial(k, lambda), k = 1..k_max, from one
+    call of the band kernel, which works cell by cell, so each row is the
+    one ``binom_row(k, lambda)`` gives; both families reduce its first k + 1
+    cells as B_family and C_family do, so the values are theirs to the bit.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    for lam in lambdas:
+        _check_lambda(lam)
+    if k_max == 0:
+        return []
+    if y is not None:
+        _check_shift(1, y)   # then k + y > 0 at every k
+    table = []
+    for lam in lambdas:
+        rows = binom_band(np.arange(1, k_max + 1), lam, tail=0.0)[1]
+        for k in range(1, k_max + 1):
+            j, w = np.arange(k + 1), rows[k - 1, : k + 1]
+            cf = None if y is None else _c_family(k, lam, y, j, w)
+            table.append((_b_family(k, lam, j, w), cf))
+    return table
 
 
 def taylor_sandwich(k: int, lam: float) -> tuple[float, float]:

@@ -21,7 +21,6 @@ thread count, since threads only carry whole chunks.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,7 +220,9 @@ def _map_chunks(fn, replicates: int, seed: int, threads: int) -> list:
         return fn(min(_CHUNK, replicates - c * _CHUNK), rng)
 
     if threads > 1 and len(chunks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
+        from concurrent.futures import ThreadPoolExecutor   # loads logging; only here
+
+        with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(run, chunks))
     return [run(c) for c in chunks]
 

@@ -314,6 +314,32 @@ def test_harmonic_table(tmp_path):
     assert json.loads(empty.stdout)["rows"] == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--y", "inf"], "--y must be finite"),
+    (["--y", "nan"], "--y must be finite"),
+    (["--y", "1e309"], "--y must be finite"),
+    (["--y=-inf"], "--y must be finite"),
+    (["--y", "one"], "--y must be a number"),
+    (["--lambdas", "0.3,x"], "--lambdas entry must be a number"),
+    (["--lambdas", "0.3,inf"], "--lambdas entry must be finite"),
+])
+def test_harmonic_flags_are_typed(flags, message):
+    code, out, err = run_main(["harmonic", "--k-max", "3", *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and message in err
+
+
+def test_harmonic_table_at_a_huge_shift():
+    proc = run_cli("harmonic", "--k-max", "12", "--lambdas", "0.3,0.7", "--y", "1e308")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""      # no RuntimeWarning on the way
+    rows = strict_json(proc.stdout)["rows"]
+    assert len(rows) == 24
+    for row in rows:
+        assert row["C"] == pytest.approx(0.0 if row["k"] == 1 else row["B1"], rel=1e-12)
+        assert row["Hy"] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_harmonic_property_check():
     proc = run_cli("harmonic", "--property-check", "--k-max", "8")
     assert proc.returncode == 0, proc.stderr
@@ -462,3 +488,52 @@ def test_config_fuzz(tmp_path_factory, command, raw, edits):
     assert code in (0, 2, 3, 4)
     if out:
         strict_json(out)
+
+
+# `python -m branchpcr` and the console script, whose generated wrapper runs
+# sys.exit(main()) on the entry point named in pyproject.toml
+ENTRY_POINT = "branchpcr.cli:main"
+ENTRIES = {
+    "module": [sys.executable, "-m", "branchpcr"],
+    "console": [sys.executable, "-c",
+                "import sys; from branchpcr.cli import main; sys.exit(main())"],
+}
+
+
+def test_console_entry_point_is_cli_main():
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as fh:
+        assert f'branchpcr = "{ENTRY_POINT}"' in fh.read()
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_exit_codes_through_each_entry(tmp_path, entry):
+    env = dict(os.environ)
+    env.pop("BRANCHPCR_SEED", None)
+
+    def run(*args):
+        return subprocess.run([*ENTRIES[entry], *args], capture_output=True, text=True, env=env)
+
+    # a cap above the engine's limit is a config error even where nothing simulates
+    proc = run("bounds", "--config", ref_config(tmp_path, population_cap=2**62))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("config error: config field 'population_cap'")
+    capped = write_config(tmp_path, {
+        "s0": 1, "n": 12,
+        "schedule": {"lambdas": [1.0] * 12},
+        "mutation": {"poisson": {"mu": 0.05}},
+        "replicates": 3,
+        "population_cap": 1000,
+    }, name="capped.json")
+    proc = run("simulate", "--config", capped, "--seed", "1")
+    assert proc.returncode == 4
+    assert strict_json(proc.stdout) == {
+        "error": "population_cap", "gen": 10, "size": 1024, "completed_cycles": 9,
+        "partial_sizes": [2**g for g in range(10)],
+    }
+    assert "population cap exceeded" in proc.stderr
+    proc = run("harmonic", "--k-max", "2", "--lambdas", "1.5")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("domain error: ")
+    proc = run("harmonic", "--k-max", "2", "--y", "inf")
+    assert (proc.returncode, proc.stdout) == (2, "")

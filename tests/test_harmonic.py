@@ -1,5 +1,6 @@
 """Exact harmonic functionals: frozen values, identities, and the bounds."""
 
+import dataclasses
 import math
 import warnings
 
@@ -86,6 +87,52 @@ def test_pair_shift_identity(k, lam):
     fam = harmonic.B_family(k, lam)
     alt = harmonic._bpp_via_shift(k, lam)
     assert math.isclose(fam.Bpp, alt, rel_tol=0, abs_tol=1e-13)
+
+
+def _bits(family) -> list[bytes]:
+    """Each field of a family as the bytes of a double: equal lists are bit-identical."""
+    return [np.float64(x).tobytes() for x in dataclasses.astuple(family)]
+
+
+@pytest.mark.parametrize("y", [1.0, None])
+def test_family_table_is_bit_identical_to_the_scalar_families(y):
+    # the grid of the benchmark's `harmonic --k-max 12 --lambdas 0.3,0.7 --y 1`
+    table = harmonic.family_table(12, (0.3, 0.7), y)
+    assert [(fam.lam, fam.k) for fam, _ in table] == [
+        (lam, k) for lam in (0.3, 0.7) for k in range(1, 13)]
+    for fam, cf in table:
+        assert _bits(fam) == _bits(harmonic.B_family(fam.k, fam.lam))
+        if y is None:
+            assert cf is None
+        else:
+            assert _bits(cf) == _bits(harmonic.C_family(fam.k, fam.lam, y))
+
+
+def test_family_table_domain():
+    assert harmonic.family_table(0, (0.5,), 1.0) == []
+    for args in ((-1, (0.5,)), (3, (0.5, 1.5)), (3, (0.5,), -1.0), (3, (0.5,), math.inf)):
+        with pytest.raises(ValueError):
+            harmonic.family_table(*args)
+
+
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+def test_shift_must_be_finite(y):
+    # a plain ValueError, before any arithmetic could warn
+    for call in (lambda: harmonic.C_family(3, 0.5, y), lambda: harmonic.H_y(3, 0.5, y)):
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("y", [1e16, 1e300, 1e308, float(np.finfo(float).max)])
+def test_c_family_at_a_huge_shift_takes_its_limit(y):
+    # as y grows, C -> k^2 E[L_1 L_2 / M_k^2] = B1 (0 by convention at k = 1),
+    # H_y -> 1, and C', C'' fall like 1/y
+    for k, lam in ((1, 0.5), (2, 0.3), (12, 0.7), (12, 1.0)):
+        cf = harmonic.C_family(k, lam, y)
+        fam = harmonic.B_family(k, lam)
+        assert cf.C == pytest.approx(0.0 if k == 1 else fam.B1, rel=1e-12)
+        assert cf.Hy == pytest.approx(1.0, rel=1e-12)
+        assert 0.0 <= cf.Cpp <= cf.Cp <= 1.0 / y
 
 
 def test_taylor_sandwich_spot():

@@ -1,0 +1,108 @@
+"""What `import branchpcr` and each CLI command load, read from sys.modules
+of a fresh process."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+LAYERS = ("cli", "estimator", "harmonic", "kinetics", "moments", "schedule", "simulator")
+
+
+def modules_after(code: str) -> list[str]:
+    """sys.modules after running ``code`` in a fresh interpreter."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+def test_bare_import_loads_no_layer_and_no_numpy():
+    loaded = modules_after("import branchpcr")
+    assert [m for m in loaded if m.startswith("branchpcr.")] == []
+    assert "numpy" not in loaded
+
+
+def test_exported_names_resolve_and_are_listed():
+    probe = (
+        "import json, sys\n"
+        "import branchpcr\n"
+        "listed = dir(branchpcr)\n"
+        "from branchpcr import simulate\n"
+        "out = {'all': branchpcr.__all__, 'dir': listed,\n"
+        "       'resolved': {n: getattr(branchpcr, n).__module__ for n in branchpcr.__all__},\n"
+        "       'same': simulate is branchpcr.simulator.simulate,\n"
+        "       'layers': [getattr(branchpcr, m).__name__ for m in\n"
+        f"                  {LAYERS!r}]}}\n"
+        "print(json.dumps(out))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    out = json.loads(proc.stdout)
+    assert len(out["all"]) == 23
+    assert set(out["all"]) <= set(out["dir"])
+    assert set(LAYERS) <= set(out["dir"])
+    assert all(mod.startswith("branchpcr.") for mod in out["resolved"].values())
+    assert out["same"] is True
+    assert out["layers"] == [f"branchpcr.{m}" for m in LAYERS]
+    import branchpcr
+    with pytest.raises(AttributeError):
+        branchpcr.no_such_name
+
+
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("configs")
+    law = {"poisson": {"mu": 0.05}}
+    payloads = {
+        "ref": {"s0": 100, "n": 3, "schedule": {"lambdas": [0.9, 0.8, 0.2]}, "mutation": law,
+                "sample": {"ell": 28, "mutations_total": 17}},
+        "sim": {"s0": 2, "n": 4, "schedule": {"lambdas": [0.4] * 4}, "mutation": law,
+                "replicates": 50},
+        "mm": {"s0": 1, "n": 10, "schedule": {"mm": {"C": 1000.0, "D": 1001.0}},
+               "mutation": law},
+    }
+    paths = {}
+    for name, payload in payloads.items():
+        paths[name] = str(d / f"{name}.json")
+        (d / f"{name}.json").write_text(json.dumps(payload))
+    return paths
+
+
+# command -> (layers it must load, modules it must not load)
+CASES = {
+    "estimate-golden": (["estimate", "--golden-saiki"], {"estimator", "moments"},
+                        {"simulator", "harmonic", "kinetics", "concurrent.futures"}),
+    "estimate": (["estimate", "--config", "{ref}"], {"estimator", "moments"},
+                 {"simulator", "harmonic", "kinetics", "concurrent.futures"}),
+    "bounds": (["bounds", "--config", "{ref}"], {"moments"},
+               {"simulator", "harmonic", "kinetics", "estimator", "concurrent.futures"}),
+    "harmonic-table": (["harmonic", "--k-max", "3", "--y", "1"], {"harmonic"},
+                       {"simulator", "estimator", "kinetics", "moments"}),
+    "harmonic-check": (["harmonic", "--property-check", "--k-max", "3"], {"harmonic"},
+                       {"simulator", "estimator", "kinetics", "moments"}),
+    "mm": (["mm", "--config", "{mm}"], {"kinetics", "moments"},
+           {"simulator", "harmonic", "estimator"}),
+    "simulate": (["simulate", "--config", "{sim}", "--seed", "1", "--tv"],
+                 {"simulator", "moments"},
+                 {"harmonic", "kinetics", "estimator", "concurrent.futures"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_command_loads_only_its_layers(configs, case):
+    argv, needed, absent = CASES[case]
+    argv = [a.format(**configs) for a in argv]
+    # what `python -m branchpcr <argv>` runs
+    loaded = modules_after(
+        "import runpy, sys\n"
+        f"sys.argv = ['branchpcr', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('branchpcr', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+    full = {m if m == "concurrent.futures" else f"branchpcr.{m}" for m in absent}
+    assert {f"branchpcr.{m}" for m in needed} <= set(loaded)
+    assert full.isdisjoint(loaded), sorted(full & set(loaded))
