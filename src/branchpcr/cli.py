@@ -6,7 +6,8 @@ error, 3 domain error or failed checks, 4 population cap exceeded.
 
 Each command imports the layers it runs inside its own function, so a call
 loads only those: ``harmonic`` never loads the simulator, ``bounds`` never
-loads the harmonic layer.
+loads the harmonic layer, and ``estimate``, ``bounds`` and ``mm`` run on
+plain floats and never load numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 import os
 import sys
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .schedule import EfficiencySchedule, build_schedule, derived_sequences
 
@@ -94,7 +93,7 @@ def parse_config(raw: dict) -> RunConfig:
         if name in raw:
             setattr(cfg, name, _int_field(raw[name], name))
     if cfg.population_cap is not None:
-        from .simulator import MAX_POPULATION_CAP
+        from .moments import MAX_POPULATION_CAP
 
         if cfg.population_cap > MAX_POPULATION_CAP:
             raise ConfigError(f"config field 'population_cap' must be at most "
@@ -172,10 +171,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if hasattr(obj, "tolist"):  # a numpy array or scalar
+        return _to_jsonable(obj.tolist())
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -194,8 +191,10 @@ def _emit_json(payload) -> None:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
+    if hasattr(value, "tolist"):  # a numpy scalar
+        value = value.tolist()
+    if isinstance(value, float):
+        return f"{value:.12g}"
     return str(value)
 
 
@@ -338,7 +337,7 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     from .moments import moment_envelope
     from .simulator import (
-        PopulationCapExceeded, ProcessSpec, eta_star_distribution, monte_carlo_moments,
+        PopulationCapExceeded, ProcessSpec, envelope_checks, monte_carlo_moments,
     )
 
     if args.threads < 1:
@@ -395,31 +394,11 @@ def cmd_simulate(args) -> int:
     if deterministic:
         seqs = derived_sequences(sched, n)
         env = moment_envelope(seqs, law, s0, n, ell)
-        flags = {
-            "Et": "pass" if env.Et_lo - 4 * mc.t_se <= mc.t_mean <= env.Et_hi + 4 * mc.t_se
-            else "fail",
-        }
-        if mc.replicates >= 2:
-            flags["Vt"] = (
-                "pass" if env.Vt_lo - 4 * mc.t_var_se <= mc.t_var <= env.Vt_hi + 4 * mc.t_var_se
-                else "fail"
-            )
-            flags["Rn"] = "pass" if mc.M_var <= env.Rn_hi + 4 * mc.M_var_se else "fail"
+        flags, tv = envelope_checks(mc, env, seqs, law)
         payload["envelope"] = env
         payload["envelope_flags"] = flags
-        if collect and mc.eta_hist is not None:
-            values, probs = eta_star_distribution(seqs, law, n)
-            support = {int(v) for v in values} | set(mc.eta_hist)
-            tv = 0.5 * sum(
-                abs(mc.eta_hist.get(m, 0.0)
-                    - (probs[m] if 0 <= m < len(probs) else 0.0))
-                for m in support
-            )
-            mc_err = 0.5 * sum(mc.eta_hist_sd.values()) / math.sqrt(mc.replicates)
-            payload["tv"] = {
-                "distance": tv, "mc_error": mc_err, "bound": env.TV_hi,
-                "check": "pass" if tv <= env.TV_hi + 4 * mc_err else "fail",
-            }
+        if tv is not None:
+            payload["tv"] = tv
     else:
         payload["envelope"] = None
         print("note: envelopes need a deterministic schedule", file=sys.stderr)
@@ -550,9 +529,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags whose value may be a negative number
+_NUMBER_FLAGS = ("--y", "--lambdas")
+
+
+def _attach_number_values(argv: list[str]) -> list[str]:
+    """Write ``--y -1e-3`` as ``--y=-1e-3``.
+
+    argparse reads a dash-led word that is not a plain decimal (``-1e-3``,
+    ``-inf``) as an option, so a negative value after a space would fail to
+    parse. A value that starts with ``--`` is left alone.
+    """
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _NUMBER_FLAGS and word[:1] == "-" and word[:2] != "--":
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_number_values(argv))
     try:
         return args.func(args)
     except ConfigError as exc:

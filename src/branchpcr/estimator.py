@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .moments import MomentEnvelope
 from .schedule import DerivedSequences
 
@@ -124,13 +122,13 @@ def negligibility(seqs: DerivedSequences, S0: int, n: int) -> NegligibilityRepor
     if S0 < 1:
         raise ValueError("initial population must be at least 1")
     lam = seqs.lam[:n]
-    lam_min = float(np.min(lam))
+    lam_min = min(lam)
     mass = S0 * n * lam_min
     rel = 2.0 / mass if mass > 0.0 else math.inf
     return NegligibilityReport(
         lambda_min=lam_min,
         effective_mass=mass,
-        refined_mass=S0 * float(np.sum(lam)),
+        refined_mass=S0 * math.fsum(lam),
         relative_error=rel,
         negligible=rel <= 0.01,
     )
@@ -215,8 +213,8 @@ def sample_size_guidance(
     if not 0.0 < target < 1.0:
         raise ValueError("target relative error must be in (0, 1)")
     lam = seqs.lam[:n]
-    lam_min = float(np.min(lam))
-    sum_lam = float(np.sum(lam))
+    lam_min = min(lam)
+    sum_lam = math.fsum(lam)
     crude = math.inf if lam_min == 0.0 else math.ceil(2.0 / (target * n * lam_min))
     refined = math.inf if sum_lam == 0.0 else math.ceil(2.0 / (target * sum_lam))
     return SampleSizeGuidance(

@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._pmf import size_transitions
 from .schedule import DerivedSequences, EfficiencySchedule
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_SIZE_CAP = 2_000_000
+MAX_POPULATION_CAP = 2**62 - 1  # the engine's sizes stay within it, so a doubling fits in int64
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,13 @@ class SizeLaw:
     tail_mass: float
 
     def mean(self) -> float:
-        return float(np.sum(self.sizes * self.probs))
+        return float((self.sizes * self.probs).sum())
 
     def harmonic_moment(self, y: float) -> float:
         """E[1/(S_n + y)]; requires the support to stay right of -y."""
-        if np.any(self.sizes + y <= 0):
+        if (self.sizes + y <= 0).any():
             raise ValueError("shift reaches the support")
-        return float(np.sum(self.probs / (self.sizes + y)))
+        return float((self.probs / (self.sizes + y)).sum())
 
 
 def infinite_population_moments(
@@ -146,6 +148,8 @@ def _efficiency(sched: EfficiencySchedule, S0: int, n: int):
     if S0 < 1:
         raise ValueError("initial population must be at least 1")
     if sched.kind != "michaelis_menten":
+        import numpy as np
+
         lam = sched.prefix(n)
         return lambda c, s: np.full(len(s), lam[c])
     C, D = sched.mm_C, sched.mm_D
@@ -155,6 +159,10 @@ def _efficiency(sched: EfficiencySchedule, S0: int, n: int):
 
 
 def _size_laws(sched: EfficiencySchedule, S0: int, n: int, cap: int):
+    import numpy as np
+
+    from ._pmf import size_transitions
+
     lam_at = _efficiency(sched, S0, n)
     first, p, tail = S0, np.ones(1), 0.0
     yield SizeLaw(n=0, sizes=np.array([S0]), probs=p, tail_mass=tail)
@@ -201,7 +209,11 @@ def exact_Vn_Vpn(
     ``expectation_reading`` instead averages the composition inside the
     expectation, for sensitivity checks (it can only be larger).
     """
-    lam = sched.prefix(n)
+    import numpy as np
+
+    from ._pmf import size_transitions
+
+    lam = np.asarray(sched.prefix(n))
     lam_at = _efficiency(sched, S0, n)
     A_seq, A2_seq = np.zeros(n), np.zeros(n)
     first, p = S0, np.ones(1)
@@ -266,6 +278,10 @@ def exact_sample_moments(
     independent of the accumulated states, which closes the system of four
     restricted moments propagated here.
     """
+    import numpy as np
+
+    from ._pmf import size_transitions
+
     if ell < 1:
         raise ValueError("sample size must be at least 1")
     mu, nu = law.mu, law.nu
@@ -430,6 +446,8 @@ def Rn_recursion_bound(
     second-moment functional. The final entry telescopes to the closed-form
     u/u'/u'' sums of the matching variant, which tests pin to 1e-12.
     """
+    import numpy as np
+
     if S0 < 1:
         raise ValueError("initial population must be at least 1")
     nu, mu2 = law.nu, law.mu**2

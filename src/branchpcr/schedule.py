@@ -13,12 +13,13 @@ remainder coefficient sums u, u', u'' (in both variants).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Literal, Sequence
 
-import numpy as np
-
 ScheduleKind = Literal["deterministic", "michaelis_menten"]
+Floats = tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -36,56 +37,63 @@ class EfficiencySchedule:
     mm_C: float = 0.0
     mm_D: float = 0.0
 
-    def prefix(self, n: int) -> np.ndarray:
-        """First n efficiencies as an array. Deterministic schedules only."""
+    def prefix(self, n: int) -> Floats:
+        """First n efficiencies. Deterministic schedules only."""
         if self.kind != "deterministic":
             raise ValueError("schedule is population-dependent, no fixed efficiency vector")
         if n > len(self.lambdas):
             raise ValueError(f"schedule has {len(self.lambdas)} cycles, {n} requested")
-        return np.asarray(self.lambdas[:n], dtype=float)
+        return self.lambdas[:n]
 
 
 @dataclass(frozen=True)
 class DerivedSequences:
     """All deterministic sequences of a schedule prefix.
 
-    Arrays indexed by cycle count j = 0..n, except ``lam`` and ``alpha`` which
-    have length n with entry k-1 for cycle k. The u-family is stored without
-    its initial-size prefactor (1/(S0-1), or 1/S0 and 1/(S0+1) for the
-    wide-range variant); callers apply the prefactor at query time.
+    Tuples of floats indexed by cycle count j = 0..n, except ``lam`` and
+    ``alpha`` which have length n with entry k-1 for cycle k. The u-family is
+    stored without its initial-size prefactor (1/(S0-1), or 1/S0 and 1/(S0+1)
+    for the wide-range variant); callers apply the prefactor at query time.
     """
 
     n: int
-    lam: np.ndarray          # lambda_k
-    alpha: np.ndarray        # lambda_k / (1 + lambda_k)
-    gamma: np.ndarray        # prod_{k<=j} 1/(1 + lambda_k); gamma[0] = 1
-    gamma_i: dict[int, np.ndarray]  # i -> prod_{k<=j} (1 - lambda_k/i), i in {2, 3}
-    W: np.ndarray            # sum_{k<=j} alpha_k
-    Wp: np.ndarray           # sum_{k<=j} alpha_k (1 - alpha_k)
-    lambda_star: np.ndarray  # running min of lambda_1..lambda_j; +inf at j=0
-    v: np.ndarray            # sum gamma_{k-1} alpha_k (1 - lambda_k)/(1 + lambda_k)^2
-    vp: np.ndarray           # sum gamma^(2)_{k-1} alpha_k (1 - lambda_k)
-    vpp: np.ndarray          # sum gamma^(3)_{k-1} alpha_k (1 - lambda_k)
-    u: np.ndarray            # sum alpha_k (1 - alpha_k) gamma_{k-1}
-    up: np.ndarray           # sum lambda_k gamma_{k-1}
-    upp: np.ndarray          # sum_{i<j} lambda_{i+1}(1-lambda_{i+1}) gamma_i sum_{k<=i} lambda_k
-    u_wide: np.ndarray       # wide-range variant of u, with gamma^(2)
-    up_wide: np.ndarray      # wide-range variant of u', with gamma^(3)
-    upp_wide: np.ndarray     # wide-range variant of u''
+    lam: Floats          # lambda_k
+    alpha: Floats        # lambda_k / (1 + lambda_k)
+    gamma: Floats        # prod_{k<=j} 1/(1 + lambda_k); gamma[0] = 1
+    gamma_i: dict[int, Floats]  # i -> prod_{k<=j} (1 - lambda_k/i), i in {2, 3}
+    W: Floats            # sum_{k<=j} alpha_k
+    Wp: Floats           # sum_{k<=j} alpha_k (1 - alpha_k)
+    lambda_star: Floats  # running min of lambda_1..lambda_j; +inf at j=0
+    v: Floats            # sum gamma_{k-1} alpha_k (1 - lambda_k)/(1 + lambda_k)^2
+    vp: Floats           # sum gamma^(2)_{k-1} alpha_k (1 - lambda_k)
+    vpp: Floats          # sum gamma^(3)_{k-1} alpha_k (1 - lambda_k)
+    u: Floats            # sum alpha_k (1 - alpha_k) gamma_{k-1}
+    up: Floats           # sum lambda_k gamma_{k-1}
+    upp: Floats          # sum_{i<j} lambda_{i+1}(1-lambda_{i+1}) gamma_i sum_{k<=i} lambda_k
+    u_wide: Floats       # wide-range variant of u, with gamma^(2)
+    up_wide: Floats      # wide-range variant of u', with gamma^(3)
+    upp_wide: Floats     # wide-range variant of u''
 
-    def gamma_shifted(self, order: float) -> np.ndarray:
+    def gamma_shifted(self, order: float) -> Floats:
         """gamma^(order) for a real order, prod_{k<=j} (1 - lambda_k/order)."""
         return gamma_sequence(self.lam, order)
 
 
-def gamma_sequence(lam: np.ndarray, order: float) -> np.ndarray:
+def _sums(terms) -> Floats:
+    """Running sums 0, t_1, t_1 + t_2, ..., added left to right."""
+    return tuple(accumulate(terms, initial=0.0))
+
+
+def _products(factors) -> Floats:
+    """Running products 1, f_1, f_1 f_2, ..., multiplied left to right."""
+    return tuple(accumulate(factors, operator.mul, initial=1.0))
+
+
+def gamma_sequence(lam: Sequence[float], order: float) -> Floats:
     """Cumulative products prod_{k<=j} (1 - lambda_k/order), j = 0..len(lam)."""
     if not order > 0:
         raise ValueError("order must be positive")
-    out = np.empty(len(lam) + 1)
-    out[0] = 1.0
-    np.cumprod(1.0 - np.asarray(lam, dtype=float) / order, out=out[1:])
-    return out
+    return _products(1.0 - x / order for x in lam)
 
 
 def build_schedule(
@@ -142,54 +150,42 @@ def derived_sequences(sched: EfficiencySchedule, n: int) -> DerivedSequences:
     if n < 0:
         raise ValueError("cycle count must be nonnegative")
     lam = sched.prefix(n)
-    alpha = lam / (1.0 + lam)
-    one_minus = 1.0 - lam
-
-    gamma = np.empty(n + 1)
-    gamma[0] = 1.0
-    np.cumprod(1.0 / (1.0 + lam), out=gamma[1:])
+    alpha = tuple(x / (1.0 + x) for x in lam)
+    aa = tuple(a * (1.0 - a) for a in alpha)
+    # zip stops at cycle n, so each gamma enters as gamma_{k-1}
+    gamma = _products(1.0 / (1.0 + x) for x in lam)
     g2 = gamma_sequence(lam, 2.0)
     g3 = gamma_sequence(lam, 3.0)
 
-    def zero_prefixed_cumsum(terms: np.ndarray) -> np.ndarray:
-        out = np.empty(n + 1)
-        out[0] = 0.0
-        np.cumsum(terms, out=out[1:])
-        return out
+    W = _sums(alpha)
+    Wp = _sums(aa)
+    lambda_star = tuple(accumulate(lam, min, initial=math.inf))
 
-    W = zero_prefixed_cumsum(alpha)
-    Wp = zero_prefixed_cumsum(alpha * (1.0 - alpha))
-
-    lambda_star = np.empty(n + 1)
-    lambda_star[0] = np.inf
-    if n:
-        np.minimum.accumulate(lam, out=lambda_star[1:])
-
-    v = zero_prefixed_cumsum(gamma[:-1] * alpha * one_minus / (1.0 + lam) ** 2)
-    vp = zero_prefixed_cumsum(g2[:-1] * alpha * one_minus)
+    v = _sums(g * a * (1.0 - L) / ((1.0 + L) * (1.0 + L))
+              for L, a, g in zip(lam, alpha, gamma))
+    vp = _sums(g * a * (1.0 - L) for L, a, g in zip(lam, alpha, g2))
     # vp and vpp are the y = 0 and y = 1 routes through the same per-cycle
     # bound (k + 1) A(k, lambda_k) <= alpha_k (1 - lambda_k): averaging it
     # against E[1/(S_{k-1} + 1)] <= gamma^(3)_{k-1}/(S0 + 1) gives
     # V_n <= vpp[n]/(S0 + 1), with equality at S0 = 1, n = 1.
-    vpp = zero_prefixed_cumsum(g3[:-1] * alpha * one_minus)
+    vpp = _sums(g * a * (1.0 - L) for L, a, g in zip(lam, alpha, g3))
 
-    u = zero_prefixed_cumsum(alpha * (1.0 - alpha) * gamma[:-1])
-    up = zero_prefixed_cumsum(lam * gamma[:-1])
-    u_wide = zero_prefixed_cumsum(alpha * (1.0 - alpha) * g2[:-1])
-    up_wide = zero_prefixed_cumsum(lam * g3[:-1])
+    u = _sums(w * g for w, g in zip(aa, gamma))
+    up = _sums(L * g for L, g in zip(lam, gamma))
+    u_wide = _sums(w * g for w, g in zip(aa, g2))
+    up_wide = _sums(L * g for L, g in zip(lam, g3))
 
     # The double sums collapse after swapping the summation order:
     # upp[j] = sum_{i=1}^{j-1} lambda_{i+1}(1-lambda_{i+1}) gamma_i * Lsum_i,
     # with Lsum_i the partial sum of lambda_1..lambda_i; same shape for the
     # wide variant with gamma^(2) and weights alpha_k/(1 - lambda_k/2).
-    upp = np.zeros(n + 1)
-    upp_wide = np.zeros(n + 1)
-    if n >= 2:
-        Lsum = np.cumsum(lam)
-        Csum = np.cumsum(alpha / (1.0 - lam / 2.0))
-        inner = lam[1:] * one_minus[1:]
-        np.cumsum(inner * gamma[1:-1] * Lsum[:-1], out=upp[2:])
-        np.cumsum(inner * g2[1:-1] * Csum[:-1], out=upp_wide[2:])
+    # Lsum_i and Csum_i are entry i of the zero-prefixed running sums; the
+    # leading zero of upp is its j = 1 entry, and n = 0 keeps only j = 0.
+    Lsum = _sums(lam)
+    Csum = _sums(a / (1.0 - L / 2.0) for L, a in zip(lam, alpha))
+    inner = [L * (1.0 - L) for L in lam[1:]]
+    upp = ((0.0,) + _sums(c * g * s for c, g, s in zip(inner, gamma[1:], Lsum[1:])))[: n + 1]
+    upp_wide = ((0.0,) + _sums(c * g * s for c, g, s in zip(inner, g2[1:], Csum[1:])))[: n + 1]
 
     return DerivedSequences(
         n=n,

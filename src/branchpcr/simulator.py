@@ -21,16 +21,16 @@ thread count, since threads only carry whole chunks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._pmf import poisson_table
-from .moments import ExactMoments, MutationLaw
+from .moments import MAX_POPULATION_CAP, ExactMoments, MomentEnvelope, MutationLaw
 from .schedule import DerivedSequences, EfficiencySchedule, mm_lambda
 
 DEFAULT_POPULATION_CAP = 10**8
-MAX_POPULATION_CAP = 2**62 - 1  # the engine's sizes stay within it, so a doubling fits in int64
 _CHUNK = 1024
 _PMF_TAIL = 1e-12
 _DRAW_CELLS = 1 << 20           # most (class, increment) cells in one multinomial draw
@@ -540,6 +540,41 @@ def eta_star_distribution(
         step[0] += 1.0 - a
         dist = np.convolve(dist, step)
     return np.arange(len(dist)) * scale, dist
+
+
+def envelope_checks(
+    mc: MonteCarloMoments, env: MomentEnvelope, seqs: DerivedSequences, law: MutationLaw
+) -> tuple[dict[str, str], dict | None]:
+    """Monte Carlo moments against an envelope, at 4 standard errors.
+
+    Returns the flags of E(t) and, with two replicates or more, of V(t) and
+    the upper bound on R_n; and, when ``mc`` pooled a histogram, the total
+    variation distance between it and the limit law eta*, with its Monte
+    Carlo error and the check against ``env.TV_hi`` (else None).
+    """
+    flags = {
+        "Et": "pass" if env.Et_lo - 4 * mc.t_se <= mc.t_mean <= env.Et_hi + 4 * mc.t_se
+        else "fail",
+    }
+    if mc.replicates >= 2:
+        flags["Vt"] = (
+            "pass" if env.Vt_lo - 4 * mc.t_var_se <= mc.t_var <= env.Vt_hi + 4 * mc.t_var_se
+            else "fail"
+        )
+        flags["Rn"] = "pass" if mc.M_var <= env.Rn_hi + 4 * mc.M_var_se else "fail"
+    if mc.eta_hist is None:
+        return flags, None
+    values, probs = eta_star_distribution(seqs, law, mc.n)
+    support = {int(v) for v in values} | set(mc.eta_hist)
+    tv = 0.5 * sum(
+        abs(mc.eta_hist.get(m, 0.0) - (probs[m] if 0 <= m < len(probs) else 0.0))
+        for m in support
+    )
+    mc_err = 0.5 * sum(mc.eta_hist_sd.values()) / math.sqrt(mc.replicates)
+    return flags, {
+        "distance": tv, "mc_error": mc_err, "bound": env.TV_hi,
+        "check": "pass" if tv <= env.TV_hi + 4 * mc_err else "fail",
+    }
 
 
 def _single_tree_outcomes(lam: np.ndarray, c: int, n: int, memo: dict) -> dict:

@@ -4,7 +4,6 @@ Run with ``pytest -v -rA tests/test_acceptance.py`` to see the printed
 ACCEPTANCE lines for passing criteria too.
 """
 
-import math
 import time
 
 import numpy as np
@@ -17,6 +16,7 @@ from branchpcr.kinetics import MMParams, w_bounds
 from branchpcr.moments import (
     exact_sample_moments,
     first_moment_envelope,
+    moment_envelope,
     poisson_law,
     size_law,
     variance_envelope,
@@ -25,7 +25,7 @@ from branchpcr.schedule import build_schedule, derived_sequences
 from branchpcr.simulator import (
     ProcessSpec,
     enumerate_tiny,
-    eta_star_distribution,
+    envelope_checks,
     monte_carlo_moments,
     simulate_batch,
 )
@@ -191,13 +191,9 @@ def test_acceptance_7_total_variation_bound():
         spec = ProcessSpec(sched, law, S0)
         mc = monte_carlo_moments(spec, n, 1, replicates=100_000, seed=707,
                                  threads=1, collect_histogram=True)
-        values, probs = eta_star_distribution(seqs, law, n)
-        star = {int(round(v)): float(p) for v, p in zip(values, probs)}
-        support = set(star) | set(mc.eta_hist)
-        tv = 0.5 * sum(
-            abs(mc.eta_hist.get(m, 0.0) - star.get(m, 0.0)) for m in support)
-        mc_err = 0.5 * sum(mc.eta_hist_sd.values()) / math.sqrt(mc.replicates)
-        bound = float(seqs.v[n]) / (S0 - 1) + 4.0 * mc_err
+        _, record = envelope_checks(mc, moment_envelope(seqs, law, S0, n, 1), seqs, law)
+        tv = record["distance"]
+        bound = float(seqs.v[n]) / (S0 - 1) + 4.0 * record["mc_error"]
         tvs.append(f"S0={S0} TV {tv:.6g} <= {bound:.6g}")
         if not tv <= bound:
             failures.append(f"S0={S0}: TV {tv} above {bound}")

@@ -322,11 +322,24 @@ def test_harmonic_table(tmp_path):
     (["--y", "one"], "--y must be a number"),
     (["--lambdas", "0.3,x"], "--lambdas entry must be a number"),
     (["--lambdas", "0.3,inf"], "--lambdas entry must be finite"),
+    (["--y", "-inf"], "--y must be finite"),
 ])
 def test_harmonic_flags_are_typed(flags, message):
     code, out, err = run_main(["harmonic", "--k-max", "3", *flags])
     assert (code, out) == (2, "")
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("y", ["-1e-3", "-0.5"])
+def test_harmonic_negative_shift_after_a_space(y):
+    """argparse takes a dash-led value for an option unless it is a plain
+    decimal; ``--y -1e-3`` must parse as ``--y=-1e-3`` does."""
+    spaced = run_cli("harmonic", "--k-max", "3", "--lambdas", "0.5", "--y", y)
+    assert spaced.returncode == 0, spaced.stderr
+    rows = strict_json(spaced.stdout)["rows"]
+    assert [row["k"] for row in rows] == [1, 2, 3]
+    joined = run_cli("harmonic", "--k-max", "3", "--lambdas", "0.5", f"--y={y}")
+    assert spaced.stdout == joined.stdout
 
 
 def test_harmonic_table_at_a_huge_shift():
@@ -535,5 +548,7 @@ def test_exit_codes_through_each_entry(tmp_path, entry):
     proc = run("harmonic", "--k-max", "2", "--lambdas", "1.5")
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("domain error: ")
-    proc = run("harmonic", "--k-max", "2", "--y", "inf")
-    assert (proc.returncode, proc.stdout) == (2, "")
+    for y in ("inf", "-inf"):
+        proc = run("harmonic", "--k-max", "2", "--y", y)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("config error: --y must be finite")

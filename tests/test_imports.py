@@ -24,6 +24,13 @@ def test_bare_import_loads_no_layer_and_no_numpy():
     assert "numpy" not in loaded
 
 
+def test_closed_form_layers_load_no_numpy():
+    loaded = modules_after("import branchpcr.estimator, branchpcr.kinetics")
+    assert {"branchpcr.estimator", "branchpcr.kinetics", "branchpcr.moments",
+            "branchpcr.schedule"} <= set(loaded)
+    assert "numpy" not in loaded
+
+
 def test_exported_names_resolve_and_are_listed():
     probe = (
         "import json, sys\n"
@@ -63,6 +70,7 @@ def configs(tmp_path_factory):
         "mm": {"s0": 1, "n": 10, "schedule": {"mm": {"C": 1000.0, "D": 1001.0}},
                "mutation": law},
     }
+    payloads["capped"] = {**payloads["ref"], "population_cap": 10**6}
     paths = {}
     for name, payload in payloads.items():
         paths[name] = str(d / f"{name}.json")
@@ -70,20 +78,26 @@ def configs(tmp_path_factory):
     return paths
 
 
-# command -> (layers it must load, modules it must not load)
+# command -> (layers it must load, modules it must not load); a name in
+# LAYERS is a branchpcr layer, any other name a top-level module
+CLOSED_FORM_ABSENT = {"simulator", "harmonic", "concurrent.futures", "numpy"}
 CASES = {
     "estimate-golden": (["estimate", "--golden-saiki"], {"estimator", "moments"},
-                        {"simulator", "harmonic", "kinetics", "concurrent.futures"}),
+                        CLOSED_FORM_ABSENT | {"kinetics"}),
     "estimate": (["estimate", "--config", "{ref}"], {"estimator", "moments"},
-                 {"simulator", "harmonic", "kinetics", "concurrent.futures"}),
+                 CLOSED_FORM_ABSENT | {"kinetics"}),
     "bounds": (["bounds", "--config", "{ref}"], {"moments"},
-               {"simulator", "harmonic", "kinetics", "estimator", "concurrent.futures"}),
+               CLOSED_FORM_ABSENT | {"kinetics", "estimator"}),
+    "bounds-csv": (["bounds", "--config", "{ref}", "--format", "csv"], {"moments"},
+                   CLOSED_FORM_ABSENT | {"kinetics", "estimator"}),
+    "bounds-capped": (["bounds", "--config", "{capped}"], {"moments"},
+                      CLOSED_FORM_ABSENT | {"kinetics", "estimator"}),
     "harmonic-table": (["harmonic", "--k-max", "3", "--y", "1"], {"harmonic"},
                        {"simulator", "estimator", "kinetics", "moments"}),
     "harmonic-check": (["harmonic", "--property-check", "--k-max", "3"], {"harmonic"},
                        {"simulator", "estimator", "kinetics", "moments"}),
     "mm": (["mm", "--config", "{mm}"], {"kinetics", "moments"},
-           {"simulator", "harmonic", "estimator"}),
+           CLOSED_FORM_ABSENT | {"estimator"}),
     "simulate": (["simulate", "--config", "{sim}", "--seed", "1", "--tv"],
                  {"simulator", "moments"},
                  {"harmonic", "kinetics", "estimator", "concurrent.futures"}),
@@ -103,6 +117,6 @@ def test_command_loads_only_its_layers(configs, case):
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
     )
-    full = {m if m == "concurrent.futures" else f"branchpcr.{m}" for m in absent}
+    full = {f"branchpcr.{m}" if m in LAYERS else m for m in absent}
     assert {f"branchpcr.{m}" for m in needed} <= set(loaded)
     assert full.isdisjoint(loaded), sorted(full & set(loaded))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from branchpcr.schedule import (
@@ -126,7 +126,7 @@ def test_reference_schedule_frozen_values():
 def test_growth_identities(lams):
     n = len(lams)
     seqs = derived_sequences(build_schedule(lams), n)
-    lam = seqs.lam
+    lam = np.asarray(seqs.lam)
     lhs = float(np.sum(lam * seqs.gamma[1:]))
     assert np.isclose(lhs, 1.0 - seqs.gamma[n], rtol=1e-12, atol=1e-12)
     for i in (2, 3):
@@ -227,3 +227,91 @@ def test_gamma_shifted_matches_helper():
     np.testing.assert_array_equal(
         seqs.gamma_shifted(7.0), gamma_sequence(seqs.lam, 7.0)
     )
+
+
+# ----- the float sums against the numpy cumulative sums they replaced -----
+
+def numpy_gamma_sequence(lam, order):
+    """gamma_sequence as np.cumprod computed it."""
+    out = np.empty(len(lam) + 1)
+    out[0] = 1.0
+    np.cumprod(1.0 - np.asarray(lam, dtype=float) / order, out=out[1:])
+    return out
+
+
+def numpy_derived_sequences(lams, n):
+    """Every field of derived_sequences by np.cumsum/np.cumprod, as a dict."""
+    lam = np.asarray(lams[:n], dtype=float)
+    alpha = lam / (1.0 + lam)
+    one_minus = 1.0 - lam
+    gamma = np.empty(n + 1)
+    gamma[0] = 1.0
+    np.cumprod(1.0 / (1.0 + lam), out=gamma[1:])
+    g2 = numpy_gamma_sequence(lam, 2.0)
+    g3 = numpy_gamma_sequence(lam, 3.0)
+
+    def zero_prefixed_cumsum(terms):
+        out = np.empty(n + 1)
+        out[0] = 0.0
+        np.cumsum(terms, out=out[1:])
+        return out
+
+    lambda_star = np.empty(n + 1)
+    lambda_star[0] = np.inf
+    if n:
+        np.minimum.accumulate(lam, out=lambda_star[1:])
+    upp = np.zeros(n + 1)
+    upp_wide = np.zeros(n + 1)
+    if n >= 2:
+        Lsum = np.cumsum(lam)
+        Csum = np.cumsum(alpha / (1.0 - lam / 2.0))
+        inner = lam[1:] * one_minus[1:]
+        np.cumsum(inner * gamma[1:-1] * Lsum[:-1], out=upp[2:])
+        np.cumsum(inner * g2[1:-1] * Csum[:-1], out=upp_wide[2:])
+    return {
+        "lam": lam, "alpha": alpha, "gamma": gamma, "gamma2": g2, "gamma3": g3,
+        "W": zero_prefixed_cumsum(alpha),
+        "Wp": zero_prefixed_cumsum(alpha * (1.0 - alpha)),
+        "lambda_star": lambda_star,
+        "v": zero_prefixed_cumsum(gamma[:-1] * alpha * one_minus / (1.0 + lam) ** 2),
+        "vp": zero_prefixed_cumsum(g2[:-1] * alpha * one_minus),
+        "vpp": zero_prefixed_cumsum(g3[:-1] * alpha * one_minus),
+        "u": zero_prefixed_cumsum(alpha * (1.0 - alpha) * gamma[:-1]),
+        "up": zero_prefixed_cumsum(lam * gamma[:-1]),
+        "upp": upp,
+        "u_wide": zero_prefixed_cumsum(alpha * (1.0 - alpha) * g2[:-1]),
+        "up_wide": zero_prefixed_cumsum(lam * g3[:-1]),
+        "upp_wide": upp_wide,
+    }
+
+
+def bits(values):
+    return [float.hex(x) for x in values]
+
+
+edge_schedules = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    min_size=1, max_size=40,
+)
+
+
+@given(edge_schedules, st.integers(min_value=0, max_value=40),
+       st.floats(min_value=1e-3, max_value=50.0))
+@settings(max_examples=200, deadline=None)
+@example([0.0], 0, 2.0)
+@example([1.0, 0.0, 1.0], 3, 0.5)
+@example([0.0, 0.0], 2, 3.0)
+def test_float_sums_equal_the_numpy_reference(lams, m, order):
+    n = min(m, len(lams))
+    seqs = derived_sequences(build_schedule(lams), n)
+    ref = numpy_derived_sequences(lams, n)
+    assert seqs.n == n
+    got = {name: getattr(seqs, name) for name in ref if not name.startswith("gamma")}
+    got.update(gamma=seqs.gamma, gamma2=seqs.gamma_i[2], gamma3=seqs.gamma_i[3])
+    for name, want in ref.items():
+        assert isinstance(got[name], tuple), name
+        # bit for bit, signed zeros included: the same operations in the same order
+        assert bits(got[name]) == bits(want.tolist()), name
+    want = bits(numpy_gamma_sequence(seqs.lam, order).tolist())
+    assert bits(gamma_sequence(seqs.lam, order)) == want
+    assert bits(seqs.gamma_shifted(order)) == want

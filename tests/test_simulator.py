@@ -11,6 +11,7 @@ from branchpcr.moments import (
     exact_sample_moments,
     first_moment_envelope,
     infinite_population_moments,
+    moment_envelope,
     poisson_law,
     theorem_k_bound,
     variance_envelope,
@@ -23,6 +24,7 @@ from branchpcr.simulator import (
     ProcessSpec,
     draw_sample,
     enumerate_tiny,
+    envelope_checks,
     eta_star_distribution,
     monte_carlo_moments,
     simulate,
@@ -151,6 +153,30 @@ def test_monte_carlo_against_envelopes():
         assert mc.martingale_mean == pytest.approx(2.0, abs=4 * mc.martingale_se)
         fme = first_moment_envelope(seqs, spec.law, 2, 6)
         assert fme.Et_lo - 4 * mc.t_se <= mc.t_mean <= fme.Et_hi + 4 * mc.t_se
+
+
+def test_envelope_checks():
+    spec = spec_for([0.4] * 5, mu=0.1, S0=3)
+    seqs = derived_sequences(spec.sched, 5)
+    env = moment_envelope(seqs, spec.law, 3, 5, 2)
+    mc = monte_carlo_moments(spec, 5, 2, replicates=3000, seed=5, collect_histogram=True)
+    flags, tv = envelope_checks(mc, env, seqs, spec.law)
+    assert flags == {"Et": "pass", "Vt": "pass", "Rn": "pass"}
+    _, probs = eta_star_distribution(seqs, spec.law, 5)
+    support = range(max(len(probs), max(mc.eta_hist) + 1))
+    distance = 0.5 * sum(abs(mc.eta_hist.get(m, 0.0) - (probs[m] if m < len(probs) else 0.0))
+                         for m in support)
+    assert tv["distance"] == pytest.approx(distance, rel=1e-12)
+    assert tv["bound"] == env.TV_hi and tv["check"] == "pass"
+    assert 0.0 < tv["mc_error"] < tv["bound"]
+    # an envelope that excludes the estimates fails each flag
+    off = dataclasses.replace(env, Et_lo=env.Et_hi + 1.0, Vt_hi=-1.0, Rn_hi=-1.0, TV_hi=-1.0)
+    flags, tv = envelope_checks(mc, off, seqs, spec.law)
+    assert flags == {"Et": "fail", "Vt": "fail", "Rn": "fail"} and tv["check"] == "fail"
+    # one replicate has no variance flags; no histogram, no distance
+    single = monte_carlo_moments(spec, 5, 2, replicates=1, seed=5)
+    flags, tv = envelope_checks(single, env, seqs, spec.law)
+    assert list(flags) == ["Et"] and tv is None
 
 
 def test_sample_variance_error_matches_drawn_samples():
