@@ -206,7 +206,8 @@ def size_transitions(lam_at, c: int, first: int, p: np.ndarray, cap: int):
 
     ``p`` is the current law: the probabilities of the sizes first ..
     first + len(p) - 1. ``lam_at(c, s)`` gives the efficiency of cycle c + 1
-    at source sizes s. The leading and the trailing sizes of p that hold at
+    at source sizes s (``EfficiencySchedule.efficiency``), one float or one
+    per size. The leading and the trailing sizes of p that hold at
     most BAND_TAIL/4 of the mass at each end are dropped, and the rows of
     the kept sizes are cut at BAND_TAIL/2, so the step leaves out at most
     BAND_TAIL. Returns (dropped, first, width, bands): ``dropped`` is the
@@ -221,7 +222,7 @@ def size_transitions(lam_at, c: int, first: int, p: np.ndarray, cap: int):
     kept = slice(lead, len(p) - trail)
     dropped = float(p[:lead].sum() + p[kept.stop :].sum())
     s = first + np.arange(kept.start, kept.stop, dtype=float)
-    lam = lam_at(c, s)
+    lam = np.broadcast_to(lam_at(c, s), s.shape)
     lo, hi, _ = band_limits(s, lam, _ROW_TAIL)
     base, top = int((s + lo).min()), int((s + hi).max())
     if top > cap:

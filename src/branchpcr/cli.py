@@ -237,37 +237,25 @@ def cmd_bounds(args) -> int:
         envelope = moment_envelope(seqs, cfg.law, cfg.s0, n, cfg.ell or 1)
     else:
         print("note: no mutation/s0 block, emitting sequences only", file=sys.stderr)
-    if args.format == "csv":
-        cols = ["k", "lambda", "alpha", "gamma", "gamma2", "gamma3", "W", "Wp",
-                "lambda_star", "v", "vp", "vpp", "u", "up", "upp",
-                "u_wide", "up_wide", "upp_wide"]
-        print(",".join(cols))
-        for k in range(n + 1):
-            per_cycle = [None, None] if k == 0 else [seqs.lam[k - 1], seqs.alpha[k - 1]]
-            row = [k] + per_cycle + [
-                seqs.gamma[k], seqs.gamma_i[2][k], seqs.gamma_i[3][k],
-                seqs.W[k], seqs.Wp[k],
-                None if k == 0 else seqs.lambda_star[k],
-                seqs.v[k], seqs.vp[k], seqs.vpp[k],
-                seqs.u[k], seqs.up[k], seqs.upp[k],
-                seqs.u_wide[k], seqs.up_wide[k], seqs.upp_wide[k],
-            ]
-            print(",".join(_csv_cell(x) for x in row))
-        return 0
-    payload = {
-        "n": n,
-        "sequences": {
-            "lambda": seqs.lam, "alpha": seqs.alpha, "gamma": seqs.gamma,
-            "gamma2": seqs.gamma_i[2], "gamma3": seqs.gamma_i[3],
-            "W": seqs.W, "Wp": seqs.Wp,
-            "lambda_star": seqs.lambda_star,
-            "v": seqs.v, "vp": seqs.vp, "vpp": seqs.vpp,
-            "u": seqs.u, "up": seqs.up, "upp": seqs.upp,
-            "u_wide": seqs.u_wide, "up_wide": seqs.up_wide, "upp_wide": seqs.upp_wide,
-        },
-        "envelope": envelope,
+    sequences = {
+        "lambda": seqs.lam, "alpha": seqs.alpha, "gamma": seqs.gamma,
+        "gamma2": seqs.gamma_i[2], "gamma3": seqs.gamma_i[3],
+        "W": seqs.W, "Wp": seqs.Wp,
+        "lambda_star": seqs.lambda_star,
+        "v": seqs.v, "vp": seqs.vp, "vpp": seqs.vpp,
+        "u": seqs.u, "up": seqs.up, "upp": seqs.upp,
+        "u_wide": seqs.u_wide, "up_wide": seqs.up_wide, "upp_wide": seqs.upp_wide,
     }
-    _emit_json(payload)
+    if args.format == "csv":
+        # one row per k = 0..n: lambda and alpha start at cycle 1, and
+        # lambda_star's k = 0 entry (+inf) prints empty
+        cols = {**sequences, "lambda": (None, *seqs.lam), "alpha": (None, *seqs.alpha),
+                "lambda_star": (None, *seqs.lambda_star[1:])}
+        print(",".join(["k", *cols]))
+        for k, row in enumerate(zip(*cols.values())):
+            print(",".join(_csv_cell(x) for x in (k, *row)))
+        return 0
+    _emit_json({"n": n, "sequences": sequences, "envelope": envelope})
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .moments import DEFAULT_SIZE_CAP, MutationLaw, size_laws
+from .moments import DEFAULT_SIZE_CAP, MutationLaw, _uniform_V, size_laws
 from .schedule import EfficiencySchedule, build_schedule
 
 
@@ -124,5 +124,4 @@ def random_efficiency_envelope(
     envelopes gives deterministic bounds. The lower end is not clamped at 0.
     """
     wb = w_bounds(params, n)
-    V = 1.5 if params.S0 == 1 else 1.0 / (params.S0 - 1)
-    return law.mu * (wb.lower - V), law.mu * wb.upper
+    return law.mu * (wb.lower - _uniform_V(params.S0)), law.mu * wb.upper

@@ -143,27 +143,12 @@ def infinite_population_moments(
     return Et, Vt
 
 
-def _efficiency(sched: EfficiencySchedule, S0: int, n: int):
-    """lam_at(c, s) of cycles 1..n; saturating lambda = D/(C + s) per size s."""
-    if S0 < 1:
-        raise ValueError("initial population must be at least 1")
-    if sched.kind != "michaelis_menten":
-        import numpy as np
-
-        lam = sched.prefix(n)
-        return lambda c, s: np.full(len(s), lam[c])
-    C, D = sched.mm_C, sched.mm_D
-    if D > C + S0:
-        raise ValueError(f"D={D} exceeds C + S0={C + S0}, efficiency would exceed 1")
-    return lambda c, s: D / (C + s)
-
-
 def _size_laws(sched: EfficiencySchedule, S0: int, n: int, cap: int):
     import numpy as np
 
     from ._pmf import size_transitions
 
-    lam_at = _efficiency(sched, S0, n)
+    lam_at = sched.efficiency(S0, n)
     first, p, tail = S0, np.ones(1), 0.0
     yield SizeLaw(n=0, sizes=np.array([S0]), probs=p, tail_mass=tail)
     for c in range(n):
@@ -214,7 +199,7 @@ def exact_Vn_Vpn(
     from ._pmf import size_transitions
 
     lam = np.asarray(sched.prefix(n))
-    lam_at = _efficiency(sched, S0, n)
+    lam_at = sched.efficiency(S0, n)
     A_seq, A2_seq = np.zeros(n), np.zeros(n)
     first, p = S0, np.ones(1)
     for c in range(n):
@@ -286,7 +271,7 @@ def exact_sample_moments(
         raise ValueError("sample size must be at least 1")
     mu, nu = law.mu, law.nu
     mu2 = mu * mu
-    lam_at = _efficiency(sched, S0, n)
+    lam_at = sched.efficiency(S0, n)
     vals = np.array([[1.0], [0.0], [0.0], [0.0]])  # p, m1, m2, q at S_0
     first, tail = S0, 0.0
     for c in range(n):

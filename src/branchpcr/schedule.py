@@ -29,7 +29,9 @@ class EfficiencySchedule:
     Deterministic schedules carry an explicit vector of duplication
     probabilities. Michaelis-Menten schedules compute the efficiency from the
     population size at simulation time (D/(C + S_prev)), so they have no fixed
-    vector and are rejected by everything that needs one.
+    vector and are rejected by everything that needs one. ``efficiency``
+    gives both kinds as one law lambda(cycle, size), which the exact
+    programs and the simulators read.
     """
 
     kind: ScheduleKind
@@ -44,6 +46,24 @@ class EfficiencySchedule:
         if n > len(self.lambdas):
             raise ValueError(f"schedule has {len(self.lambdas)} cycles, {n} requested")
         return self.lambdas[:n]
+
+    def efficiency(self, S0: int, n: int):
+        """lam_at(c, s): the efficiency of cycle c + 1 at population size s.
+
+        Checks once that n cycles from S0 are valid: S0 >= 1, a fixed
+        schedule covers n cycles, and a saturating one has D <= C + S0
+        (``mm_lambda``), which holds at every later size, since sizes only
+        grow. ``lam_at`` returns the fixed schedule's float whatever s is, or
+        D/(C + s) for an int or an array s.
+        """
+        if S0 < 1:
+            raise ValueError("initial population must be at least 1")
+        if self.kind == "deterministic":
+            lam = self.prefix(n)
+            return lambda c, s: lam[c]
+        C, D = self.mm_C, self.mm_D
+        mm_lambda(S0, C, D)
+        return lambda c, s: D / (C + s)
 
 
 @dataclass(frozen=True)
@@ -73,10 +93,6 @@ class DerivedSequences:
     u_wide: Floats       # wide-range variant of u, with gamma^(2)
     up_wide: Floats      # wide-range variant of u', with gamma^(3)
     upp_wide: Floats     # wide-range variant of u''
-
-    def gamma_shifted(self, order: float) -> Floats:
-        """gamma^(order) for a real order, prod_{k<=j} (1 - lambda_k/order)."""
-        return gamma_sequence(self.lam, order)
 
 
 def _sums(terms) -> Floats:

@@ -1,12 +1,16 @@
 """Simulation of the duplication process and exact small-instance enumeration.
 
 Populations are stored as counts keyed by an integer mutation count m; a
-particle's state is m times ``state_scale``. Poisson increment laws live on
-the integer lattice directly (scale 1). A general (mu, nu) law is realized as
-the two-point distribution on {0, a} with a = (nu + mu^2)/mu and atom
+particle's state is m times ``state_scale``. One increment table,
+``_increments(law)``, gives that scale and the probabilities of the lattice
+steps a copy takes, for both engines and the limit law
+``eta_star_distribution``. Poisson increment laws live on the integer
+lattice directly (scale 1). A general (mu, nu) law is realized as the
+two-point distribution on {0, a} with a = (nu + mu^2)/mu and atom
 probability p = mu^2/(nu + mu^2), which matches both moments. Each cycle
-draws a binomial duplication count per occupied class and a multinomial (or,
-for two-point laws, binomial) split of the copies' increments, so the cost
+reads its efficiency from ``EfficiencySchedule.efficiency``, draws a
+binomial duplication count per occupied class and a multinomial (or, for
+two-point laws, binomial) split of the copies' increments, so the cost
 scales with the number of occupied classes rather than the population size.
 
 ``simulate`` runs one trajectory on a dict of counts. The Monte Carlo engine
@@ -28,7 +32,7 @@ import numpy as np
 
 from ._pmf import poisson_table
 from .moments import MAX_POPULATION_CAP, ExactMoments, MomentEnvelope, MutationLaw
-from .schedule import DerivedSequences, EfficiencySchedule, mm_lambda
+from .schedule import DerivedSequences, EfficiencySchedule
 
 DEFAULT_POPULATION_CAP = 10**8
 _CHUNK = 1024
@@ -69,18 +73,6 @@ class PopulationState:
         counts = np.array([self.states[k] for k in keys], dtype=np.int64)
         return keys * self.state_scale, counts
 
-    def mean(self) -> float:
-        values, counts = self.values_counts()
-        return float(np.sum(values * counts) / self.size)
-
-    def second_moment(self) -> float:
-        values, counts = self.values_counts()
-        return float(np.sum(values**2 * counts) / self.size)
-
-    def histogram(self) -> dict[int, float]:
-        """Normalized counts keyed by mutation count."""
-        return {m: c / self.size for m, c in self.states.items()}
-
 
 class PopulationCapExceeded(RuntimeError):
     """Raised when a trajectory outgrows the population cap.
@@ -99,25 +91,22 @@ class PopulationCapExceeded(RuntimeError):
         self.sizes = sizes
 
 
-def _increment_sampler(law: MutationLaw):
-    """Return (kind, payload) describing how to draw mutation-count increments."""
+def _increments(law: MutationLaw) -> tuple[float, np.ndarray]:
+    """(scale, pmf): a copy's state gains m * scale with probability pmf[m].
+
+    A Poisson law has scale 1 and its table up to the (1 - 1e-12)-quantile,
+    renormalized; a two-point law has scale a and pmf (1 - p, p). A law with
+    no increments has pmf (1,). The engines split a copy's increment with
+    one binomial for a two-point law and one multinomial over the table for
+    a Poisson law.
+    """
     if law.poisson:
         if law.mu == 0.0:
-            return "fixed", None
+            return 1.0, np.ones(1)
         pmf = poisson_table(law.mu, _PMF_TAIL)
-        pmf = pmf / pmf.sum()
-        return "table", pmf
+        return 1.0, pmf / pmf.sum()
     a, p = law.two_point_support()
-    if p == 0.0:
-        return "fixed", None
-    return "bernoulli", p
-
-
-def _state_scale(law: MutationLaw) -> float:
-    if law.poisson:
-        return 1.0
-    a, _ = law.two_point_support()
-    return a
+    return a, (np.array([1.0 - p, p]) if p > 0.0 else np.ones(1))
 
 
 def simulate(
@@ -128,23 +117,21 @@ def simulate(
 ) -> list[PopulationState]:
     """Run one trajectory for n cycles; snapshots for cycles 0..n.
 
-    Michaelis-Menten schedules compute each cycle's efficiency from the
-    current size; deterministic schedules must cover n cycles. Each cycle
-    builds a new table, which its snapshot keeps without a copy.
+    Each cycle's efficiency is the schedule's at the current size. Each
+    cycle builds a new table, which its snapshot keeps without a copy.
     """
     if n < 0:
         raise ValueError("cycle count must be nonnegative")
-    deterministic = spec.sched.kind == "deterministic"
-    lam_seq = spec.sched.prefix(n) if deterministic else None
-    kind, payload = _increment_sampler(spec.law)
-    scale = _state_scale(spec.law)
+    lam_at = spec.sched.efficiency(spec.S0, n)
+    scale, pmf = _increments(spec.law)
+    fixed, two_point = len(pmf) == 1, not spec.law.poisson
 
     table: dict[int, int] = {0: spec.S0}
     size = spec.S0
     realized: tuple[float, ...] = ()
     traj = [PopulationState(0, size, table, scale, realized)]
     for c in range(n):
-        lam = lam_seq[c] if deterministic else mm_lambda(size, spec.sched.mm_C, spec.sched.mm_D)
+        lam = lam_at(c, size)
         new: dict[int, int] = {}
         for m in sorted(table):
             count = table[m]
@@ -152,16 +139,16 @@ def simulate(
             new[m] = new.get(m, 0) + count
             if dups == 0:
                 continue
-            if kind == "fixed":
+            if fixed:
                 new[m] += dups
-            elif kind == "bernoulli":
-                hits = int(rng.binomial(dups, payload))
+            elif two_point:
+                hits = int(rng.binomial(dups, pmf[1]))
                 if hits:
                     new[m + 1] = new.get(m + 1, 0) + hits
                 if dups - hits:
                     new[m] += dups - hits
             else:
-                for inc, cnt in enumerate(rng.multinomial(dups, payload).tolist()):
+                for inc, cnt in enumerate(rng.multinomial(dups, pmf).tolist()):
                     if cnt:
                         new[m + inc] = new.get(m + inc, 0) + cnt
         table = new
@@ -257,13 +244,8 @@ def _run_chunk(
     binomial (two-point law) or multinomial over the increment table (Poisson
     law) for the increments of the copies.
     """
-    sched = spec.sched
-    deterministic = sched.kind == "deterministic"
-    lam_seq = sched.prefix(n) if deterministic else None
-    if not deterministic:
-        mm_lambda(spec.S0, sched.mm_C, sched.mm_D)  # sizes only grow: checks every cycle
-    kind, payload = _increment_sampler(spec.law)
-    scale = _state_scale(spec.law)
+    lam_at = spec.sched.efficiency(spec.S0, n)
+    scale, pmf = _increments(spec.law)
     counts = np.full((rows, 1), spec.S0, dtype=np.int64)
     sizes = counts[:, 0]
     history = [sizes]
@@ -274,30 +256,26 @@ def _run_chunk(
             batches.append(ReplicateBatch(c, counts, lams[:, :c].copy(), scale))
         if c == n:
             break
-        if deterministic:
-            lam = lam_seq[c]
-            lams[:, c] = lam
-        else:
-            lams[:, c] = sched.mm_D / (sched.mm_C + sizes)
-            lam = lams[:, c:c + 1]
+        lam = lam_at(c, sizes[:, None])  # one float, or one per row
+        lams[:, c:c + 1] = lam
         dups = rng.binomial(counts, lam)
         width = counts.shape[1]
-        if kind == "fixed":
+        if len(pmf) == 1:
             new = counts + dups
-        elif kind == "bernoulli":
-            hits = rng.binomial(dups, payload)
+        elif not spec.law.poisson:
+            hits = rng.binomial(dups, pmf[1])
             new = np.zeros((rows, width + 1), dtype=np.int64)
             new[:, :width] = counts + dups - hits
             new[:, 1:] += hits
         else:
-            new = np.zeros((rows, width + len(payload) - 1), dtype=np.int64)
+            new = np.zeros((rows, width + len(pmf) - 1), dtype=np.int64)
             new[:, :width] = counts
             # row blocks bound the (rows, width, len(pmf)) draw array; the
             # stream is consumed cell by cell, so the blocking leaves it unchanged
-            step = max(1, _DRAW_CELLS // (width * len(payload)))
+            step = max(1, _DRAW_CELLS // (width * len(pmf)))
             for lo in range(0, rows, step):
-                draws = rng.multinomial(dups[lo:lo + step], payload)
-                for inc in range(len(payload)):
+                draws = rng.multinomial(dups[lo:lo + step], pmf)
+                for inc in range(len(pmf)):
                     new[lo:lo + step, inc:inc + width] += draws[:, :, inc]
         counts = new[:, :np.flatnonzero(new.any(axis=0))[-1] + 1]
         sizes = sizes + dups.sum(axis=1)
@@ -508,7 +486,7 @@ def monte_carlo_moments(
         harmonic={y: _mean_se(np.concatenate([ch["harm"][y] for ch in chunks]))
                   for y in harmonic_shifts},
         eta_hist=eta_hist, eta_hist_sd=eta_hist_sd,
-        state_scale=_state_scale(spec.law),
+        state_scale=_increments(spec.law)[0],
         t_values=t if keep_samples else None,
     )
 
@@ -517,23 +495,13 @@ def eta_star_distribution(
     seqs: DerivedSequences,
     law: MutationLaw,
     n: int,
-    tail_tol: float = _PMF_TAIL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Limit law of a sampled state: sum over cycles of alpha_k-thinned increments.
 
-    Returns (values, probs) on the increment lattice. The mean equals
-    mu W_n up to the truncation tolerance.
+    Returns (values, probs) on the increment lattice of the simulators. The
+    mean equals mu W_n up to the truncation of the Poisson table.
     """
-    if law.poisson:
-        scale = 1.0
-        if law.mu == 0.0:
-            inc = np.array([1.0])
-        else:
-            inc = poisson_table(law.mu, tail_tol)
-            inc = inc / inc.sum()
-    else:
-        scale, p_atom = law.two_point_support()
-        inc = np.array([1.0 - p_atom, p_atom]) if p_atom > 0.0 else np.array([1.0])
+    scale, inc = _increments(law)
     dist = np.array([1.0])
     for a in seqs.alpha[:n]:
         step = a * inc

@@ -95,9 +95,21 @@ def test_bounds_csv_matches_json(tmp_path):
     assert lines[0] == ("k,lambda,alpha,gamma,gamma2,gamma3,W,Wp,lambda_star,"
                         "v,vp,vpp,u,up,upp,u_wide,up_wide,upp_wide")
     assert len(lines) == 32  # header + cycles 0..30
-    last = lines[-1].split(",")
-    W_json = json.loads(json_out.stdout)["sequences"]["W"][30]
-    assert float(last[6]) == pytest.approx(W_json, rel=1e-11)
+    seqs = json.loads(json_out.stdout)["sequences"]
+    header = lines[0].split(",")
+    assert set(header) == {"k", *seqs}
+    for k, line in enumerate(lines[1:]):
+        cells = dict(zip(header, line.split(","), strict=True))
+        assert cells.pop("k") == str(k)
+        for name, cell in cells.items():
+            if name in ("lambda", "alpha"):  # per-cycle: entry k - 1, none at k = 0
+                want = None if k == 0 else seqs[name][k - 1]
+            else:
+                want = seqs[name][k]
+            if k == 0 and name == "lambda_star":
+                assert want == "inf"  # the running minimum over no cycles
+                want = None
+            assert cell == ("" if want is None else f"{want:.12g}"), (k, name)
 
 
 def test_malformed_config(tmp_path):

@@ -71,6 +71,33 @@ def test_mm_lambda_values():
         mm_lambda(5, -1.0, 1.0)
 
 
+def test_efficiency_checks_its_inputs_once():
+    fixed = build_schedule([0.5, 0.25])
+    with pytest.raises(ValueError, match="2 cycles, 3 requested"):
+        fixed.efficiency(1, 3)
+    saturating = build_schedule(mm_C=1.0, mm_D=3.0)
+    with pytest.raises(ValueError, match="exceeds"):  # D > C + S0
+        saturating.efficiency(1, 5)
+    saturating.efficiency(2, 5)  # D = C + S0 is the boundary, efficiency 1
+    for sched in (fixed, saturating):
+        with pytest.raises(ValueError, match="initial population"):
+            sched.efficiency(0, 2)
+
+
+def test_efficiency_takes_a_size_or_an_array_of_sizes():
+    lam_at = build_schedule([0.5, 0.25]).efficiency(3, 2)
+    assert lam_at(1, 7) == 0.25
+    assert lam_at(0, np.array([3.0, 4.0])) == 0.5  # one float whatever the sizes
+    C, D = 1000.0, 1001.0
+    lam_at = build_schedule(mm_C=C, mm_D=D).efficiency(1, 50)
+    sizes = np.array([[1], [2], [1001]])
+    assert lam_at(0, 1) == mm_lambda(1, C, D) == 1.0
+    assert lam_at(9, 1001) == mm_lambda(1001, C, D)
+    got = lam_at(4, sizes)
+    assert got.shape == (3, 1)
+    assert got[:, 0].tolist() == [mm_lambda(int(s), C, D) for s in sizes[:, 0]]
+
+
 def test_gamma_sequence_requires_positive_order():
     with pytest.raises(ValueError):
         gamma_sequence(np.array([0.5]), 0.0)
@@ -222,13 +249,6 @@ def test_double_sum_collapse(lams):
     assert np.isclose(seqs.upp_wide[n], brute_w, rtol=1e-12, atol=1e-14)
 
 
-def test_gamma_shifted_matches_helper():
-    seqs = derived_sequences(build_schedule([0.3, 0.8]), 2)
-    np.testing.assert_array_equal(
-        seqs.gamma_shifted(7.0), gamma_sequence(seqs.lam, 7.0)
-    )
-
-
 # ----- the float sums against the numpy cumulative sums they replaced -----
 
 def numpy_gamma_sequence(lam, order):
@@ -314,4 +334,3 @@ def test_float_sums_equal_the_numpy_reference(lams, m, order):
         assert bits(got[name]) == bits(want.tolist()), name
     want = bits(numpy_gamma_sequence(seqs.lam, order).tolist())
     assert bits(gamma_sequence(seqs.lam, order)) == want
-    assert bits(seqs.gamma_shifted(order)) == want
