@@ -27,6 +27,7 @@ if TYPE_CHECKING:
     from .moments import MutationLaw
 
 _SEED_ENV = "BRANCHPCR_SEED"
+_HARMONIC_K_MAX = 1000   # time and memory grow as k_max^2: seconds at this cap
 
 
 class ConfigError(Exception):
@@ -406,6 +407,8 @@ def _float_arg(text: str, name: str) -> float:
 
 
 def cmd_harmonic(args) -> int:
+    if args.k_max is not None and args.k_max > _HARMONIC_K_MAX:
+        raise ConfigError(f"--k-max must be at most {_HARMONIC_K_MAX}, got {args.k_max}")
     from .harmonic import family_table, inequality_violations
 
     if args.property_check:
@@ -504,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harmonic", help="harmonic-family tables and property checks")
     common(p)
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-max", type=int, default=None, help="largest k of the table "
+                   f"(default 12) or of the suite (default 60); at most {_HARMONIC_K_MAX}")
     p.add_argument("--lambdas", help="comma-separated efficiency grid")
     p.add_argument("--y", default=None, help="shift for the C-family columns")
     p.add_argument("--property-check", action="store_true",

@@ -9,6 +9,9 @@ are reduced to the duplication count via exchangeability: given j duplications
 among k particles, two tagged ones both duplicated with probability
 j(j-1)/(k(k-1)) and exactly one did with probability 2j(k-j)/(k(k-1)).
 
+Each B- and C-family coefficient is written once, as a row sum (_b_rows,
+_c_rows): the families, the CLI table and the inequality suite reduce it.
+
 Also provides the integral representation of the centered harmonic mean A(k)
 (an adaptive Gauss-Kronrod G7/K15 quadrature of f^k f'^(-2l) for the
 offspring generating function f) and interval bounds for harmonic moments of
@@ -85,15 +88,12 @@ def H(k: int, lam: float) -> float:
 
 def A(k: int, lam: float) -> float:
     """Centered harmonic mean H(k) - 1/(1 + lambda), the per-cycle correction."""
-    return H(k, lam) - 1.0 / (1.0 + lam)
+    return _centred(H(k, lam), lam)
 
 
 def G(k: int, lam: float) -> float:
     """Second harmonic moment E[(k/M_k)^2]."""
-    _check_k(k)
-    _check_lambda(lam)
-    j, w = _binom_weights(k, lam)
-    return float(np.sum(w * (k / (k + j)) ** 2))
+    return power_moment(k, lam, 2)
 
 
 def power_moment(k: int, lam: float, power: int) -> float:
@@ -102,8 +102,61 @@ def power_moment(k: int, lam: float, power: int) -> float:
     _check_lambda(lam)
     if power < 1:
         raise ValueError("power must be at least 1")
-    j, w = _binom_weights(k, lam)
-    return float(np.sum(w * (k / (k + j)) ** power))
+    return float(_power_rows(k, *_binom_weights(k, lam), power))
+
+
+def _power_rows(k, j: np.ndarray, w: np.ndarray, power: int) -> np.ndarray:
+    """E[(k/M_k)^power] of each row of weights w over the duplication counts j."""
+    return np.sum(w * (k / (k + j)) ** power, axis=-1)
+
+
+def _centred(h, lam: float):
+    """A = H - 1/(1 + lambda), the harmonic mean less its infinite-population limit."""
+    return h - 1.0 / (1.0 + lam)
+
+
+def _pair_cells(k: np.ndarray, j: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """w k^2 E[L_1 L_2 | j] / M_k^2 at each cell: the terms of B1, and of C unshifted."""
+    km1 = np.maximum(k - 1, 1)   # the k = 1 rows take their convention instead
+    return w * k**2 * (1.0 + 2.0 * j / k + j * (j - 1) / (k * km1)) / m**2
+
+
+def _b_rows(k: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """H, G, B, B', B'', B1 and B2 of each row, each a sum over the last axis.
+
+    ``k`` is a (K, 1) column of sizes, ``j`` the duplication counts and ``w``
+    their Binomial(k, lambda) weights, zero past each row's k. The k = 1 rows
+    take the conventions B'' = 0 and B1 = 1.
+    """
+    m = (k + j).astype(float)
+    one = (k == 1)[..., 0]
+    h = np.sum(w * k / m, axis=-1)
+    g = _power_rows(k, j, w, 2)
+    b = np.sum(w * j / m**2, axis=-1)
+    b2 = np.sum(w * (j / m) ** 2, axis=-1)
+    bpp = np.sum(w * j * (k - j) / (np.maximum(k - 1, 1) * m**2), axis=-1)
+    b1 = np.sum(_pair_cells(k, j, w, m), axis=-1)
+    return h, g, b, g - h * h, np.where(one, 0.0, bpp), np.where(one, 1.0, b1), b2
+
+
+def _c_rows(k: np.ndarray, j: np.ndarray, w: np.ndarray, y) -> tuple[np.ndarray, ...]:
+    """C, C', C'' and H_y of each row at shift y, each a sum over the last axis.
+
+    ``k``, ``j`` and ``w`` are as for _b_rows, and ``y`` a shift or a (Y, 1, 1)
+    array of them, for (Y, K) sums; the k = 1 rows take C = 0.
+    (k + y)/(M_k + y) is formed as one ratio and 1/(M_k + y) divided in last,
+    so a shift near the largest float gives the finite limit (C -> B1, H_y -> 1,
+    C' and C'' -> 0) instead of inf/inf. Rows with k + y <= 0 divide by 1, so
+    they stay finite; their values mean nothing.
+    """
+    m = (k + j).astype(float)
+    den = np.where(k + y > 0, m + y, 1.0)
+    ratio = (k + y) / den
+    cp = np.sum(w * (m - 1.0) * j / m**2 / den, axis=-1)
+    cpp = np.sum(w * k * j / m**2 / den, axis=-1)
+    c = np.sum(_pair_cells(k, j, w, m) * ratio, axis=-1)
+    hy = np.sum(w * ratio, axis=-1)
+    return np.where((k == 1)[..., 0], 0.0, c), cp, cpp, hy
 
 
 @dataclass(frozen=True)
@@ -131,20 +184,8 @@ def B_family(k: int, lam: float) -> HarmonicFamily:
 
 def _b_family(k: int, lam: float, j: np.ndarray, w: np.ndarray) -> HarmonicFamily:
     """B_family from the duplication counts j = 0..k and their weights w."""
-    m = (k + j).astype(float)
-    h = float(np.sum(w * k / m))
-    g = float(np.sum(w * (k / m) ** 2))
-    b = float(np.sum(w * j / m**2))
-    bp = g - h * h
-    b2 = float(np.sum(w * (j / m) ** 2))
-    if k == 1:
-        bpp, b1 = 0.0, 1.0
-    else:
-        pair = j * (j - 1) / (k * (k - 1))
-        bpp = float(np.sum(w * j * (k - j) / ((k - 1) * m**2)))
-        b1 = float(np.sum(w * k**2 * (1.0 + 2.0 * j / k + pair) / m**2))
-    return HarmonicFamily(k=k, lam=lam, H=h, G=g, A=h - 1.0 / (1.0 + lam),
-                          B=b, Bp=bp, Bpp=bpp, B1=b1, B2=b2)
+    h, g, *rest = (x.item() for x in _b_rows(np.array([[k]]), j, w))   # B, B', ..., B2
+    return HarmonicFamily(k, lam, h, g, _centred(h, lam), *rest)
 
 
 @dataclass(frozen=True)
@@ -169,24 +210,8 @@ def C_family(k: int, lam: float, y: float) -> CFamily:
 
 
 def _c_family(k: int, lam: float, y: float, j: np.ndarray, w: np.ndarray) -> CFamily:
-    """C_family from the duplication counts j = 0..k and their weights w.
-
-    (k + y)/(M_k + y) is formed as one ratio and 1/(M_k + y) divided in last,
-    so a shift near the largest float gives the finite limit (C -> B1, H_y -> 1,
-    C' and C'' -> 0) instead of inf/inf.
-    """
-    m = (k + j).astype(float)
-    ratio = (k + y) / (m + y)
-    cp = float(np.sum(w * (m - 1.0) * j / m**2 / (m + y)))
-    cpp = float(np.sum(w * k * j / m**2 / (m + y)))
-    if k == 1:
-        c = 0.0
-    else:
-        pair = j * (j - 1) / (k * (k - 1))
-        ell1ell2 = 1.0 + 2.0 * j / k + pair
-        c = float(np.sum(w * k**2 * ell1ell2 / m**2 * ratio))
-    hy = float(np.sum(w * ratio))
-    return CFamily(k=k, lam=lam, y=y, C=c, Cp=cp, Cpp=cpp, Hy=hy)
+    """C_family from the duplication counts j = 0..k and their weights w."""
+    return CFamily(k, lam, y, *(x.item() for x in _c_rows(np.array([[k]]), j, w, y)))
 
 
 def family_table(
@@ -412,8 +437,9 @@ def inequality_violations(
     An empty list means every assertion held within ``slack``.
 
     Each efficiency builds the rows Binomial(s, lambda), s = 0..k_max+1, as
-    one zero-padded matrix in one call of the band kernel; every functional
-    is a row reduction of it and every inequality one boolean array over k.
+    one zero-padded matrix in one call of the band kernel; the coefficients
+    are the row reductions B_family and C_family run (_b_rows, _c_rows) and
+    every inequality is one boolean array over k.
     Labels come in the order of a loop over k, then over the checks.
     """
     if k_max < 1:
@@ -422,13 +448,9 @@ def inequality_violations(
     size = k_max + 2
     j = np.arange(size, dtype=float)
     kcol = j[1:, None]             # rows k = 1..k_max+1
-    m = kcol + j                   # M_k at every duplication count j
-    r = kcol / m
     ks = j[1:]                     # k = 1..k_max+1, for per-k arithmetic
     kc = ks[:k_max]                # k = 1..k_max, the cells checked
     ge2 = kc >= 2
-    km1 = np.maximum(kcol - 1.0, 1.0)
-    ell1ell2 = 1.0 + 2.0 * j / kcol + j * (j - 1.0) / (kcol * km1)
     k2col = j[2:, None]            # k = 2..k_max+1, read from row k - 2
     shift_den = (k2col + 1.0 + j) ** 2
 
@@ -438,17 +460,8 @@ def inequality_violations(
         inv = 1.0 / (1.0 + lam)
         w = binom_band(np.arange(size), lam, tail=0.0)[1]
         wk = w[1:]
-
-        def mean(x: np.ndarray) -> np.ndarray:
-            return np.sum(wk * x, axis=1)
-
-        H, G = mean(r), mean(r * r)
-        A_ = H - inv
-        B = mean(j / m**2)
-        Bp = G - H * H
-        B2 = mean((j / m) ** 2)
-        Bpp = np.where(ks == 1, 0.0, mean(j * (kcol - j) / (km1 * m**2)))
-        B1 = np.where(ks == 1, 1.0, mean(kcol**2 * ell1ell2 / m**2))
+        H, G, B, Bp, Bpp, B1, B2 = _b_rows(kcol, j, wk)
+        A_ = _centred(H, lam)
         bpp_shift = n2 * np.sum(w[:-2] * k2col / shift_den, axis=1)   # k = 2..k_max+1
         seq = (ks + 1.0) * A_
         scale = n2 * inv**3
@@ -464,7 +477,7 @@ def inequality_violations(
             ("G vs A bound", None, G <= inv**2 + 3.0 * A_ + slack),
         ]
         for p in range(1, 6):
-            moment = mean(r**p)[:k_max]
+            moment = _power_rows(kcol, j, wk, p)[:k_max]
             checks.append((f"power moment bound p={p}", None,
                            moment <= inv**p + A_ * p * (p + 1) / 2.0 + slack))
         checks += [
@@ -490,16 +503,11 @@ def inequality_violations(
         ]
 
         hy_checks = []
-        for y in y_values:
-            valid = ks + y > 0
-            den = np.where(valid[:, None], m + y, 1.0)
-            Hy = mean((kcol + y) / den)
-            den *= m**2
-            Cp = mean((m - 1.0) * j / den)[:k_max]
-            Cpp = mean(kcol * j / den)[:k_max]
-            C = np.where(ks == 1, 0.0, mean(kcol**2 * (kcol + y) * ell1ell2 / den))[:k_max]
-            on = valid[:k_max]
+        c_rows = _c_rows(kcol, j, wk, np.reshape(y_values, (-1, 1, 1)))   # all shifts at once
+        for y, C, Cp, Cpp, Hy in zip(y_values, *c_rows):
+            C, Cp, Cpp = C[:k_max], Cp[:k_max], Cpp[:k_max]
             ky = kc + y
+            on = ky > 0
             checks += [
                 ("C'' vs C'", y, ~on | (Cpp <= Cp + slack)),
                 ("C' vs 1-H", y, ~on | (ky * Cp <= 1.0 - H + slack)),

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .moments import DEFAULT_SIZE_CAP, MutationLaw, _uniform_V, size_laws
-from .schedule import EfficiencySchedule, build_schedule
+from .schedule import EfficiencySchedule, build_schedule, mm_lambda
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class MMParams:
     """Saturating-efficiency parameters with initial size.
 
     Scaled variables: s0 = S0 / C and b = C / D. Efficiencies stay in (0, 1]
-    exactly when b (1 + s0) >= 1, i.e. D <= C + S0, enforced here.
+    exactly when b (1 + s0) >= 1, i.e. D <= C + S0, which mm_lambda checks here.
     """
 
     C: float
@@ -31,15 +31,7 @@ class MMParams:
     S0: int
 
     def __post_init__(self) -> None:
-        if self.C <= 0.0 or self.D <= 0.0:
-            raise ValueError("C and D must be positive")
-        if self.S0 < 1:
-            raise ValueError("initial population must be at least 1")
-        if self.D > self.C + self.S0:
-            raise ValueError(
-                f"D = {self.D} exceeds C + S0 = {self.C + self.S0}; "
-                "the first-cycle efficiency would leave (0, 1]"
-            )
+        mm_lambda(self.S0, self.C, self.D)
         if not (math.isfinite(self.b) and math.isfinite(self.s0)):
             raise ValueError(
                 f"C = {self.C}, D = {self.D} and S0 = {self.S0} give b = C/D = {self.b} "

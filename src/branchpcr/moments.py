@@ -385,7 +385,6 @@ class VarianceEnvelope:
     Vt_lo: float
     Vt_hi: float
     Rn_hi: float
-    Vt_exact: float | None = None
 
 
 def variance_envelope(
@@ -394,7 +393,6 @@ def variance_envelope(
     S0: int,
     n: int,
     ell: int,
-    exact: ExactMoments | None = None,
 ) -> VarianceEnvelope:
     """Bracket V(t) for an ell-sample mean.
 
@@ -413,12 +411,7 @@ def variance_envelope(
         lo, hi = Vt_star - slack_lo, Vt_star
     else:
         lo, hi = Vt_star - slack_lo, Vt_star + (1.0 - 1.0 / ell) * Rn_hi
-    return VarianceEnvelope(
-        Vt_lo=max(lo, 0.0),
-        Vt_hi=hi,
-        Rn_hi=Rn_hi,
-        Vt_exact=None if exact is None else exact.Vt,
-    )
+    return VarianceEnvelope(Vt_lo=max(lo, 0.0), Vt_hi=hi, Rn_hi=Rn_hi)
 
 
 def Rn_recursion_bound(

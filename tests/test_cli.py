@@ -378,6 +378,17 @@ def test_harmonic_property_check():
         assert "config error: --k-max must be at least 1" in proc.stderr
 
 
+@pytest.mark.parametrize("k_max", ["1001", "200000"])
+@pytest.mark.parametrize("form", [["--lambdas", "0.5"], ["--property-check"]])
+def test_harmonic_k_max_is_capped(form, k_max):
+    """A --k-max past the limit is a config error, not a numpy memory error."""
+    proc = run_cli("harmonic", "--k-max", k_max, *form)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: --k-max ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_mm_bounds(tmp_path):
     cfg = write_config(tmp_path, {
         "s0": 1, "n": 10,
