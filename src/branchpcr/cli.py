@@ -143,13 +143,13 @@ def parse_config(raw: dict) -> RunConfig:
         if not isinstance(sample, dict) or "ell" not in sample:
             raise ConfigError("sample block needs 'ell'")
         cfg.ell = _int_field(sample["ell"], "sample.ell")
+        if cfg.ell < 1:
+            raise ConfigError(f"sample ell must be at least 1, got {cfg.ell}")
         if ("t" in sample) and ("mutations_total" in sample):
             raise ConfigError("sample block needs at most one of 't', 'mutations_total'")
         if "t" in sample:
             cfg.t = _float_field(sample["t"], "sample.t")
         elif "mutations_total" in sample:
-            if cfg.ell < 1:
-                raise ConfigError("sample ell must be at least 1")
             cfg.t = _float_field(sample["mutations_total"], "sample.mutations_total") / cfg.ell
     return cfg
 

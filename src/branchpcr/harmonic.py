@@ -9,8 +9,9 @@ are reduced to the duplication count via exchangeability: given j duplications
 among k particles, two tagged ones both duplicated with probability
 j(j-1)/(k(k-1)) and exactly one did with probability 2j(k-j)/(k(k-1)).
 
-Each B- and C-family coefficient is written once, as a row sum (_b_rows,
-_c_rows): the families, the CLI table and the inequality suite reduce it.
+Each functional is written once, as a row sum (_h_rows, _power_rows, _b_rows,
+_c_rows with H_y, _bpp_shift_rows): the scalar functions, the families, the
+CLI table, the inequality suite and moments.exact_Vn_Vpn's A(s, lambda) reduce it.
 
 Also provides the integral representation of the centered harmonic mean A(k)
 (an adaptive Gauss-Kronrod G7/K15 quadrature of f^k f'^(-2l) for the
@@ -37,6 +38,7 @@ DEFAULT_Y_GRID: tuple[float, ...] = (-1.0, 0.0, 0.5, 1.0, 5.0)
 
 _QUAD_TOL = 1e-12
 _QUAD_BUDGET = 10**6
+_TAIL_K = 500   # the k of the inequality suite's k A(k) tail check
 
 
 def _check_k(k: int) -> None:
@@ -73,17 +75,15 @@ def binomial_mix(k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def H_y(k: int, lam: float, y: float) -> float:
-    """Shifted harmonic mean E[(k + y)/(M_k + y)]. Requires finite y, k + y > 0."""
-    _check_k(k)
-    _check_lambda(lam)
-    _check_shift(k, y)
-    j, w = _binom_weights(k, lam)
-    return float(np.sum(w * (k + y) / (k + j + y)))
+    """Shifted harmonic mean E[(k + y)/(M_k + y)], C_family's Hy. Requires finite y, k + y > 0."""
+    return C_family(k, lam, y).Hy
 
 
 def H(k: int, lam: float) -> float:
     """Harmonic mean E[k/M_k]."""
-    return H_y(k, lam, 0.0)
+    _check_k(k)
+    _check_lambda(lam)
+    return float(_h_rows(k, *_binom_weights(k, lam)))
 
 
 def A(k: int, lam: float) -> float:
@@ -103,6 +103,11 @@ def power_moment(k: int, lam: float, power: int) -> float:
     if power < 1:
         raise ValueError("power must be at least 1")
     return float(_power_rows(k, *_binom_weights(k, lam), power))
+
+
+def _h_rows(k, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """E[k/M_k] of each row of weights w over the duplication counts j."""
+    return np.sum(w * k / (k + j), axis=-1)
 
 
 def _power_rows(k, j: np.ndarray, w: np.ndarray, power: int) -> np.ndarray:
@@ -130,7 +135,7 @@ def _b_rows(k: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ..
     """
     m = (k + j).astype(float)
     one = (k == 1)[..., 0]
-    h = np.sum(w * k / m, axis=-1)
+    h = _h_rows(k, j, w)
     g = _power_rows(k, j, w, 2)
     b = np.sum(w * j / m**2, axis=-1)
     b2 = np.sum(w * (j / m) ** 2, axis=-1)
@@ -414,12 +419,14 @@ def harmonic_moment_bounds(
     return HarmonicMomentBounds(lower=lower, upper=upper)
 
 
+def _bpp_shift_rows(k, j: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
+    """B'' = lam(1-lam) E[k/(3 + M_{k-2})^2] at k >= 2, of Binomial(k - 2, lam) rows w."""
+    return lam * (1.0 - lam) * np.sum(w * k / (k + 1.0 + j) ** 2, axis=-1)
+
+
 def _bpp_via_shift(k: int, lam: float) -> float:
     """Alternative form of Bpp for k >= 2: lam(1-lam) E[k/(3 + M_{k-2})^2]."""
-    if k == 2:
-        return lam * (1.0 - lam) * k / 9.0
-    j, w = _binom_weights(k - 2, lam)
-    return lam * (1.0 - lam) * float(np.sum(w * k / (3.0 + k - 2 + j) ** 2))
+    return float(_bpp_shift_rows(k, *_binom_weights(k - 2, lam), lam))
 
 
 def inequality_violations(
@@ -427,19 +434,18 @@ def inequality_violations(
     lambdas: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
     y_values: tuple[float, ...] = DEFAULT_Y_GRID,
     slack: float = 1e-12,
-    tail_k: int = 500,
 ) -> list[str]:
     """Run the whole inequality suite on a grid; return violation labels.
 
     Covers the per-cycle coefficient bounds, the monotonicity statements, the
     polynomial sandwiches, the pairwise identities, and the slow-convergence
-    spot check of k A(k) at k = tail_k (within 15 percent of its limit).
+    spot check of k A(k) at k = _TAIL_K = 500 (within 15 percent of its limit).
     An empty list means every assertion held within ``slack``.
 
     Each efficiency builds the rows Binomial(s, lambda), s = 0..k_max+1, as
     one zero-padded matrix in one call of the band kernel; the coefficients
     are the row reductions B_family and C_family run (_b_rows, _c_rows) and
-    every inequality is one boolean array over k.
+    _bpp_shift_rows, and every inequality is one boolean array over k.
     Labels come in the order of a loop over k, then over the checks.
     """
     if k_max < 1:
@@ -452,7 +458,6 @@ def inequality_violations(
     kc = ks[:k_max]                # k = 1..k_max, the cells checked
     ge2 = kc >= 2
     k2col = j[2:, None]            # k = 2..k_max+1, read from row k - 2
-    shift_den = (k2col + 1.0 + j) ** 2
 
     for lam in lambdas:
         n2 = lam * (1.0 - lam)
@@ -462,7 +467,7 @@ def inequality_violations(
         wk = w[1:]
         H, G, B, Bp, Bpp, B1, B2 = _b_rows(kcol, j, wk)
         A_ = _centred(H, lam)
-        bpp_shift = n2 * np.sum(w[:-2] * k2col / shift_den, axis=1)   # k = 2..k_max+1
+        bpp_shift = _bpp_shift_rows(k2col, j, w[:-2], lam)   # k = 2..k_max+1
         seq = (ks + 1.0) * A_
         scale = n2 * inv**3
         taylor = np.array([taylor_sandwich(k, lam) for k in range(1, k_max + 1)])
@@ -535,7 +540,7 @@ def inequality_violations(
             yt = "" if y is None else f", y={y}"
             bad.append(f"{name} (k={k0 + 1}, lam={lam}{yt})")
 
-        tail = tail_k * A(tail_k, lam)
+        tail = _TAIL_K * A(_TAIL_K, lam)
         if not abs(tail - scale) <= 0.15 * scale + slack:
             bad.append(f"kA(k) tail (lam={lam})")
 

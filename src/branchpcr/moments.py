@@ -183,38 +183,34 @@ def exact_Vn_Vpn(
     S0: int,
     n: int,
     cap: int = DEFAULT_SIZE_CAP,
-    expectation_reading: bool = False,
 ) -> tuple[np.ndarray, float, float]:
     """Exact correction sums (A_k sequence, V_n, V'_n).
 
     A_k averages the harmonic correction A(s, lambda_k) = E[s/(s + J)] -
     1/(1 + lambda_k), J ~ Binomial(s, lambda_k), over the exact size law of
-    S_{k-1}; each A(s, lambda_k) is a row reduction of the cycle's band.
-    V'_n uses the scalar composition A_k^2 + (1 - 2 alpha_k) A_k by default;
-    ``expectation_reading`` instead averages the composition inside the
-    expectation, for sensitivity checks (it can only be larger).
+    S_{k-1}; each A(s, lambda_k) is the harmonic module's row sum for H over
+    the cycle's band, less 1/(1 + lambda_k). V'_n sums the scalar
+    composition A_k^2 + (1 - 2 alpha_k) A_k.
     """
     import numpy as np
 
     from ._pmf import size_transitions
+    from .harmonic import _centred, _h_rows
 
     lam = np.asarray(sched.prefix(n))
     lam_at = sched.efficiency(S0, n)
-    A_seq, A2_seq = np.zeros(n), np.zeros(n)
+    A_seq = np.zeros(n)
     first, p = S0, np.ones(1)
     for c in range(n):
         _, first, width, bands = size_transitions(lam_at, c, first, p, cap)
         new = np.zeros(width)
         for b in bands:
             pb = p[b.rows]
-            a = np.sum(b.w * b.s / (b.s + b.j), axis=1) - 1.0 / (1.0 + b.lam)
-            A_seq[c] += pb @ a
-            A2_seq[c] += pb @ (a * a)
+            A_seq[c] += pb @ _centred(_h_rows(b.s, b.j, b.w), b.lam)
             new += b.scatter(pb[:, None] * b.w, width)
         p = new
     alpha = lam / (1.0 + lam)
-    second = A2_seq if expectation_reading else A_seq**2
-    return A_seq, float(np.sum(A_seq)), float(np.sum(second + (1.0 - 2.0 * alpha) * A_seq))
+    return A_seq, float(np.sum(A_seq)), float(np.sum(A_seq**2 + (1.0 - 2.0 * alpha) * A_seq))
 
 
 @dataclass(frozen=True)
@@ -321,7 +317,6 @@ class FirstMomentEnvelope:
     TV_hi: float
     Vn_lo: float
     Vn_hi: float
-    M_eta_exact: float | None = None
 
 
 def first_moment_envelope(
@@ -329,7 +324,6 @@ def first_moment_envelope(
     law: MutationLaw,
     S0: int,
     n: int,
-    exact_Vn: float | None = None,
 ) -> FirstMomentEnvelope:
     """Bracket E[M(zeta_n)] and the total-variation distance to the limit law.
 
@@ -349,14 +343,12 @@ def first_moment_envelope(
     Vn_hi = min(cands)
     Vn_lo = v / (S0 + 1)
     W = float(seqs.W[n])
-    exact = None if exact_Vn is None else law.mu * (W - exact_Vn)
     return FirstMomentEnvelope(
         Et_lo=law.mu * (W - Vn_hi),
         Et_hi=law.mu * (W - Vn_lo),
         TV_hi=Vn_hi,
         Vn_lo=Vn_lo,
         Vn_hi=Vn_hi,
-        M_eta_exact=exact,
     )
 
 

@@ -26,7 +26,7 @@ thread count, since threads only carry whole chunks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ DEFAULT_POPULATION_CAP = 10**8
 _CHUNK = 1024
 _PMF_TAIL = 1e-12
 _DRAW_CELLS = 1 << 20           # most (class, increment) cells in one multinomial draw
+_ROW_CELLS = 1 << 24            # most such cells of one replicate in one cycle
 
 
 @dataclass(frozen=True)
@@ -268,6 +269,9 @@ def _run_chunk(
             new[:, :width] = counts + dups - hits
             new[:, 1:] += hits
         else:
+            if width * len(pmf) > _ROW_CELLS:
+                raise ValueError(f"{width} occupied classes times an increment table of "
+                                 f"{len(pmf)} entries exceed {_ROW_CELLS} cells per replicate")
             new = np.zeros((rows, width + len(pmf) - 1), dtype=np.int64)
             new[:, :width] = counts
             # row blocks bound the (rows, width, len(pmf)) draw array; the
@@ -346,11 +350,10 @@ class MonteCarloMoments:
     peak_population: int
     occupied_classes: int
     cap_headroom: float
-    harmonic: dict[float, tuple[float, float]] = field(default_factory=dict)
+    t_values: np.ndarray            # the sampled mean t of each replicate
     eta_hist: dict[int, float] | None = None
     eta_hist_sd: dict[int, float] | None = None
     state_scale: float = 1.0
-    t_values: np.ndarray | None = None
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -374,7 +377,7 @@ def _var_se(x: np.ndarray) -> tuple[float, float]:
 
 
 def _chunk_stats(batch: ReplicateBatch, ell: int, rng: np.random.Generator,
-                 shifts: tuple[float, ...], histogram: bool) -> dict:
+                 histogram: bool) -> dict:
     """Row reductions of one chunk's final batch, the sampled means drawn from rng."""
     counts = batch.counts
     sizes = batch.sizes
@@ -392,7 +395,6 @@ def _chunk_stats(batch: ReplicateBatch, ell: int, rng: np.random.Generator,
         "size": sizes.astype(float),
         "mart": np.prod(1.0 / (1.0 + batch.lambdas), axis=1) * sizes,
         "occupied": int((counts > 0).sum(axis=1).max()),
-        "harm": {y: 1.0 / (sizes + y) for y in shifts},
     }
     if histogram:
         out["hist"] = np.stack([frac.sum(axis=0), (frac * frac).sum(axis=0)])
@@ -428,9 +430,7 @@ def monte_carlo_moments(
     replicates: int,
     seed: int,
     threads: int = 1,
-    harmonic_shifts: tuple[float, ...] = (),
     collect_histogram: bool = False,
-    keep_samples: bool = False,
     population_cap: int = DEFAULT_POPULATION_CAP,
 ) -> MonteCarloMoments:
     """Replicate the process and aggregate sample statistics.
@@ -442,13 +442,10 @@ def monte_carlo_moments(
     _check_run(spec, n, replicates, population_cap)
     if ell < 1:
         raise ValueError("sample size must be at least 1")
-    for y in harmonic_shifts:
-        if spec.S0 + y <= 0:
-            raise ValueError(f"harmonic shift {y} reaches zero at the initial size")
 
     def run(rows, rng):
         final = _run_chunk(spec, n, rows, rng, population_cap, (n,))[0]
-        return _chunk_stats(final, ell, rng, harmonic_shifts, collect_histogram)
+        return _chunk_stats(final, ell, rng, collect_histogram)
 
     chunks = _map_chunks(run, replicates, seed, threads)
     cols = {key: np.concatenate([ch[key] for ch in chunks])
@@ -482,12 +479,9 @@ def monte_carlo_moments(
         martingale_mean=mart_mean, martingale_se=mart_se,
         peak_population=peak,
         occupied_classes=max(ch["occupied"] for ch in chunks),
-        cap_headroom=population_cap / peak,
-        harmonic={y: _mean_se(np.concatenate([ch["harm"][y] for ch in chunks]))
-                  for y in harmonic_shifts},
+        cap_headroom=population_cap / peak, t_values=t,
         eta_hist=eta_hist, eta_hist_sd=eta_hist_sd,
         state_scale=_increments(spec.law)[0],
-        t_values=t if keep_samples else None,
     )
 
 

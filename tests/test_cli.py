@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -141,7 +142,7 @@ def test_estimate_reference_run(tmp_path):
 
 def test_estimate_zero_sample(tmp_path):
     cfg = ref_config(tmp_path)
-    raw = json.loads(open(cfg).read())
+    raw = json.loads(Path(cfg).read_text())
     raw["sample"] = {"ell": 28, "t": 0.0}
     cfg = write_config(tmp_path, raw, name="zero.json")
     proc = run_cli("estimate", "--config", cfg)
@@ -184,7 +185,7 @@ def test_estimate_all_zero_schedule(tmp_path):
     ("estimate", "z", math.nan),
 ])
 def test_nonfinite_input_gives_no_bare_nan(tmp_path, command, field, value):
-    raw = json.loads(open(ref_config(tmp_path)).read())
+    raw = json.loads(Path(ref_config(tmp_path)).read_text())
     raw[field] = value
     cfg = write_config(tmp_path, raw, name="nonfinite.json")
     proc = run_cli(command, "--config", cfg)
@@ -197,9 +198,12 @@ def test_nonfinite_input_gives_no_bare_nan(tmp_path, command, field, value):
 @pytest.mark.parametrize("command, field, value", [
     ("simulate", "s0", 1e300),
     ("bounds", "mutation", {"mean": 1e300, "var": 1.0}),
+    # a replicate spans about 1e4 classes after one cycle, so its next
+    # multinomial draw would need about 1e8 (class, increment) cells
+    ("simulate", "mutation", {"poisson": {"mu": 1e4}}),
 ])
 def test_huge_input_is_a_domain_error(tmp_path, command, field, value):
-    raw = json.loads(open(sim_config(tmp_path)).read())
+    raw = json.loads(Path(sim_config(tmp_path)).read_text())
     raw[field] = value
     code, out, err = run_main([command, "--config", write_config(tmp_path, raw, "huge.json")])
     assert (code, out) == (3, "")
@@ -420,9 +424,10 @@ def test_mm_bounds(tmp_path):
     ("schedule", {"lambdas": "0.5"}), ("schedule", {"lambdas": [0.5, "0.5"]}),
     ("schedule", {"mm": {"C": math.inf, "D": 1.0}}),
     ("population_cap", 2**62), pytest.param("population_cap", 10**400, id="population_cap-1e400"),
+    ("sample", {"ell": 0, "t": 0.1}), ("sample", {"ell": -2}),
 ])
 def test_config_fields_are_typed(tmp_path, field, value):
-    raw = json.loads(open(ref_config(tmp_path)).read())
+    raw = json.loads(Path(ref_config(tmp_path)).read_text())
     raw[field] = value
     code, out, err = run_main(["bounds", "--config", write_config(tmp_path, raw, "typed.json")])
     assert code == 2, err
@@ -431,7 +436,7 @@ def test_config_fields_are_typed(tmp_path, field, value):
 
 
 def test_config_accepts_integral_floats(tmp_path):
-    raw = json.loads(open(ref_config(tmp_path)).read())
+    raw = json.loads(Path(ref_config(tmp_path)).read_text())
     plain = run_main(["bounds", "--config", write_config(tmp_path, raw, "plain.json")])
     raw.update(s0=100.0, n=30.0)
     as_floats = run_main(["bounds", "--config", write_config(tmp_path, raw, "floats.json")])
@@ -449,7 +454,7 @@ def test_simulate_rejects_bad_threads_and_seeds(tmp_path, flags, env_seed):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("config error: ")
-    raw = json.loads(open(sim_config(tmp_path)).read())
+    raw = json.loads(Path(sim_config(tmp_path)).read_text())
     raw["seed"] = -3
     code, out, err = run_main(["simulate", "--config", write_config(tmp_path, raw, "neg.json")])
     assert (code, out) == (2, "")

@@ -223,8 +223,7 @@ def test_interval_coverage():
     seqs = ref_seqs()
     spec = ProcessSpec(sched, poisson_law(mu), 10)
     reps, hits = 2000, 0
-    mc = monte_carlo_moments(spec, 30, REF_ELL, reps, 2024, keep_samples=True,
-                             population_cap=10**9)
+    mc = monte_carlo_moments(spec, 30, REF_ELL, reps, 2024, population_cap=10**9)
     for t in mc.t_values:
         pi = poisson_interval(float(t), seqs, 30, REF_ELL, z=2.0)
         if pi.lo <= mu <= pi.hi:

@@ -89,6 +89,15 @@ def test_pair_shift_identity(k, lam):
     assert math.isclose(fam.Bpp, alt, rel_tol=0, abs_tol=1e-13)
 
 
+def test_scalar_functionals_are_their_family_rows():
+    # H_y is C_family's Hy and H is B_family's H, to the bit
+    for lam in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+        for k in range(1, 40):
+            assert harmonic.H(k, lam) == harmonic.B_family(k, lam).H
+            for y in (-0.5, 0.0, 0.5, 1.0, 5.0):
+                assert harmonic.H_y(k, lam, y) == harmonic.C_family(k, lam, y).Hy
+
+
 def _bits(family) -> list[bytes]:
     """Each field of a family as the bytes of a double: equal lists are bit-identical."""
     return [np.float64(x).tobytes() for x in dataclasses.astuple(family)]

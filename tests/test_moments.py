@@ -126,6 +126,10 @@ def test_exact_correction_single_cycle():
     A_seq, Vn, Vpn = exact_Vn_Vpn(build_schedule([0.5]), 1, 1)
     assert A_seq[0] == pytest.approx(1.0 / 12.0, abs=1e-15)
     assert Vn == pytest.approx(1.0 / 12.0, abs=1e-15)
+    # one cycle from a point mass keeps the whole row, so A_1 is harmonic.A itself
+    for lam in (0.0, 0.1, 0.5, 0.9, 1.0):
+        for S0 in range(1, 15):
+            assert exact_Vn_Vpn(build_schedule([lam]), S0, 1)[0][0] == harmonic.A(S0, lam)
 
 
 def test_exact_correction_full_efficiency():
@@ -140,14 +144,6 @@ def test_correction_sum_sandwich(S0):
     seqs = seqs_for(lams)
     _, Vn, _ = exact_Vn_Vpn(build_schedule(lams), S0, 8)
     assert seqs.v[8] / (S0 + 1) <= Vn <= seqs.v[8] / (S0 - 1)
-
-
-def test_expectation_reading_dominates_literal():
-    sched = build_schedule([0.3, 0.8, 0.5, 0.6])
-    for S0 in (1, 2, 5):
-        _, _, lit = exact_Vn_Vpn(sched, S0, 4)
-        _, _, exp = exact_Vn_Vpn(sched, S0, 4, expectation_reading=True)
-        assert exp >= lit - 1e-15
 
 
 def test_z_ordering():
@@ -206,8 +202,6 @@ def test_exact_first_moment_identity():
         _, Vn, _ = exact_Vn_Vpn(sched, S0, n)
         dp = exact_sample_moments(sched, law, S0, n, 1)
         assert dp.M_eta == pytest.approx(law.mu * (seqs.W[n] - Vn), rel=1e-12)
-        fme = first_moment_envelope(seqs, law, S0, n, exact_Vn=Vn)
-        assert fme.M_eta_exact == pytest.approx(dp.M_eta, rel=1e-12)
 
 
 @pytest.mark.parametrize("S0", [1, 2])
@@ -253,10 +247,10 @@ def dense_size_law_steps(sched, S0, n):
 
 
 def dense_exact_Vn_Vpn(sched, S0, n, steps):
-    """(A_k sequence, V_n, V'_n, V'_n in the expectation reading) over dense laws."""
+    """(A_k sequence, V_n, V'_n) over dense laws."""
     lam = sched.prefix(n)
     A_seq = np.zeros(n)
-    Vp, Vp_exp = 0.0, 0.0
+    Vp = 0.0
     for k in range(1, n + 1):
         L = lam[k - 1]
         alpha_k = L / (1.0 + L)
@@ -265,9 +259,8 @@ def dense_exact_Vn_Vpn(sched, S0, n, steps):
         p_nz = p[p != 0.0]
         A_k = float(np.sum(p_nz * a_vals))
         A_seq[k - 1] = A_k
-        Vp_exp += float(np.sum(p_nz * a_vals**2)) + (1.0 - 2.0 * alpha_k) * A_k
         Vp += A_k**2 + (1.0 - 2.0 * alpha_k) * A_k
-    return A_seq, float(np.sum(A_seq)), Vp, Vp_exp
+    return A_seq, float(np.sum(A_seq)), Vp
 
 
 def dense_exact_sample_moments(sched, law, S0, n, ell):
@@ -338,14 +331,13 @@ def test_banded_programs_match_dense_loops(S0, lams):
     for y in (0.0, 1.0, 5.0):
         assert law.harmonic_moment(y) == pytest.approx(
             float(np.sum(dense / (sizes + y))), rel=1e-13)
-    # correction sums, both readings; A_k = H - 1/(1 + lambda) with H near 1,
-    # so its float resolution is about 1e-16 absolute
-    A_ref, Vn_ref, *Vpn_refs = dense_exact_Vn_Vpn(sched, S0, n, steps)
-    for reading, Vpn_ref in zip((False, True), Vpn_refs):
-        A_seq, Vn, Vpn = exact_Vn_Vpn(sched, S0, n, expectation_reading=reading)
-        np.testing.assert_allclose(A_seq, A_ref, rtol=1e-13, atol=2e-16)
-        assert Vn == pytest.approx(Vn_ref, rel=1e-13, abs=1e-16)
-        assert Vpn == pytest.approx(Vpn_ref, rel=1e-13, abs=1e-16)
+    # correction sums; A_k = H - 1/(1 + lambda) with H near 1, so its float
+    # resolution is about 1e-16 absolute
+    A_ref, Vn_ref, Vpn_ref = dense_exact_Vn_Vpn(sched, S0, n, steps)
+    A_seq, Vn, Vpn = exact_Vn_Vpn(sched, S0, n)
+    np.testing.assert_allclose(A_seq, A_ref, rtol=1e-13, atol=2e-16)
+    assert Vn == pytest.approx(Vn_ref, rel=1e-13, abs=1e-16)
+    assert Vpn == pytest.approx(Vpn_ref, rel=1e-13, abs=1e-16)
     # the joint moment program
     for mlaw in (poisson_law(0.07), MutationLaw(mu=0.1, nu=0.04)):
         dp = exact_sample_moments(sched, mlaw, S0, n, 3)
@@ -392,6 +384,7 @@ def test_trimmed_support_keeps_its_budget(lam, S0, n):
         assert hb.lower <= law.harmonic_moment(y) <= hb.upper, y
     dp = exact_sample_moments(sched, poisson_law(0.07), S0, n, 3)
     np.testing.assert_array_equal(dp.sizes, law.sizes)
+    assert dp.p.tobytes() == law.probs.tobytes()   # the size law's own steps, to the bit
     assert dp.tail_mass == law.tail_mass
 
 

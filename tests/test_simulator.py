@@ -92,8 +92,7 @@ def assert_same_moments(a, b):
 def test_monte_carlo_thread_invariance():
     # three chunks of the batched engine, the last one partial
     spec = spec_for([0.6] * 5)
-    kw = dict(n=5, ell=4, replicates=2 * 1024 + 300, seed=123, harmonic_shifts=(0.0, 1.0),
-              collect_histogram=True, keep_samples=True)
+    kw = dict(n=5, ell=4, replicates=2 * 1024 + 300, seed=123, collect_histogram=True)
     runs = [monte_carlo_moments(spec, threads=k, **kw) for k in (1, 2, 3)]
     for other in runs[1:]:
         assert_same_moments(runs[0], other)
@@ -106,8 +105,7 @@ def test_multinomial_row_blocks_leave_the_stream(monkeypatch):
     # wide Poisson tables are drawn in row blocks of at most _DRAW_CELLS cells;
     # one row per block must give the same results as one block per chunk
     spec = spec_for([0.7] * 6, mu=0.4)
-    kw = dict(n=6, ell=3, replicates=1024 + 40, seed=9, collect_histogram=True,
-              keep_samples=True)
+    kw = dict(n=6, ell=3, replicates=1024 + 40, seed=9, collect_histogram=True)
     whole = monte_carlo_moments(spec, **kw)
     monkeypatch.setattr(simulator, "_DRAW_CELLS", 16)
     assert_same_moments(whole, monte_carlo_moments(spec, **kw))
@@ -125,8 +123,6 @@ def test_monte_carlo_validation():
             run(n=3, population_cap=MAX_POPULATION_CAP + 1)
     with pytest.raises(ValueError, match="64-bit"):
         simulate_batch(spec_for([0.5] * 3, S0=MAX_POPULATION_CAP + 1), 3, 4, 1)
-    with pytest.raises(ValueError):
-        monte_carlo_moments(spec, 3, 1, replicates=4, seed=1, harmonic_shifts=(-2.0,))
     with pytest.raises(ValueError):
         simulate_batch(spec, 3, 4, 1, marks=(2, 4))
     with pytest.raises(ValueError):
@@ -186,7 +182,7 @@ def test_sample_variance_error_matches_drawn_samples():
     # the large-sample error computed from the drawn sample means themselves
     for law in (poisson_law(0.3), MutationLaw(mu=0.2, nu=0.1)):
         spec = ProcessSpec(build_schedule([0.5] * 6), law, 2)
-        mc = monte_carlo_moments(spec, 6, 3, 20_000, 1, keep_samples=True)
+        mc = monte_carlo_moments(spec, 6, 3, 20_000, 1)
         r = len(mc.t_values)
         d = mc.t_values - mc.t_values.mean()
         s2 = float(d @ d) / (r - 1)
@@ -248,12 +244,11 @@ def test_batch_saturating_efficiency_follows_row_size():
 
 
 def test_monte_carlo_keep_samples():
+    # every run keeps the sampled mean of each replicate
     spec = spec_for([0.5] * 3)
-    mc = monte_carlo_moments(spec, 3, 2, replicates=16, seed=5, keep_samples=True)
-    assert mc.t_values is not None and mc.t_values.shape == (16,)
+    mc = monte_carlo_moments(spec, 3, 2, replicates=16, seed=5)
+    assert mc.t_values.shape == (16,)
     assert mc.t_mean == pytest.approx(float(mc.t_values.mean()))
-    none = monte_carlo_moments(spec, 3, 2, replicates=16, seed=5)
-    assert none.t_values is None
 
 
 def test_population_cap_exception():
