@@ -409,7 +409,7 @@ def _float_arg(text: str, name: str) -> float:
 def cmd_harmonic(args) -> int:
     if args.k_max is not None and args.k_max > _HARMONIC_K_MAX:
         raise ConfigError(f"--k-max must be at most {_HARMONIC_K_MAX}, got {args.k_max}")
-    from .harmonic import family_table, inequality_violations
+    from .harmonic import _inequality_suite, family_table
 
     if args.property_check:
         kwargs = {}
@@ -418,10 +418,12 @@ def cmd_harmonic(args) -> int:
                 raise ConfigError(f"--k-max must be at least 1 for --property-check, "
                                   f"got {args.k_max}")
             kwargs["k_max"] = args.k_max
-        violations = inequality_violations(**kwargs)
+        violations, checked = _inequality_suite(**kwargs)
         for v in violations:
             print(f"violation: {v}", file=sys.stderr)
-        _emit({"violations": violations, "count": len(violations)}, args.format)
+        # a clean run reads "0 violations of <checked> assertions"
+        _emit({"violations": violations, "count": len(violations), "checked": checked},
+              args.format)
         return 0 if not violations else 3
     k_max = 12 if args.k_max is None else args.k_max
     lambdas = ([_float_arg(x, "--lambdas entry") for x in args.lambdas.split(",")]

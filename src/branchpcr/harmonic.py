@@ -12,11 +12,16 @@ j(j-1)/(k(k-1)) and exactly one did with probability 2j(k-j)/(k(k-1)).
 Each functional is written once, as a row sum (_h_rows, _power_rows, _b_rows,
 _c_rows with H_y, _bpp_shift_rows): the scalar functions, the families, the
 CLI table, the inequality suite and moments.exact_Vn_Vpn's A(s, lambda) reduce it.
+The sums run over the last axis, so the same code reduces one row, a (k, j)
+matrix or the inequality suite's (lambda, k, j) blocks, to the same bits; the
+Taylor sandwich is likewise one array form (_taylor_rows) for the scalar
+taylor_sandwich and the suite.
 
 Also provides the integral representation of the centered harmonic mean A(k)
 (an adaptive Gauss-Kronrod G7/K15 quadrature of f^k f'^(-2l) for the
-offspring generating function f) and interval bounds for harmonic moments of
-the population size after n cycles.
+offspring generating function f, whose first pass is precomputed on [0, 1])
+and interval bounds for harmonic moments of the population size after n
+cycles.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._pmf import binom_band, binom_row
+from ._pmf import _BLOCK_CELLS, binom_band, binom_row
 from .schedule import EfficiencySchedule, derived_sequences, gamma_sequence
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(
@@ -102,7 +107,7 @@ def power_moment(k: int, lam: float, power: int) -> float:
     _check_lambda(lam)
     if power < 1:
         raise ValueError("power must be at least 1")
-    return float(_power_rows(k, *_binom_weights(k, lam), power))
+    return float(_power_rows(k, *_binom_weights(k, lam), power)[0])
 
 
 def _h_rows(k, j: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -110,9 +115,10 @@ def _h_rows(k, j: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sum(w * k / (k + j), axis=-1)
 
 
-def _power_rows(k, j: np.ndarray, w: np.ndarray, power: int) -> np.ndarray:
-    """E[(k/M_k)^power] of each row of weights w over the duplication counts j."""
-    return np.sum(w * (k / (k + j)) ** power, axis=-1)
+def _power_rows(k, j: np.ndarray, w: np.ndarray, *powers: int) -> list[np.ndarray]:
+    """E[(k/M_k)^p] of each row of weights w over the duplication counts j, per power p."""
+    ratio = k / (k + j)
+    return [np.sum(w * ratio**p, axis=-1) for p in powers]
 
 
 def _centred(h, lam: float):
@@ -129,14 +135,15 @@ def _pair_cells(k: np.ndarray, j: np.ndarray, w: np.ndarray, m: np.ndarray) -> n
 def _b_rows(k: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """H, G, B, B', B'', B1 and B2 of each row, each a sum over the last axis.
 
-    ``k`` is a (K, 1) column of sizes, ``j`` the duplication counts and ``w``
-    their Binomial(k, lambda) weights, zero past each row's k. The k = 1 rows
-    take the conventions B'' = 0 and B1 = 1.
+    ``k`` is a (K, 1) column of sizes, or (1, K, 1) for (lambda, K, j)
+    weights, ``j`` the duplication counts and ``w`` their Binomial(k, lambda)
+    weights, zero past each row's k. The k = 1 rows take the conventions
+    B'' = 0 and B1 = 1.
     """
     m = (k + j).astype(float)
     one = (k == 1)[..., 0]
     h = _h_rows(k, j, w)
-    g = _power_rows(k, j, w, 2)
+    g, = _power_rows(k, j, w, 2)
     b = np.sum(w * j / m**2, axis=-1)
     b2 = np.sum(w * (j / m) ** 2, axis=-1)
     bpp = np.sum(w * j * (k - j) / (np.maximum(k - 1, 1) * m**2), axis=-1)
@@ -147,8 +154,9 @@ def _b_rows(k: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ..
 def _c_rows(k: np.ndarray, j: np.ndarray, w: np.ndarray, y) -> tuple[np.ndarray, ...]:
     """C, C', C'' and H_y of each row at shift y, each a sum over the last axis.
 
-    ``k``, ``j`` and ``w`` are as for _b_rows, and ``y`` a shift or a (Y, 1, 1)
-    array of them, for (Y, K) sums; the k = 1 rows take C = 0.
+    ``k``, ``j`` and ``w`` are as for _b_rows, and ``y`` a shift or an array
+    of them on a new leading axis ((Y, 1, 1) for (Y, K) sums, (Y, 1, 1, 1)
+    for (Y, lambda, K)); the k = 1 rows take C = 0.
     (k + y)/(M_k + y) is formed as one ratio and 1/(M_k + y) divided in last,
     so a shift near the largest float gives the finite limit (C -> B1, H_y -> 1,
     C' and C'' -> 0) instead of inf/inf. Rows with k + y <= 0 divide by 1, so
@@ -253,16 +261,25 @@ def taylor_sandwich(k: int, lam: float) -> tuple[float, float]:
 
     Third-order expansions of 1/x and 1/x^2 at the mean growth factor; the
     exact H(k) never exceeds H_upper and the exact G(k) never falls below
-    G_lower.
+    G_lower. The values are _taylor_rows' at one cell, so the inequality
+    suite, which takes them over its whole grid, tests these same numbers.
     """
     _check_k(k)
     _check_lambda(lam)
+    h, g = _taylor_rows(np.array([float(k)]), np.array([lam]))
+    return h.item(), g.item()
+
+
+def _taylor_rows(k: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """taylor_sandwich's (H_upper, G_lower) at each k and lambda, broadcast."""
     n2 = lam * (1.0 - lam)
     g1 = n2 / (1.0 + lam) ** 2
     g2 = n2 * (1.0 - 2.0 * lam) / (1.0 + lam) ** 3
     g3 = n2 * (1.0 + 3.0 * (k - 2) * n2) / (1.0 + lam) ** 3
-    h_tilde = 1.0 + g1 / k - g2 / k**2 + g3 / k**3
-    g_tilde = 1.0 + 3.0 * g1 / k - 4.0 * g2 / k**2 + 2.0 * g3 / k**3
+    k2 = k * k
+    k3 = k2 * k
+    h_tilde = 1.0 + g1 / k - g2 / k2 + g3 / k3
+    g_tilde = 1.0 + 3.0 * g1 / k - 4.0 * g2 / k2 + 2.0 * g3 / k3
     return h_tilde / (1.0 + lam), g_tilde / (1.0 + lam) ** 2
 
 
@@ -300,8 +317,15 @@ _GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _GK_K15 = np.array(_WGK[:-1] + _WGK[::-1])
 _GK_G7 = np.zeros(15)
 _GK_G7[1::2] = _WG[:-1] + _WG[::-1]
-# equal pieces of the first quadrature pass
+# the first quadrature pass: _GK_PIECES equal pieces of [0, 1], their
+# edges, tolerance shares and (piece, node) abscissae, each scaled to [a, b]
+# by one multiply-add per call
 _GK_PIECES = 16
+_GK_UNIT_HALF = 0.5 / _GK_PIECES
+_GK_UNIT_LO = np.arange(_GK_PIECES) / _GK_PIECES
+_GK_UNIT_HI = np.arange(1, _GK_PIECES + 1) / _GK_PIECES
+_GK_UNIT_SHARE = np.full(_GK_PIECES, 1.0 / _GK_PIECES)
+_GK_UNIT_X = (_GK_UNIT_LO + _GK_UNIT_HALF)[:, None] + _GK_UNIT_HALF * _GK_NODES
 _EPS = float(np.finfo(float).eps)
 
 
@@ -309,37 +333,47 @@ def _gauss_kronrod(g, a: float, b: float, tol: float, budget: int) -> tuple[floa
     """Adaptive G7/K15 quadrature to absolute tolerance; (integral, error bound).
 
     ``g`` takes an array of abscissae. The first pass covers [a, b] in
-    _GK_PIECES equal pieces, each with an equal share of ``tol``; each pass
+    _GK_PIECES equal pieces, each with an equal share of ``tol``: the unit
+    pieces of [0, 1] and their abscissae are module constants, scaled to
+    [a, b] (b < a integrates backwards, with negative half-widths). Each pass
     evaluates g once over every open interval, accepts an interval when
     |K15 - G7| is within its share and splits it in two, halving the share,
-    otherwise. The returned error is the sum of |K15 - G7| over the accepted
-    intervals plus a bound on the rounding of their rule sums and of the
-    final sum, after QUADPACK's qk15 (Piessens et al., 1983).
+    otherwise; a pass that accepts every interval, the usual last one, sums
+    them without masked copies. The returned error is the sum of |K15 - G7|
+    over the accepted intervals plus a bound on the rounding of their rule
+    sums and of the final sum, after QUADPACK's qk15 (Piessens et al., 1983).
     """
-    edges = np.linspace(a, b, _GK_PIECES + 1)
-    lo, hi = edges[:-1], edges[1:]
-    share = np.full(_GK_PIECES, tol / _GK_PIECES)
+    span = b - a
+    lo = hi = None                 # the first pass's edges, made if it splits
+    half = span * _GK_UNIT_HALF    # one half-width while the pieces are equal
+    share = tol * _GK_UNIT_SHARE
+    x = a + span * _GK_UNIT_X
     total = err = size = 0.0
     accepted = evals = 0
     while True:
-        evals += 15 * lo.size
+        evals += x.size
         if evals > budget:
             raise RuntimeError(f"quadrature exceeded {budget} evaluations")
-        half = 0.5 * (hi - lo)
-        f = g((lo + half)[:, None] + half[:, None] * _GK_NODES)
+        f = g(x)
         k15 = half * (f @ _GK_K15)
         diff = np.abs(k15 - half * (f @ _GK_G7))
         done = diff <= share
-        total += k15[done].sum()
-        err += diff[done].sum()
-        size += (np.abs(half) * (np.abs(f) @ _GK_K15))[done].sum()
-        accepted += int(done.sum())
-        if done.all():
+        last = bool(done.all())
+        take = slice(None) if last else done
+        total += k15[take].sum()
+        err += diff[take].sum()
+        size += (np.abs(half) * (np.abs(f) @ _GK_K15))[take].sum()
+        accepted += k15[take].size
+        if last:
             break
+        if lo is None:
+            lo, hi = a + span * _GK_UNIT_LO, a + span * _GK_UNIT_HI
         lo, hi, share = lo[~done], hi[~done], 0.5 * share[~done]
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         share = np.concatenate((share, share))
+        half = 0.5 * (hi - lo)
+        x = (lo + half)[:, None] + half[:, None] * _GK_NODES
     # with u = eps/2, a rule sum (a 15-term dot product times the rounded
     # half-width) is off by at most 17 u of its sum of |terms|, and summing
     # the accepted intervals adds at most (accepted - 1) u of their total;
@@ -419,8 +453,11 @@ def harmonic_moment_bounds(
     return HarmonicMomentBounds(lower=lower, upper=upper)
 
 
-def _bpp_shift_rows(k, j: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
-    """B'' = lam(1-lam) E[k/(3 + M_{k-2})^2] at k >= 2, of Binomial(k - 2, lam) rows w."""
+def _bpp_shift_rows(k, j: np.ndarray, w: np.ndarray, lam) -> np.ndarray:
+    """B'' = lam(1-lam) E[k/(3 + M_{k-2})^2] at k >= 2, of Binomial(k - 2, lam) rows w.
+
+    ``lam`` is one efficiency, or a (lambda, 1) column for (lambda, k, j) rows.
+    """
     return lam * (1.0 - lam) * np.sum(w * k / (k + 1.0 + j) ** 2, axis=-1)
 
 
@@ -442,106 +479,171 @@ def inequality_violations(
     spot check of k A(k) at k = _TAIL_K = 500 (within 15 percent of its limit).
     An empty list means every assertion held within ``slack``.
 
-    Each efficiency builds the rows Binomial(s, lambda), s = 0..k_max+1, as
-    one zero-padded matrix in one call of the band kernel; the coefficients
-    are the row reductions B_family and C_family run (_b_rows, _c_rows) and
-    _bpp_shift_rows, and every inequality is one boolean array over k.
-    Labels come in the order of a loop over k, then over the checks.
+    The efficiencies are an array axis. Each block of them takes the rows
+    Binomial(s, lambda), s = 0..k_max+1, as one zero-padded (lambda, s, j)
+    array from one call of the band kernel, and its Binomial(_TAIL_K, lambda)
+    rows from one more; the coefficients are the row reductions B_family and
+    C_family run (_b_rows, _c_rows), _power_rows and _bpp_shift_rows over the
+    last axis, the Taylor sandwich is _taylor_rows, which taylor_sandwich
+    also calls, and every inequality is one boolean (lambda, k) array. A
+    block holds as many efficiencies as keep its bands within the size
+    programs' _BLOCK_CELLS weights, at least one: the default grid is one
+    block, and k_max = 1000 takes one efficiency at a time. The band kernel
+    works cell by cell, so the values do not depend on the blocking.
+    Labels come lambda by lambda in grid order, then by k, then in the order
+    of the checks; each lambda's k A(k) tail label comes after its others.
+    """
+    return _inequality_suite(k_max, lambdas, y_values, slack)[0]
+
+
+def _inequality_suite(
+    k_max: int = 60,
+    lambdas: Sequence[float] = DEFAULT_LAMBDA_GRID,
+    y_values: Sequence[float] = DEFAULT_Y_GRID,
+    slack: float = 1e-12,
+) -> tuple[list[str], int]:
+    """inequality_violations' labels, and the number of assertions it evaluated.
+
+    An assertion is one check at one (lambda, k), or one lambda's tail check;
+    checks that start at k = 2 or need k + y > 0 are not counted where they
+    do not apply.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    size = k_max + 2
+    step = max(1, _BLOCK_CELLS // (size * size + _TAIL_K + 1))   # efficiencies per block
     bad: list[str] = []
+    checked = 0
+    s = np.arange(size, dtype=float)
+    for at in range(0, len(lambdas), step):
+        block = lambdas[at : at + step]
+        # w stays alive until the next block's bands replace it, so the
+        # allocator keeps its pages; built and freed inside each block, they
+        # went back to the system and were faulted in again (about 10% slower
+        # at k_max = 1000)
+        w = binom_band(np.tile(s, len(block)), np.repeat(block, size), tail=0.0)[1]
+        labels, count = _suite_block(k_max, block, w.reshape(len(block), size, size),
+                                     y_values, slack)
+        bad += labels
+        checked += count
+    return bad, checked
+
+
+def _suite_block(
+    k_max: int, block: Sequence[float], w: np.ndarray, y_values: Sequence[float], slack: float
+) -> tuple[list[str], int]:
+    """The suite on one block of efficiencies: (labels, assertions evaluated).
+
+    ``w`` holds the block's Binomial(s, lambda) rows, s = 0..k_max+1, as a
+    zero-padded (lambda, s, j) array.
+    """
     size = k_max + 2
     j = np.arange(size, dtype=float)
-    kcol = j[1:, None]             # rows k = 1..k_max+1
+    # the k columns are (1, k, 1), so the (k, j) terms the row functions
+    # form have w's three axes: numpy then reuses their temporaries in place
+    # (it elides a temporary only against an operand of the result's shape)
+    kcol = j[None, 1:, None]       # rows k = 1..k_max+1
     ks = j[1:]                     # k = 1..k_max+1, for per-k arithmetic
     kc = ks[:k_max]                # k = 1..k_max, the cells checked
     ge2 = kc >= 2
-    k2col = j[2:, None]            # k = 2..k_max+1, read from row k - 2
+    k2col = j[None, 2:, None]      # k = 2..k_max+1, read from row k - 2
+    nl = len(block)
+    lam = np.array(block, dtype=float)[:, None]    # (lambda, 1)
+    n2 = lam * (1.0 - lam)
+    alpha = lam / (1.0 + lam)
+    inv = 1.0 / (1.0 + lam)
+    scale = n2 * inv**3
 
-    for lam in lambdas:
-        n2 = lam * (1.0 - lam)
-        alpha = lam / (1.0 + lam)
-        inv = 1.0 / (1.0 + lam)
-        w = binom_band(np.arange(size), lam, tail=0.0)[1]
-        wk = w[1:]
-        H, G, B, Bp, Bpp, B1, B2 = _b_rows(kcol, j, wk)
-        A_ = _centred(H, lam)
-        bpp_shift = _bpp_shift_rows(k2col, j, w[:-2], lam)   # k = 2..k_max+1
-        seq = (ks + 1.0) * A_
-        scale = n2 * inv**3
-        taylor = np.array([taylor_sandwich(k, lam) for k in range(1, k_max + 1)])
+    wk = w[:, 1:]
+    H, G, B, Bp, Bpp, B1, B2 = _b_rows(kcol, j, wk)
+    A_ = _centred(H, lam)
+    bpp_shift = _bpp_shift_rows(k2col, j, w[:, :-2], lam)   # k = 2..k_max+1
+    seq = (ks + 1.0) * A_
+    h_up, g_low = _taylor_rows(kc, lam)
+    p1, p3, p4, p5 = _power_rows(kcol, j, wk, 1, 3, 4, 5)     # p = 2 is G
 
-        H, G, A_, B, Bp, B2, Bpp, B1 = (x[:k_max] for x in (H, G, A_, B, Bp, B2, Bpp, B1))
-        checks: list[tuple[str, float | None, np.ndarray]] = [
-            ("H range", None, (1.0 - alpha - slack <= H) & (H <= 1.0 + slack)),
-            ("A nonnegative", None, A_ >= -slack),
-            ("B coefficient bound", None, B <= alpha * (1.0 - alpha) / kc + slack),
-            ("B' coefficient bound", None, Bp <= lam / (kc + 1) + slack),
-            ("B'' coefficient bound", None, Bpp <= n2 / (kc + 2) + slack),
-            ("G vs A bound", None, G <= inv**2 + 3.0 * A_ + slack),
-        ]
-        for p in range(1, 6):
-            moment = _power_rows(kcol, j, wk, p)[:k_max]
-            checks.append((f"power moment bound p={p}", None,
-                           moment <= inv**p + A_ * p * (p + 1) / 2.0 + slack))
+    H, G, A_, B, Bp, B2, Bpp, B1, p1, p3, p4, p5 = (
+        x[:, :k_max] for x in (H, G, A_, B, Bp, B2, Bpp, B1, p1, p3, p4, p5))
+    shift = np.concatenate((np.zeros((nl, 1)), bpp_shift[:, : k_max - 1]), axis=1)
+    # (name, shift, the k it applies at (None: every k), the (lambda, k) outcome)
+    checks: list[tuple[str, float | None, np.ndarray | None, np.ndarray]] = [
+        ("H range", None, None, (1.0 - alpha - slack <= H) & (H <= 1.0 + slack)),
+        ("A nonnegative", None, None, A_ >= -slack),
+        ("B coefficient bound", None, None, B <= alpha * (1.0 - alpha) / kc + slack),
+        ("B' coefficient bound", None, None, Bp <= lam / (kc + 1) + slack),
+        ("B'' coefficient bound", None, None, Bpp <= n2 / (kc + 2) + slack),
+        ("G vs A bound", None, None, G <= inv**2 + 3.0 * A_ + slack),
+    ]
+    for p, moment in enumerate((p1, G, p3, p4, p5), start=1):
+        checks.append((f"power moment bound p={p}", None, None,
+                       moment <= inv**p + A_ * p * (p + 1) / 2.0 + slack))
+    checks += [
+        ("B' vs A upper", None, None, Bp <= A_ * (1.0 + 3.0 * lam) * inv + slack),
+        ("B vs A lower", None, None, B >= A_ / 2.0 - slack),
+        ("B' vs A lower", None, None, Bp >= (1.0 - lam) * A_ / 2.0 - slack),
+        ("(k+1)A nonincreasing", None, None, seq[:, 1:] <= seq[:, :-1] + slack),
+        ("(k+1)A range", None, None, (alpha * (1.0 - lam) * inv**2 - slack <= seq[:, :-1])
+         & (seq[:, :-1] <= alpha * (1.0 - lam) + slack)),
+        ("A asymptotic range", None, None, (scale / (kc + 1) - slack <= A_)
+         & (A_ <= scale * (kc + 1) / kc**2 + slack)),
+        ("A asymptotic range k>=2", None, ge2, A_ <= scale / np.maximum(kc - 1, 1) + slack),
+        ("H Taylor upper", None, None, H <= h_up + slack),
+        ("G Taylor lower", None, None, G >= g_low - slack),
+        ("B''+B1 identity", None, ge2, np.abs(Bpp + B1 - 1.0) <= slack),
+        ("B'' shift identity", None, ge2, np.abs(Bpp - shift) <= slack),
+        # the pair functional is degenerate for a single particle
+        # (convention B''(1) = 0), so the lower bound starts at k = 2
+        ("B'' lower bound", None, ge2, Bpp >= n2 * inv**2 * kc / (kc + 1) ** 2 - slack),
+        ("B2 decomposition", None, None, np.abs(B2 - (1.0 - H) ** 2 - Bp) <= slack),
+    ]
+
+    hy_checks = []
+    c_rows = _c_rows(kcol, j, wk, np.reshape(y_values, (-1, 1, 1, 1)))   # all shifts at once
+    for y, C, Cp, Cpp, Hy in zip(y_values, *c_rows):
+        C, Cp, Cpp = C[:, :k_max], Cp[:, :k_max], Cpp[:, :k_max]
+        ky = kc + y
+        on = ky > 0
         checks += [
-            ("B' vs A upper", None, Bp <= A_ * (1.0 + 3.0 * lam) * inv + slack),
-            ("B vs A lower", None, B >= A_ / 2.0 - slack),
-            ("B' vs A lower", None, Bp >= (1.0 - lam) * A_ / 2.0 - slack),
-            ("(k+1)A nonincreasing", None, seq[1:] <= seq[:-1] + slack),
-            ("(k+1)A range", None, (alpha * (1.0 - lam) * inv**2 - slack <= seq[:-1])
-             & (seq[:-1] <= alpha * (1.0 - lam) + slack)),
-            ("A asymptotic range", None, (scale / (kc + 1) - slack <= A_)
-             & (A_ <= scale * (kc + 1) / kc**2 + slack)),
-            ("A asymptotic range k>=2", None,
-             ~ge2 | (A_ <= scale / np.maximum(kc - 1, 1) + slack)),
-            ("H Taylor upper", None, H <= taylor[:, 0] + slack),
-            ("G Taylor lower", None, G >= taylor[:, 1] - slack),
-            ("B''+B1 identity", None, ~ge2 | (np.abs(Bpp + B1 - 1.0) <= slack)),
-            ("B'' shift identity", None,
-             ~ge2 | (np.abs(Bpp - np.append(0.0, bpp_shift[: k_max - 1])) <= slack)),
-            # the pair functional is degenerate for a single particle
-            # (convention B''(1) = 0), so the lower bound starts at k = 2
-            ("B'' lower bound", None, ~ge2 | (Bpp >= n2 * inv**2 * kc / (kc + 1) ** 2 - slack)),
-            ("B2 decomposition", None, np.abs(B2 - (1.0 - H) ** 2 - Bp) <= slack),
+            ("C'' vs C'", y, on, Cpp <= Cp + slack),
+            ("C' vs 1-H", y, on, ky * Cp <= 1.0 - H + slack),
+            ("C vs H_y", y, on, C <= Hy[:, :k_max] + slack),
+            ("C' contraction", y, on, ky * Cp <= alpha + slack),
         ]
-
-        hy_checks = []
-        c_rows = _c_rows(kcol, j, wk, np.reshape(y_values, (-1, 1, 1)))   # all shifts at once
-        for y, C, Cp, Cpp, Hy in zip(y_values, *c_rows):
-            C, Cp, Cpp = C[:k_max], Cp[:k_max], Cpp[:k_max]
-            ky = kc + y
-            on = ky > 0
-            checks += [
-                ("C'' vs C'", y, ~on | (Cpp <= Cp + slack)),
-                ("C' vs 1-H", y, ~on | (ky * Cp <= 1.0 - H + slack)),
-                ("C vs H_y", y, ~on | (C <= Hy[:k_max] + slack)),
-                ("C' contraction", y, ~on | (ky * Cp <= alpha + slack)),
+        if y >= 0:
+            checks.append(("C contraction", y, on, C <= 1.0 - lam / (y + 2.0) + slack))
+            hy_checks += [
+                ("H_y nonincreasing", y, on, Hy[:, 1:] <= Hy[:, :-1] + slack),
+                ("H_y floor", y, on, Hy[:, :-1] >= inv - slack),
             ]
-            if y >= 0:
-                checks.append(("C contraction", y, ~on | (C <= 1.0 - lam / (y + 2.0) + slack)))
-                hy_checks += [
-                    ("H_y nonincreasing", y, ~on | (Hy[1:] <= Hy[:-1] + slack)),
-                    ("H_y floor", y, ~on | (Hy[:-1] >= inv - slack)),
-                ]
-            elif y == -1.0:
-                on = on & ge2
-                checks.append(("C contraction shift -1", y, ~on | (C <= 1.0 - alpha + slack)))
-                hy_checks += [
-                    ("H_-1 nondecreasing", y, ~on | (Hy[1:] >= Hy[:-1] - slack)),
-                    ("H_-1 ceiling", y, ~on | (Hy[:-1] <= inv + slack)),
-                ]
-        checks += hy_checks
+        elif y == -1.0:
+            on = on & ge2
+            checks.append(("C contraction shift -1", y, on, C <= 1.0 - alpha + slack))
+            hy_checks += [
+                ("H_-1 nondecreasing", y, on, Hy[:, 1:] >= Hy[:, :-1] - slack),
+                ("H_-1 ceiling", y, on, Hy[:, :-1] <= inv + slack),
+            ]
+    checks += hy_checks
 
-        failed = ~np.stack([ok for _, _, ok in checks], axis=1)   # (k, check)
-        for k0, c in np.argwhere(failed):
-            name, y, _ = checks[c]
+    failed = np.empty((nl, k_max, len(checks)), dtype=bool)   # (lambda, k, check)
+    checked = 0
+    for c, (_, _, on, ok) in enumerate(checks):
+        if on is None:
+            failed[..., c] = ~ok
+            checked += nl * k_max
+        else:
+            failed[..., c] = on & ~ok
+            checked += nl * int(np.count_nonzero(on))
+
+    wt = binom_band(np.full(nl, _TAIL_K), lam[:, 0], tail=0.0)[1]
+    tail = _TAIL_K * _centred(_h_rows(_TAIL_K, np.arange(_TAIL_K + 1), wt), lam[:, 0])
+    tail_ok = np.abs(tail - scale[:, 0]) <= 0.15 * scale[:, 0] + slack
+
+    bad: list[str] = []
+    for i, lam_i in enumerate(block):
+        for k0, c in np.argwhere(failed[i]):
+            name, y, _, _ = checks[c]
             yt = "" if y is None else f", y={y}"
-            bad.append(f"{name} (k={k0 + 1}, lam={lam}{yt})")
-
-        tail = _TAIL_K * A(_TAIL_K, lam)
-        if not abs(tail - scale) <= 0.15 * scale + slack:
-            bad.append(f"kA(k) tail (lam={lam})")
-
-    return bad
+            bad.append(f"{name} (k={k0 + 1}, lam={lam_i}{yt})")
+        if not tail_ok[i]:
+            bad.append(f"kA(k) tail (lam={lam_i})")
+    return bad, checked + nl

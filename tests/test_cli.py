@@ -374,6 +374,7 @@ def test_harmonic_property_check():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["count"] == 0 and payload["violations"] == []
+    assert payload["checked"] > 0    # 0 violations of a positive number of assertions
     # a check over an empty grid checked nothing, so it must not pass
     for k_max in ("0", "-5"):
         proc = run_cli("harmonic", "--property-check", "--k-max", k_max)

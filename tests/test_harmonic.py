@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -225,6 +226,26 @@ def test_quadrature_budget():
     assert evals[0] == 240 and len(evals) > 2 and sum(evals) <= 400
 
 
+@pytest.mark.parametrize("a, b, c", [(2.0, 5.0, 3.0), (1.0, 0.0, 1.0 / 3.0)])
+def test_gauss_kronrod_off_the_unit_interval(a, b, c):
+    # the first pass scales the unit pieces to [a, b], backwards when b < a:
+    # a degree-22 polynomial in u = (2t - a - b)/(b - a), which K15 integrates
+    # exactly on every piece, and a kink at c, which takes adaptive splits
+    def poly(t):
+        u = (2.0 * t - a - b) / (b - a)
+        return u**22 + u**13 - 3.0 * u**2 + 1.0
+
+    def kink(t):
+        return np.abs(t - c)
+
+    cases = ((poly, (b - a) / 23.0),
+             (kink, math.copysign(((c - a) ** 2 + (b - c) ** 2) / 2.0, b - a)))
+    for g, exact in cases:
+        value, err = harmonic._gauss_kronrod(g, a, b, 1e-12, 10**5)
+        assert err <= 1e-12
+        assert abs(value - exact) <= err + 4 * np.finfo(float).eps * abs(exact), (g, value)
+
+
 def test_gauss_kronrod_rule_exactness():
     # K15 integrates polynomials of degree <= 22 exactly and G7 those of
     # degree <= 13; G7 misses x^14
@@ -307,10 +328,17 @@ def test_inequality_suite_smoke():
 
 
 def _reference_violations(k_max, lambdas, y_values, slack, tail_k=500):
-    """The inequality suite as a plain loop over the public scalar functionals."""
+    """The inequality suite as a plain loop over the public scalar functionals.
+
+    Returns the violation labels, in the documented order (lambda, then k,
+    then check, each lambda's tail label last), and the number of checks run.
+    """
     bad = []
+    checked = 0
 
     def check(ok, label):
+        nonlocal checked
+        checked += 1
         if not ok:
             bad.append(label)
 
@@ -380,20 +408,63 @@ def _reference_violations(k_max, lambdas, y_values, slack, tail_k=500):
         tail = tail_k * harmonic.A(tail_k, lam)
         limit = n2 * inv**3
         check(abs(tail - limit) <= 0.15 * limit + slack, f"kA(k) tail (lam={lam})")
-    return bad
+    return bad, checked
 
 
 @pytest.mark.parametrize("y_values", [harmonic.DEFAULT_Y_GRID, (-2.5, -1.0, 0.0, 3.0)])
-def test_inequality_suite_matches_reference(y_values):
-    kwargs = dict(k_max=8, lambdas=(0.05, 0.3, 0.7, 1.0), y_values=y_values)
+def test_inequality_suite_matches_reference(y_values, monkeypatch):
+    # lambda = 0 and 1 are point-mass rows in the band call of ordinary rows.
+    # The grid runs as one block, then with a budget of two efficiencies a
+    # block, as three: each block makes one band call for its rows and one
+    # for its tail rows, and the labels come in the same order
+    kwargs = dict(k_max=8, lambdas=(0.0, 0.05, 0.3, 0.7, 1.0), y_values=y_values)
+    per_lambda = (kwargs["k_max"] + 2) ** 2 + harmonic._TAIL_K + 1
+    budgets = ((harmonic._BLOCK_CELLS, 1), (2 * per_lambda, 3))   # (cells, blocks)
+    calls = []
+    band = harmonic.binom_band
+    monkeypatch.setattr(harmonic, "binom_band", lambda *a, **kw: calls.append(1) or band(*a, **kw))
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # masked cells must not divide by zero
         for slack in (1e-12, -1e-9, -1e-3):
-            got = harmonic.inequality_violations(slack=slack, **kwargs)
-            want = _reference_violations(slack=slack, **kwargs)
-            assert sorted(got) == sorted(want), slack
+            want, want_checked = _reference_violations(slack=slack, **kwargs)
+            for cells, blocks in budgets:
+                monkeypatch.setattr(harmonic, "_BLOCK_CELLS", cells)
+                calls.clear()
+                got, checked = harmonic._inequality_suite(slack=slack, **kwargs)
+                assert len(calls) == 2 * blocks
+                assert got == want, (slack, blocks)
+                assert checked == want_checked > 0
+                assert harmonic.inequality_violations(slack=slack, **kwargs) == got
             if slack < 0:
                 assert len(got) > 100
             else:
                 assert got == []
         assert harmonic.inequality_violations() == []
+
+
+def test_inequality_suite_memory_is_blocked():
+    # at k_max = 400 one efficiency's bands pass half the block budget, so two
+    # efficiencies take two blocks and peak near one efficiency's memory, not
+    # twice it
+    kw = dict(k_max=400)
+    size = kw["k_max"] + 2
+    assert 2 * (size * size + harmonic._TAIL_K + 1) > harmonic._BLOCK_CELLS
+    harmonic.inequality_violations(k_max=2)
+    peaks = []
+    for lambdas in ((0.3,), (0.3, 0.7)):
+        tracemalloc.start()
+        try:
+            assert harmonic.inequality_violations(lambdas=lambdas, **kw) == []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_taylor_sandwich_is_the_suite_row():
+    k = np.arange(1.0, 31.0)
+    lam = np.array([0.05, 0.3, 0.77, 1.0])[:, None]
+    h_up, g_low = harmonic._taylor_rows(k, lam)
+    for i, l in enumerate(lam[:, 0]):
+        for kk in range(1, 31):
+            assert harmonic.taylor_sandwich(kk, float(l)) == (h_up[i, kk - 1], g_low[i, kk - 1])
