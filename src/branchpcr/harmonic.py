@@ -11,7 +11,7 @@ j(j-1)/(k(k-1)) and exactly one did with probability 2j(k-j)/(k(k-1)).
 
 Each functional is written once, as a row sum (_h_rows, _power_rows, _b_rows,
 _c_rows with H_y, _bpp_shift_rows): the scalar functions, the families, the
-CLI table, the inequality suite and moments.exact_Vn_Vpn's A(s, lambda) reduce it.
+CLI table and the inequality suite reduce it.
 The sums run over the last axis, so the same code reduces one row, a (k, j)
 matrix or the inequality suite's (lambda, k, j) blocks, to the same bits; the
 Taylor sandwich is likewise one array form (_taylor_rows) for the scalar
@@ -21,7 +21,9 @@ Also provides the integral representation of the centered harmonic mean A(k)
 (an adaptive Gauss-Kronrod G7/K15 quadrature of f^k f'^(-2l) for the
 offspring generating function f, whose first pass is precomputed on [0, 1])
 and interval bounds for harmonic moments of the population size after n
-cycles.
+cycles. The same quadrature kernel takes many integrals over their own
+panels in one pass; moments.exact_Vn_Vpn integrates every cycle's A_k
+over the size law's generating function with it.
 """
 
 from __future__ import annotations
@@ -317,9 +319,9 @@ _GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _GK_K15 = np.array(_WGK[:-1] + _WGK[::-1])
 _GK_G7 = np.zeros(15)
 _GK_G7[1::2] = _WG[:-1] + _WG[::-1]
-# the first quadrature pass: _GK_PIECES equal pieces of [0, 1], their
-# edges, tolerance shares and (piece, node) abscissae, each scaled to [a, b]
-# by one multiply-add per call
+# the first quadrature pass: _GK_PIECES equal pieces of each panel, their
+# edges, tolerance shares and (piece, node) abscissae on [0, 1], each scaled
+# to a panel by one multiply-add per call
 _GK_PIECES = 16
 _GK_UNIT_HALF = 0.5 / _GK_PIECES
 _GK_UNIT_LO = np.arange(_GK_PIECES) / _GK_PIECES
@@ -329,56 +331,100 @@ _GK_UNIT_X = (_GK_UNIT_LO + _GK_UNIT_HALF)[:, None] + _GK_UNIT_HALF * _GK_NODES
 _EPS = float(np.finfo(float).eps)
 
 
-def _gauss_kronrod(g, a: float, b: float, tol: float, budget: int) -> tuple[float, float]:
-    """Adaptive G7/K15 quadrature to absolute tolerance; (integral, error bound).
+def _gauss_kronrod(g, a, b, tol: float, budget: int, group=None, rtol: float = 0.0):
+    """Adaptive G7/K15 quadrature over panels; (integral or integrals, error bound).
 
-    ``g`` takes an array of abscissae. The first pass covers [a, b] in
-    _GK_PIECES equal pieces, each with an equal share of ``tol``: the unit
-    pieces of [0, 1] and their abscissae are module constants, scaled to
-    [a, b] (b < a integrates backwards, with negative half-widths). Each pass
-    evaluates g once over every open interval, accepts an interval when
+    With ``group`` None, [a, b] is one panel, ``g`` takes an array of
+    abscissae and the integral is a float. Otherwise ``a`` and ``b`` are
+    arrays of panel edges and ``group`` numbers the integral each panel adds
+    to, ascending along the panels; the integrals come back as an array
+    indexed by that number (one without panels is 0), and ``g`` takes the
+    abscissae, one row per piece, and the number of each row, which stays
+    ascending. b < a integrates backwards, with negative half-widths.
+
+    The first pass cuts every panel into _GK_PIECES equal pieces, the unit
+    pieces of [0, 1] and their abscissae scaled to it. Each integral's
+    tolerance, ``tol`` plus ``rtol`` times the absolute value of its
+    first-pass estimate, is shared equally among its first-pass pieces. Each
+    pass evaluates g once over every open piece, accepts a piece when
     |K15 - G7| is within its share and splits it in two, halving the share,
-    otherwise; a pass that accepts every interval, the usual last one, sums
-    them without masked copies. The returned error is the sum of |K15 - G7|
-    over the accepted intervals plus a bound on the rounding of their rule
-    sums and of the final sum, after QUADPACK's qk15 (Piessens et al., 1983).
+    otherwise; a pass that accepts every piece, the usual last one, keeps
+    them without masked copies. Each integral is the correctly rounded sum
+    (math.fsum) of its accepted pieces. The returned error bounds the sum of
+    the integrals' absolute errors: the sum of |K15 - G7| over the accepted
+    pieces plus a bound on the rounding of their rule sums and of the
+    integrals' sums, after QUADPACK's qk15 (Piessens et al., 1983).
     """
-    span = b - a
-    lo = hi = None                 # the first pass's edges, made if it splits
-    half = span * _GK_UNIT_HALF    # one half-width while the pieces are equal
-    share = tol * _GK_UNIT_SHARE
-    x = a + span * _GK_UNIT_X
-    total = err = size = 0.0
-    accepted = evals = 0
+    if group is None:
+        span = b - a
+        half = span * _GK_UNIT_HALF    # one half-width while the pieces are equal
+        x = a + span * _GK_UNIT_X
+        rows = ()
+    else:
+        a = np.asarray(a, dtype=float)[:, None]                 # (panel, 1) columns
+        span = np.asarray(b, dtype=float)[:, None] - a
+        half = np.repeat(span * _GK_UNIT_HALF, _GK_PIECES)
+        x = (a[..., None] + span[..., None] * _GK_UNIT_X).reshape(half.size, -1)
+        count = int(group[-1]) + 1
+        group = np.repeat(group, _GK_PIECES)
+        rows = (group,)
+    lo = hi = share = None             # the first pass's edges are made if it splits
+    parts, part_groups = [], []
+    err = size = 0.0
+    evals = 0
     while True:
         evals += x.size
         if evals > budget:
             raise RuntimeError(f"quadrature exceeded {budget} evaluations")
-        f = g(x)
+        f = g(x, *rows)
         k15 = half * (f @ _GK_K15)
         diff = np.abs(k15 - half * (f @ _GK_G7))
+        if share is None:
+            if rows:
+                est = np.bincount(group, k15, count)
+                share = ((tol + rtol * np.abs(est)) / np.bincount(group, None, count).clip(1))[group]
+            else:
+                share = (tol + rtol * abs(k15.sum()) if rtol else tol) * _GK_UNIT_SHARE
         done = diff <= share
         last = bool(done.all())
         take = slice(None) if last else done
-        total += k15[take].sum()
+        parts.append(k15[take])
+        if rows:
+            part_groups.append(group[take])
         err += diff[take].sum()
         size += (np.abs(half) * (np.abs(f) @ _GK_K15))[take].sum()
-        accepted += k15[take].size
         if last:
             break
         if lo is None:
-            lo, hi = a + span * _GK_UNIT_LO, a + span * _GK_UNIT_HI
-        lo, hi, share = lo[~done], hi[~done], 0.5 * share[~done]
+            lo, hi = (a + span * _GK_UNIT_LO).ravel(), (a + span * _GK_UNIT_HI).ravel()
+        keep = ~done
+        lo, hi, share = lo[keep], hi[keep], 0.5 * share[keep]
         mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        share = np.concatenate((share, share))
+        # each split piece's halves take its place, so the rows keep their order
+        lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
+        share = np.repeat(share, 2)
+        if rows:
+            group = np.repeat(group[keep], 2)
+            rows = (group,)
         half = 0.5 * (hi - lo)
         x = (lo + half)[:, None] + half[:, None] * _GK_NODES
     # with u = eps/2, a rule sum (a 15-term dot product times the rounded
-    # half-width) is off by at most 17 u of its sum of |terms|, and summing
-    # the accepted intervals adds at most (accepted - 1) u of their total;
-    # eps in place of u leaves room for the second-order terms
-    return float(total), float(err + (16 + accepted) * _EPS * size)
+    # half-width) is off by at most 17 u of its sum of |terms|, and fsum adds
+    # at most u of each integral; eps in place of u leaves room for the
+    # second-order terms
+    bound = float(err + 18 * _EPS * size)
+    if len(parts) == 1:
+        vals, grp = parts[0].tolist(), group
+    else:                              # later passes' pieces follow the first's
+        vals = np.concatenate(parts).tolist()
+        if rows:
+            grp = np.concatenate(part_groups)
+            order = np.argsort(grp, kind="stable")
+            vals, grp = [vals[i] for i in order.tolist()], grp[order]
+    if not rows:
+        return math.fsum(vals), bound
+    ends = np.searchsorted(grp, np.arange(count), side="right").tolist()
+    return np.array([math.fsum(vals[s:e]) for s, e in zip([0] + ends[:-1], ends)]), bound
 
 
 def A_integral(k: int, ell: int, lam: float) -> float:

@@ -3,10 +3,13 @@
 The population after n cycles carries an empirical state distribution; its
 mean measure has first moment mu (W_n - V_n) where V_n sums the per-cycle
 harmonic corrections A_k = E[A(S_{k-1}, lambda_k)]. This module computes the
-infinite-population values, exact finite-population references (a size-law
-dynamic program and a joint size-and-moment dynamic program, each a reduction
-of one banded binomial step per cycle that reports the mass it left out), and
-interval envelopes assembled from the correction sums of the schedule module.
+infinite-population values, exact finite-population references, and interval
+envelopes assembled from the correction sums of the schedule module. The
+exact V_n is one quadrature per cycle over the size law's generating
+function, all cycles in one adaptive pass, with a reported error bound; it
+runs at any S0 and n. The size law and the joint size-and-moment law are
+dynamic programs, each a reduction of one banded binomial step per cycle
+that reports the mass it left out.
 
 The sample variance of an ell-sample adds a remainder R_n (the variance of
 the conditional mean). R_n is bounded by iterating the one-step recursion
@@ -29,6 +32,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_SIZE_CAP = 2_000_000
+_PGF_RTOL = 1e-13   # each A_k's quadrature tolerance, relative to its first-pass estimate
 MAX_POPULATION_CAP = 2**62 - 1  # the engine's sizes stay within it, so a doubling fits in int64
 
 
@@ -182,35 +186,94 @@ def exact_Vn_Vpn(
     sched: EfficiencySchedule,
     S0: int,
     n: int,
-    cap: int = DEFAULT_SIZE_CAP,
 ) -> tuple[np.ndarray, float, float]:
     """Exact correction sums (A_k sequence, V_n, V'_n).
 
     A_k averages the harmonic correction A(s, lambda_k) = E[s/(s + J)] -
-    1/(1 + lambda_k), J ~ Binomial(s, lambda_k), over the exact size law of
-    S_{k-1}; each A(s, lambda_k) is the harmonic module's row sum for H over
-    the cycle's band, less 1/(1 + lambda_k). V'_n sums the scalar
-    composition A_k^2 + (1 - 2 alpha_k) A_k.
+    1/(1 + lambda_k), J ~ Binomial(s, lambda_k), over the law of S_{k-1};
+    it is one integral over the size law's generating function
+    (``_pgf_corrections``), so the cost grows with n and log(S0 2^n), not
+    with the size support. V'_n sums the scalar composition A_k^2 +
+    (1 - 2 alpha_k) A_k. Needs a schedule that does not depend on the size.
     """
     import numpy as np
 
-    from ._pmf import size_transitions
-    from .harmonic import _centred, _h_rows
-
+    A_seq, Vn, _ = _pgf_corrections(sched, S0, n)
     lam = np.asarray(sched.prefix(n))
-    lam_at = sched.efficiency(S0, n)
-    A_seq = np.zeros(n)
-    first, p = S0, np.ones(1)
-    for c in range(n):
-        _, first, width, bands = size_transitions(lam_at, c, first, p, cap)
-        new = np.zeros(width)
-        for b in bands:
-            pb = p[b.rows]
-            A_seq[c] += pb @ _centred(_h_rows(b.s, b.j, b.w), b.lam)
-            new += b.scatter(pb[:, None] * b.w, width)
-        p = new
     alpha = lam / (1.0 + lam)
-    return A_seq, float(np.sum(A_seq)), float(np.sum(A_seq**2 + (1.0 - 2.0 * alpha) * A_seq))
+    return A_seq, Vn, float(np.sum(A_seq**2 + (1.0 - 2.0 * alpha) * A_seq))
+
+
+def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.ndarray, float, float]:
+    """(A_1..A_n, V_n, a bound on the error of V_n) from the size law's generating function.
+
+    With g_k(x) = x (1 - lambda_k + lambda_k x), S_k has the generating
+    function G_k = (g_1 o ... o g_k)^S0 (Harris 1963, ch. I), and averaging
+    the representation A(s, lambda) = lambda (1 - lambda) int_0^1
+    f(t)^s / f'(t)^2 dt (f = g_k) over S_{k-1} term by term gives
+
+        A_k = lambda_k (1 - lambda_k) int_0^1 G_k(t) / g_k'(t)^2 dt,
+
+    a positive integrand; a cycle with lambda_k in {0, 1} has A_k = 0. Each
+    integral runs in w = 1 - t over panels with edges at 4^j / m_k, m_k the
+    mean of S_k, where G_k(1 - w) falls off, and up to 1. The maps compose
+    in w form, w <- w (1 + lambda - lambda w), while w < 1/2 and in x form
+    after, so neither loses the small side's digits, and G_k is
+    exp(S0 log x). All cycles' panels go through one call of the quadrature
+    kernel, each with a tolerance of _PGF_RTOL times its first-pass
+    estimate; V_n is the correctly rounded sum of the A_k, and its bound is
+    the kernel's plus that rounding.
+    """
+    import numpy as np
+
+    from .harmonic import _EPS, _QUAD_BUDGET, _gauss_kronrod
+
+    if S0 < 1:
+        raise ValueError("initial population must be at least 1")
+    lam = np.array(sched.prefix(n), dtype=float)
+    A_seq = np.zeros(n)
+    a: list[float] = []
+    b: list[float] = []
+    cyc: list[int] = []
+    m = float(S0)
+    for c, L in enumerate(lam.tolist()):
+        m *= 1.0 + L
+        if 0.0 < L < 1.0:
+            edges = [0.0]
+            w = 1.0 / m
+            while w < 1.0:
+                edges.append(w)
+                w *= 4.0
+            edges.append(1.0)
+            a += edges[:-1]
+            b += edges[1:]
+            cyc += [c] * (len(edges) - 1)
+    if not cyc:
+        return A_seq, 0.0, 0.0
+    rate = lam * (1.0 - lam)
+    maps = [(c, L) for c, L in enumerate(lam.tolist()) if L > 0.0][::-1]
+
+    def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # rows come in ascending cycle order, so cycles >= c are a suffix
+        starts = np.searchsorted(rows, np.arange(n)).tolist()
+        v = w.copy()   # w while below 1/2, then -x (signbit set; -0.0 when x underflows)
+        for c, L in maps:
+            u = v[starts[c]:]
+            np.subtract(u, 1.0, out=u, where=u >= 0.5)   # to x form, exactly: w in [1/2, 1]
+            u *= np.where(np.signbit(u), 1.0 - L, 1.0 + L) - L * u
+        xf = np.signbit(v)
+        logx = np.log1p(-v)
+        with np.errstate(divide="ignore"):
+            np.log(-v, out=logx, where=xf)
+        lr = lam[rows][:, None]
+        gp = (1.0 - lr) + 2.0 * lr * (1.0 - w)
+        return rate[rows][:, None] * np.exp(S0 * logx) / (gp * gp)
+
+    sums, err = _gauss_kronrod(integrand, a, b, 0.0, _QUAD_BUDGET,
+                               group=np.array(cyc), rtol=_PGF_RTOL)
+    A_seq[: len(sums)] = sums
+    Vn = math.fsum(A_seq.tolist())
+    return A_seq, Vn, err + _EPS * Vn
 
 
 @dataclass(frozen=True)

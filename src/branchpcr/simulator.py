@@ -25,6 +25,7 @@ thread count, since threads only carry whole chunks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,6 +93,7 @@ class PopulationCapExceeded(RuntimeError):
         self.sizes = sizes
 
 
+@functools.lru_cache(maxsize=64)
 def _increments(law: MutationLaw) -> tuple[float, np.ndarray]:
     """(scale, pmf): a copy's state gains m * scale with probability pmf[m].
 
@@ -99,15 +101,21 @@ def _increments(law: MutationLaw) -> tuple[float, np.ndarray]:
     renormalized; a two-point law has scale a and pmf (1 - p, p). A law with
     no increments has pmf (1,). The engines split a copy's increment with
     one binomial for a two-point law and one multinomial over the table for
-    a Poisson law.
+    a Poisson law. The table is built once per law (laws are frozen, so
+    equal laws share it) and is read-only.
     """
     if law.poisson:
         if law.mu == 0.0:
-            return 1.0, np.ones(1)
-        pmf = poisson_table(law.mu, _PMF_TAIL)
-        return 1.0, pmf / pmf.sum()
-    a, p = law.two_point_support()
-    return a, (np.array([1.0 - p, p]) if p > 0.0 else np.ones(1))
+            pmf = np.ones(1)
+        else:
+            pmf = poisson_table(law.mu, _PMF_TAIL)
+            pmf /= pmf.sum()
+        scale = 1.0
+    else:
+        scale, p = law.two_point_support()
+        pmf = np.array([1.0 - p, p]) if p > 0.0 else np.ones(1)
+    pmf.flags.writeable = False
+    return scale, pmf
 
 
 def simulate(

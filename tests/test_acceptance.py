@@ -14,6 +14,7 @@ from branchpcr.cli import run_golden_checks
 from branchpcr.estimator import correction_ratio_report
 from branchpcr.kinetics import MMParams, w_bounds
 from branchpcr.moments import (
+    exact_Vn_Vpn,
     exact_sample_moments,
     first_moment_envelope,
     moment_envelope,
@@ -79,6 +80,23 @@ def test_acceptance_2_decaying_ratio_constants():
     check(failures, "r(5)", rep5.r, 0.521, 0.001)
     check(failures, "r(10)", rep10.r, 0.516, 0.001)
     report(2, failures, "6 correction-ratio constants", elapsed, 1.0)
+
+
+def test_decaying_schedule_exact_multiplier():
+    """The exact multiplier 1/(1 - V_n/W_n) of mu* lies in acceptance 2's bracket.
+
+    On lambda_k = 0.25/k, S0 = 1, n = 25 the size law's generating function
+    gives V_25 exactly, so the multiplier that the certified bracket
+    [lo, hi] encloses is itself known.
+    """
+    sched = build_schedule([0.25 / k for k in range(1, 26)])
+    seqs = derived_sequences(sched, 25)
+    rep = correction_ratio_report(seqs, 1, 25)
+    _, Vn, _ = exact_Vn_Vpn(sched, 1, 25)
+    exact = 1.0 / (1.0 - Vn / float(seqs.W[25]))
+    assert abs(exact - 1.60678) <= 5e-6
+    assert abs(rep.lo_multiplier - 1.32901) <= 5e-6 and abs(rep.hi_multiplier - 1.62622) <= 5e-6
+    assert rep.lo_multiplier <= exact <= rep.hi_multiplier
 
 
 def test_acceptance_3_harmonic_inequality_suite():

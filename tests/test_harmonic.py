@@ -246,6 +246,38 @@ def test_gauss_kronrod_off_the_unit_interval(a, b, c):
         assert abs(value - exact) <= err + 4 * np.finfo(float).eps * abs(exact), (g, value)
 
 
+def test_gauss_kronrod_groups():
+    # one call, several integrals over their own panels: x^2 + |x - 1.7| over
+    # [0, 1] and [1, 3] (integral 0), none (integral 1), the |t - 1/3| kink
+    # backwards over [1, 0] (integral 2), and e^-t over [0, 1], [1, 4],
+    # [4, 16] (integral 3); the kinks split pieces of two integrals at once
+    a = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 4.0])
+    b = np.array([1.0, 3.0, 0.0, 1.0, 4.0, 16.0])
+    group = np.array([0, 0, 2, 3, 3, 3])
+    passes = []
+
+    def g(x, rows):
+        assert x.shape == (len(rows), 15) and np.all(np.diff(rows) >= 0)
+        passes.append(len(rows))
+        r = rows[:, None]
+        return np.where(r == 0, x * x + np.abs(x - 1.7),
+                        np.where(r == 2, np.abs(x - 1.0 / 3.0), np.exp(-x)))
+
+    sums, err = harmonic._gauss_kronrod(g, a, b, 0.0, 10**5, group=group, rtol=1e-13)
+    want = np.array([9.0 + (1.7**2 + 1.3**2) / 2.0, 0.0, -5.0 / 18.0, -math.expm1(-16.0)])
+    assert passes[0] == 6 * 16 and len(passes) > 2     # the kink takes splits
+    assert sums.shape == (4,) and sums[1] == 0.0
+    assert np.sum(np.abs(sums - want)) <= err + 4 * np.finfo(float).eps * np.sum(np.abs(want))
+    assert err <= 1e-13 * np.sum(np.abs(want))
+    # one panel in one group is the scalar call: the same pieces and sums
+    def kink(x, *rows):
+        return np.abs(x - 1.0 / 3.0)
+
+    one = harmonic._gauss_kronrod(kink, np.array([1.0]), np.array([0.0]), 1e-12, 10**5,
+                                  group=np.array([0]))
+    assert (one[0][0], one[1]) == harmonic._gauss_kronrod(kink, 1.0, 0.0, 1e-12, 10**5)
+
+
 def test_gauss_kronrod_rule_exactness():
     # K15 integrates polynomials of degree <= 22 exactly and G7 those of
     # degree <= 13; G7 misses x^14

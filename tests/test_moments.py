@@ -1,5 +1,6 @@
 """Exact references, envelopes, and the remainder recursion."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from branchpcr import harmonic
 from branchpcr._pmf import binom_row
 from branchpcr.moments import (
     MutationLaw,
+    _pgf_corrections,
     Rn_recursion_bound,
     exact_Vn_Vpn,
     exact_sample_moments,
@@ -126,10 +128,24 @@ def test_exact_correction_single_cycle():
     A_seq, Vn, Vpn = exact_Vn_Vpn(build_schedule([0.5]), 1, 1)
     assert A_seq[0] == pytest.approx(1.0 / 12.0, abs=1e-15)
     assert Vn == pytest.approx(1.0 / 12.0, abs=1e-15)
-    # one cycle from a point mass keeps the whole row, so A_1 is harmonic.A itself
-    for lam in (0.0, 0.1, 0.5, 0.9, 1.0):
+    eps = np.finfo(float).eps
+    # a cycle that always or never duplicates has no integral: exactly 0
+    for lam in (0.0, 1.0):
+        for S0 in (1, 2, 7):
+            A_seq, Vn, Vpn = exact_Vn_Vpn(build_schedule([lam]), S0, 1)
+            assert A_seq.tolist() == [0.0] and Vn == 0.0 and Vpn == 0.0
+    # one founder: A_1 = A(1, lambda) = alpha (1 - lambda)/2 in closed form;
+    # near lambda = 1 the integrand peaks at t = 0, where w form would lose x
+    for lam in (0.1, 0.5, 0.9, 0.99, 0.9921875):
+        A_seq, _, err = _pgf_corrections(build_schedule([lam]), 1, 1)
+        want = lam / (1.0 + lam) * (1.0 - lam) / 2.0
+        assert abs(A_seq[0] - want) <= err + 4 * np.spacing(want), lam
+    # one cycle from a point mass: A_1 is harmonic.A(S0, lambda), whose row
+    # sum H less 1/(1 + lambda) is off by up to about (S0 + 3) eps
+    for lam in (0.1, 0.5, 0.9):
         for S0 in range(1, 15):
-            assert exact_Vn_Vpn(build_schedule([lam]), S0, 1)[0][0] == harmonic.A(S0, lam)
+            A_seq, _, err = _pgf_corrections(build_schedule([lam]), S0, 1)
+            assert abs(A_seq[0] - harmonic.A(S0, lam)) <= err + (S0 + 3) * eps, (S0, lam)
 
 
 def test_exact_correction_full_efficiency():
@@ -164,17 +180,107 @@ def test_z_ordering():
 ])
 def test_per_cycle_sandwich(S0, lams):
     n = len(lams)
-    seqs = seqs_for(lams)
     A_seq, _, _ = exact_Vn_Vpn(build_schedule(lams), S0, n)
-    tol = 1e-13
-    for k in range(1, n + 1):
+    assert_per_cycle_sandwich(A_seq, seqs_for(lams), S0, 0.0, 1e-13)
+
+
+def assert_per_cycle_sandwich(A_seq, seqs, S0, rel, tol):
+    """Each A_k between its sharp lower bound and both upper bounds, within rel of the bound plus tol."""
+    for k in range(1, len(A_seq) + 1):
         lam = seqs.lam[k - 1]
         alpha = seqs.alpha[k - 1]
         sharp = seqs.gamma[k - 1] * alpha * (1 - lam) / (1 + lam) ** 2
-        assert A_seq[k - 1] >= sharp / (S0 + 1) - tol
-        assert A_seq[k - 1] <= seqs.gamma_i[3][k - 1] * alpha * (1 - lam) / (S0 + 1) + tol
+        lo = sharp / (S0 + 1)
+        assert A_seq[k - 1] >= lo * (1 - rel) - tol, (k, "lower")
+        his = [seqs.gamma_i[3][k - 1] * alpha * (1 - lam) / (S0 + 1)]
         if S0 >= 2:
-            assert A_seq[k - 1] <= sharp / (S0 - 1) + tol
+            his.append(sharp / (S0 - 1))
+        for hi in his:
+            assert A_seq[k - 1] <= hi * (1 + rel) + tol, (k, hi)
+
+
+# ----- exact V_n from the size law's generating function, against references -----
+
+def _mp_Vn(S0, lam, n, nodes):
+    """V_n on the constant schedule lam, by Gauss-Legendre on the PGF integrals in mpmath.
+
+    A_k = lam (1 - lam) int_0^1 G_k(t)/g'(t)^2 dt, G_k = (g o ... o g)^S0
+    (k maps), g(x) = x (1 - lam + lam x). The panels run in w = 1 - t up to
+    1/2, cut at 4^j/m_k where G_k falls off, and in t up to 1/2, cut at
+    (1 - lam)/(2 lam) 4^i where 1/g'^2 peaks.
+    """
+    L = mpmath.mpf(lam)
+    half = mpmath.mpf(1) / 2
+    nodes, weights = mpmath.mp.gauss_quadrature(nodes, "legendre")
+    m, V = mpmath.mpf(S0), mpmath.mpf(0)
+    for k in range(1, n + 1):
+        m *= 1 + L
+        for side, first in (("w", 1 / m), ("t", (1 - L) / (2 * L))):
+            edges = [mpmath.mpf(0)]
+            while first < half:
+                edges.append(first)
+                first *= 4
+            edges.append(half)
+            for a, b in zip(edges, edges[1:]):
+                h = (b - a) / 2
+                for x, wt in zip(nodes, weights):
+                    u = a + h * (x + 1)
+                    t = 1 - u if side == "w" else u
+                    y = t
+                    for _ in range(k):
+                        y = y * (1 - L + L * y)
+                    V += L * (1 - L) * h * wt * y**S0 / (1 - L + 2 * L * t) ** 2
+    return V
+
+
+def test_exact_Vn_matches_mpmath():
+    # the banded program's H - 1/(1 + lambda) was off by 8.9e-14, 4.3e-14 and
+    # 1.1e-14 relative on these; 20 and 30 Legendre nodes per panel agree to
+    # about 4e-21 relative, checked here on the first
+    with mpmath.workdps(30):
+        cases = ((3, 0.99, 12), (2, 0.9, 14), (2, 0.5, 16))
+        refs = [_mp_Vn(S0, lam, n, 20) for S0, lam, n in cases]
+        assert abs(_mp_Vn(*cases[0], 30) - refs[0]) <= 1e-19 * refs[0]
+    for (S0, lam, n), ref in zip(cases, refs):
+        _, Vn, err = _pgf_corrections(build_schedule([lam] * n), S0, n)
+        assert abs(Vn - float(ref)) <= err, (S0, lam, n)
+        assert err <= 1e-14 * Vn
+        assert Vn == exact_Vn_Vpn(build_schedule([lam] * n), S0, n)[1]
+
+
+@pytest.mark.parametrize("S0,want,digits", [
+    (1, 0.056462, 6), (10, 0.0037844, 7), (100, 3.66525e-4, 9), (100_000, 3.652603e-7, 13),
+])
+def test_exact_Vn_reference_schedule(S0, want, digits):
+    # the reference analysis is past any size program (S0 2^30 sizes); the
+    # values are an independent quadrature's, to the digits it gave
+    seqs = seqs_for(REF_LAMBDAS)
+    A_seq, Vn, _ = exact_Vn_Vpn(build_schedule(REF_LAMBDAS), S0, 30)
+    assert abs(Vn - want) <= 0.5 * 10.0**-digits
+    fme = first_moment_envelope(seqs, poisson_law(0.05), S0, 30)
+    assert fme.Vn_lo <= Vn <= fme.Vn_hi
+    assert_per_cycle_sandwich(A_seq, seqs, S0, 1e-12, 0.0)
+
+
+@st.composite
+def large_instances(draw):
+    """(S0, lambdas) with S0 2^n up to about 1e12."""
+    n = draw(st.integers(min_value=1, max_value=39))
+    S0 = draw(st.integers(min_value=1, max_value=10**12 >> n))
+    return S0, draw(st.lists(lam_floats, min_size=n, max_size=n))
+
+
+@given(large_instances())
+@settings(max_examples=40, deadline=None)
+def test_exact_Vn_within_envelope_at_scale(instance):
+    S0, lams = instance
+    n = len(lams)
+    seqs = seqs_for(lams)
+    A_seq, Vn, err = _pgf_corrections(build_schedule(lams), S0, n)
+    assert err <= 1e-13 * Vn
+    fme = first_moment_envelope(seqs, poisson_law(0.05), S0, n)
+    assert fme.Vn_lo * (1 - 1e-12) <= Vn <= fme.Vn_hi * (1 + 1e-12)
+    assert_per_cycle_sandwich(A_seq, seqs, S0, 1e-12, 0.0)
 
 
 # ----- exact joint dynamic program -----

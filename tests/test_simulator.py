@@ -1,6 +1,7 @@
 """Monte Carlo engine, tiny exact enumeration, and general branching checks."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -399,3 +400,24 @@ def test_simulate_general_trajectory_shape():
     assert [p.gen for p in pops] == [0, 1, 2]
     assert pops[0].size == 2
     assert pops[-1].size == 2 * 3**2
+
+
+@pytest.mark.parametrize("law,final,batch_sha,t_mean", [
+    (poisson_law(0.7), {0: 11, 1: 16, 2: 19, 3: 5, 4: 2, 5: 2}, "a24bb030d02da044", 1.55),
+    (poisson_law(3.5), {0: 3, 2: 1, 3: 3, 4: 5, 5: 6, 6: 4, 7: 5, 8: 4, 9: 8, 10: 3, 11: 5,
+                        12: 4, 13: 1, 14: 6, 15: 1, 16: 1, 17: 3, 19: 1, 23: 1},
+     "46069eb783e61f35", 7.55),
+    (MutationLaw(mu=0.1, nu=0.04), {0: 37, 1: 18, 2: 5}, "c0ca564154b4d830", 0.22916666666666666),
+])
+def test_increment_table_built_once_keeps_the_draws(law, final, batch_sha, t_mean):
+    # the table is made once per law and shared read-only; the draws and
+    # states for fixed seeds are those of a table rebuilt on every call
+    pmf = simulator._increments(law)[1]
+    assert simulator._increments(dataclasses.replace(law))[1] is pmf   # an equal law's
+    assert not pmf.flags.writeable
+    spec = ProcessSpec(build_schedule([0.6, 0.3, 0.9, 0.5, 0.7, 0.4]), law, 3)
+    for _ in range(2):
+        assert simulate(spec, 6, np.random.default_rng(11))[-1].states == final
+    counts = simulate_batch(spec, 6, 50, 7)[-1].counts
+    assert hashlib.sha256(np.ascontiguousarray(counts).tobytes()).hexdigest()[:16] == batch_sha
+    assert monte_carlo_moments(spec, 6, 3, 40, 5).t_mean == t_mean
