@@ -11,21 +11,26 @@ gracefully to zero.
 pass, the walks as 2-D cumulative products, and each row cut to a band
 around its mean past which Hoeffding's inequality leaves at most
 ``BAND_TAIL`` of the mass. ``binom_row`` is its uncut one-row case, and
-``size_transitions`` steps a size law S -> S + Binomial(S, lambda) through
-such bands: each cycle it drops the ends of the law that hold at most
-``BAND_TAIL/4`` each and cuts the rows of the sizes it keeps at
-``BAND_TAIL/2``, so a cycle leaves out at most ``BAND_TAIL``. With
-``poisson_table`` they are the package's only source of binomial and
-Poisson weights: the harmonic functionals, the size-law and moment programs
-and the simulator's increment table all read them.
+``size_program`` is the one dynamic program over the size law S -> S +
+Binomial(S, lambda) through such bands: each cycle it drops the ends of the
+law that hold at most ``BAND_TAIL/4`` each, cuts the rows of the sizes it
+keeps at ``BAND_TAIL/2``, so a cycle leaves out at most ``BAND_TAIL``, and
+sums a caller's per-cell values onto the next sizes. The size law and the
+joint size-and-moment program are its two steps. With ``poisson_table``
+they are the package's only source of binomial and Poisson weights: the
+harmonic functionals, the size-law and moment programs and the simulator's
+increment table all read them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .schedule import EfficiencySchedule
 
 _LN_2PI = math.log(2.0 * math.pi)
 
@@ -57,14 +62,16 @@ _S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 # where 2 exp(-2 t^2 / s) = BAND_TAIL: by Hoeffding (1963), as a row is a sum
 # of s independent indicators, that bounds the mass it leaves out
 BAND_TAIL = 1e-17
-# ``size_transitions`` spends BAND_TAIL per cycle: at most a quarter at each
-# end of the law, where it drops sizes, and half in the cuts of the rows of
-# the sizes it keeps (a mass-weighted average of the row cuts)
+# ``size_program`` spends BAND_TAIL per cycle: at most a quarter at each end
+# of the law, where it drops sizes, and half in the cuts of the rows of the
+# sizes it keeps (a mass-weighted average of the row cuts)
 _END_TAIL = BAND_TAIL / 4
 _ROW_TAIL = BAND_TAIL / 2
-# band weights per block of source sizes in ``size_transitions``, which
-# bounds the memory of the size programs
+# band weights per block of source sizes in ``size_program``, which bounds
+# the memory of the size programs
 _BLOCK_CELLS = 1 << 18
+# the largest size ``size_program`` carries
+_SIZE_CAP = 2_000_000
 
 
 def _stirlerr(n: np.ndarray) -> np.ndarray:
@@ -184,67 +191,52 @@ def binom_row(s: int, lam: float) -> np.ndarray:
     return binom_band(np.array([s]), lam, tail=0.0)[1][0]
 
 
-@dataclass(frozen=True)
-class SizeBand:
-    """The banded rows s -> s + Binomial(s, lam) of a block of source sizes."""
+def size_program(sched: EfficiencySchedule, S0: int, n: int, rows: int, step):
+    """Banded program over the laws of S_0..S_n, S_k = S_{k-1} + Binomial(S_{k-1}, lam).
 
-    rows: slice         # the sources' positions in the current support
-    s: np.ndarray       # (K, 1) source sizes
-    lam: np.ndarray     # (K,) their efficiencies
-    j: np.ndarray       # (K, B) duplication counts
-    w: np.ndarray       # (K, B) their probabilities, zero past each band
-    to: np.ndarray      # (K, B) positions of s + j in the next support
-    cut: np.ndarray     # (K,) bound on each row's mass outside its band
-
-    def scatter(self, x: np.ndarray, width: int) -> np.ndarray:
-        """Sum x over the (source, j) cells that land on each next size."""
-        return np.bincount(self.to.ravel(), x.ravel(), width)
-
-
-def size_transitions(lam_at, c: int, first: int, p: np.ndarray, cap: int):
-    """Cycle c + 1 of S_k = S_{k-1} + Binomial(S_{k-1}, lam), banded and trimmed.
-
-    ``p`` is the current law: the probabilities of the sizes first ..
-    first + len(p) - 1. ``lam_at(c, s)`` gives the efficiency of cycle c + 1
-    at source sizes s (``EfficiencySchedule.efficiency``), one float or one
-    per size. The leading and the trailing sizes of p that hold at
-    most BAND_TAIL/4 of the mass at each end are dropped, and the rows of
-    the kept sizes are cut at BAND_TAIL/2, so the step leaves out at most
-    BAND_TAIL. Returns (dropped, first, width, bands): ``dropped`` is the
-    mass of the dropped sizes, the next support is the sizes first ..
-    first + width - 1, and ``bands`` yields the kept rows as ``SizeBand``
-    blocks of at most _BLOCK_CELLS weights each, whose ``rows`` slice p.
-    The support is the union of the bands, so it grows by about
-    lam s + 4.5 sqrt(s) a cycle; its largest size must stay <= cap.
+    Yields (first, vals, tail) after cycles 0..n: vals[r, i] is row r of
+    ``rows`` at size first + i, row 0 the probability, and ``tail`` bounds
+    the probability left out. Each cycle drops the sizes that hold at most
+    BAND_TAIL/4 at each end of the law and cuts the rows of the sizes it
+    keeps at BAND_TAIL/2; per block of at most _BLOCK_CELLS band weights,
+    ``step(s, j, w, v)`` maps the (K, 1) sources s, the (K, B) duplication
+    counts j and weights w and the sources' (rows, K, 1) values v to ``rows``
+    (K, B) arrays, each summed onto the sizes s + j before the next is drawn
+    (a generator keeps one alive). A size above
+    _SIZE_CAP raises ValueError; a fixed schedule whose mean S0 prod(1 +
+    lam_k) passes it is refused before the first cycle.
     """
-    lead = int(np.searchsorted(np.cumsum(p), _END_TAIL, side="right"))
-    trail = int(np.searchsorted(np.cumsum(p[::-1]), _END_TAIL, side="right"))
-    kept = slice(lead, len(p) - trail)
-    dropped = float(p[:lead].sum() + p[kept.stop :].sum())
-    s = first + np.arange(kept.start, kept.stop, dtype=float)
-    lam = np.broadcast_to(lam_at(c, s), s.shape)
-    lo, hi, _ = band_limits(s, lam, _ROW_TAIL)
-    base, top = int((s + lo).min()), int((s + hi).max())
-    if top > cap:
-        raise ValueError(f"size support reaches {top} at cycle {c + 1}, above cap {cap}")
-    width = top - base + 1
-    rows = max(1, _BLOCK_CELLS // int((hi - lo).max() + 1.0))
-    return dropped, base, width, _size_bands(s, lam, kept.start, base, width, rows)
-
-
-def _size_bands(s: np.ndarray, lam: np.ndarray, at: int, first: int, width: int, rows: int):
-    """The rows of sources s, ``rows`` at a time, into a support from ``first``.
-
-    s[0] sits at position ``at`` of the current support.
-    """
-    for a in range(0, len(s), rows):
-        sl = slice(a, a + rows)
-        lo, w, cut = binom_band(s[sl], lam[sl], _ROW_TAIL)
-        j = lo[:, None] + np.arange(w.shape[1])
-        src = s[sl, None]
-        # cells past a row's band carry weight 0; clipping keeps them in range
-        to = np.minimum(src.astype(np.int64) - first + j, width - 1)
-        yield SizeBand(slice(at + a, at + a + len(src)), src, lam[sl], j.astype(float), w, to, cut)
+    lam_at = sched.efficiency(S0, n)
+    mean = S0 * math.prod(1.0 + L for L in sched.prefix(n)) if sched.kind == "deterministic" else 0.0
+    if mean > _SIZE_CAP:
+        raise ValueError(f"mean size {mean:.6g} after {n} cycles is above cap {_SIZE_CAP}")
+    first, vals, tail = S0, np.eye(rows, 1), 0.0
+    yield first, vals, tail
+    for c in range(n):
+        p = vals[0]
+        lead = int(np.searchsorted(np.cumsum(p), _END_TAIL, side="right"))
+        trail = int(np.searchsorted(np.cumsum(p[::-1]), _END_TAIL, side="right"))
+        kept = slice(lead, len(p) - trail)
+        tail += float(p[:lead].sum() + p[kept.stop :].sum())
+        s = first + np.arange(kept.start, kept.stop, dtype=float)
+        lam = np.broadcast_to(lam_at(c, s), s.shape)
+        lo, hi, _ = band_limits(s, lam, _ROW_TAIL)
+        first, top = int((s + lo).min()), int((s + hi).max())
+        if top > _SIZE_CAP:
+            raise ValueError(f"size support reaches {top} at cycle {c + 1}, above cap {_SIZE_CAP}")
+        width = top - first + 1
+        block = max(1, _BLOCK_CELLS // int((hi - lo).max() + 1.0))
+        kept_vals, vals = vals[:, kept, None], np.zeros((rows, width))
+        for a in range(0, len(s), block):
+            lo, w, cut = binom_band(s[a : a + block], lam[a : a + block], _ROW_TAIL)
+            j = lo[:, None] + np.arange(w.shape[1])
+            src, v = s[a : a + block, None], kept_vals[:, a : a + block]
+            # cells past a row's band carry weight 0; clipping keeps them in range
+            to = np.minimum(src.astype(np.int64) - first + j, width - 1).ravel()
+            for r, x in enumerate(step(src, j.astype(float), w, v)):
+                vals[r] += np.bincount(to, x.ravel(), width)
+            tail += float(v[0, :, 0] @ cut)
+        yield first, vals, tail
 
 
 def _poisson_at(x: int, mu: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .moments import DEFAULT_SIZE_CAP, MutationLaw, _uniform_V, size_laws
+from .moments import MutationLaw, _uniform_V, size_laws
 from .schedule import EfficiencySchedule, build_schedule, mm_lambda
 
 
@@ -81,18 +81,19 @@ def w_bounds(params: MMParams, n: int) -> WBounds:
     return WBounds(n=n, lower=lower, w_plus=w_plus, w_star=w_star, upper=upper)
 
 
-def exact_w_mean(params: MMParams, n: int, cap: int = DEFAULT_SIZE_CAP) -> float:
+def exact_w_mean(params: MMParams, n: int) -> float:
     """E[w_n] from the exact size laws of S_0..S_{n-1}.
 
     alpha_k = D/(C + D + S_{k-1}) is a function of the size, so E[w_n] sums
-    D E[1/(S_{k-1} + C + D)] over k. The laws come from the banded size
-    program, which drops the lightest ends of each law and cuts its rows; as
+    D E[1/(S_{k-1} + C + D)] over k. The laws come from ``size_laws``, whose
+    banded program drops the lightest ends of each law and cuts its rows; as
     alpha_k < 1, the sum is short by at most the sum of their ``tail_mass``
-    bounds (k 1e-17 for the law of S_k, trims and cuts together).
+    bounds (k 1e-17 for the law of S_k, trims and cuts together). A size
+    support past 2,000,000 sizes raises ValueError.
     """
     if n < 0:
         raise ValueError("cycle count must be nonnegative")
-    laws = size_laws(params.as_schedule(), params.S0, n - 1, cap) if n else []
+    laws = size_laws(params.as_schedule(), params.S0, n - 1) if n else []
     return sum(params.D * law.harmonic_moment(params.C + params.D) for law in laws)
 
 

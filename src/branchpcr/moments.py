@@ -8,8 +8,10 @@ envelopes assembled from the correction sums of the schedule module. The
 exact V_n is one quadrature per cycle over the size law's generating
 function, all cycles in one adaptive pass, with a reported error bound; it
 runs at any S0 and n. The size law and the joint size-and-moment law are
-dynamic programs, each a reduction of one banded binomial step per cycle
-that reports the mass it left out.
+one dynamic program, ``_pmf.size_program``, with two steps: it carries the
+probability (and the four restricted moments) through one banded binomial
+step per cycle, reports the mass it left out, and refuses a size support
+past 2,000,000 sizes.
 
 The sample variance of an ell-sample adds a remainder R_n (the variance of
 the conditional mean). R_n is bounded by iterating the one-step recursion
@@ -31,7 +33,6 @@ from .schedule import DerivedSequences, EfficiencySchedule
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_SIZE_CAP = 2_000_000
 _PGF_RTOL = 1e-13   # each A_k's quadrature tolerance, relative to its first-pass estimate
 MAX_POPULATION_CAP = 2**62 - 1  # the engine's sizes stay within it, so a doubling fits in int64
 
@@ -113,8 +114,8 @@ class MomentEnvelope:
 class SizeLaw:
     """Exact distribution of the population size after n cycles.
 
-    Each cycle drops the lightest ends of the law and cuts the binomial rows
-    of the sizes it keeps to bands (``_pmf.size_transitions``), so ``probs``
+    Each cycle of ``_pmf.size_program`` drops the lightest ends of the law
+    and cuts the binomial rows of the sizes it keeps to bands, so ``probs``
     carries all but at most ``tail_mass`` of the probability: the dropped
     mass plus Hoeffding's bound on the mass the bands left out, weighted by
     each source size's probability, summed over cycles. That is at most
@@ -147,39 +148,31 @@ def infinite_population_moments(
     return Et, Vt
 
 
-def _size_laws(sched: EfficiencySchedule, S0: int, n: int, cap: int):
+def _size_laws(sched: EfficiencySchedule, S0: int, n: int):
     import numpy as np
 
-    from ._pmf import size_transitions
+    from ._pmf import size_program
 
-    lam_at = sched.efficiency(S0, n)
-    first, p, tail = S0, np.ones(1), 0.0
-    yield SizeLaw(n=0, sizes=np.array([S0]), probs=p, tail_mass=tail)
-    for c in range(n):
-        dropped, first, width, bands = size_transitions(lam_at, c, first, p, cap)
-        tail += dropped
-        new = np.zeros(width)
-        for b in bands:
-            pb = p[b.rows]
-            new += b.scatter(pb[:, None] * b.w, width)
-            tail += float(pb @ b.cut)
-        p = new
-        yield SizeLaw(n=c + 1, sizes=first + np.arange(width), probs=p, tail_mass=tail)
+    def step(s, j, w, v):
+        return (w * v[0],)
+
+    for c, (first, vals, tail) in enumerate(size_program(sched, S0, n, 1, step)):
+        yield SizeLaw(n=c, sizes=first + np.arange(vals.shape[1]), probs=vals[0], tail_mass=tail)
 
 
-def size_laws(
-    sched: EfficiencySchedule, S0: int, n: int, cap: int = DEFAULT_SIZE_CAP
-) -> list[SizeLaw]:
-    """Exact laws of S_0..S_n, by one banded binomial convolution per cycle."""
-    return list(_size_laws(sched, S0, n, cap))
+def size_laws(sched: EfficiencySchedule, S0: int, n: int) -> list[SizeLaw]:
+    """Exact laws of S_0..S_n, by one banded binomial convolution per cycle.
+
+    A support past 2,000,000 sizes raises ValueError (``_pmf.size_program``).
+    """
+    return list(_size_laws(sched, S0, n))
 
 
-def size_law(
-    sched: EfficiencySchedule, S0: int, n: int, cap: int = DEFAULT_SIZE_CAP
-) -> SizeLaw:
+def size_law(sched: EfficiencySchedule, S0: int, n: int) -> SizeLaw:
     """Exact law of S_n, by one banded binomial convolution per cycle."""
-    *_, last = _size_laws(sched, S0, n, cap)
-    return last
+    for law in _size_laws(sched, S0, n):
+        pass
+    return law
 
 
 def exact_Vn_Vpn(
@@ -285,8 +278,8 @@ class ExactMoments:
     moment, so every downstream quantity (including the remainder R_n and the
     variance of an ell-sample mean) follows exactly. ``tail_mass`` bounds the
     probability the trimmed, banded binomial steps left out of ``p``; the
-    steps are those of ``size_law``, so ``sizes`` and ``tail_mass`` are its
-    own. Nothing is renormalized.
+    program is ``size_law``'s with three more rows, so ``sizes``, ``p`` and
+    ``tail_mass`` are its own. Nothing is renormalized.
     """
 
     n: int
@@ -313,48 +306,42 @@ def exact_sample_moments(
     S0: int,
     n: int,
     ell: int,
-    cap: int = DEFAULT_SIZE_CAP,
 ) -> ExactMoments:
     """Exact first and second moments of empirical and sampled means.
 
-    One banded pass per cycle over the size support. Conditional on j
-    duplications among s particles, the duplicating set is a uniform j-subset
-    independent of the accumulated states, which closes the system of four
-    restricted moments propagated here.
+    One banded pass of ``_pmf.size_program`` per cycle over the size
+    support. Conditional on j duplications among s particles, the
+    duplicating set is a uniform j-subset independent of the accumulated
+    states, which closes the system of four restricted moments propagated
+    here.
     """
     import numpy as np
 
-    from ._pmf import size_transitions
+    from ._pmf import size_program
 
     if ell < 1:
         raise ValueError("sample size must be at least 1")
     mu, nu = law.mu, law.nu
     mu2 = mu * mu
-    lam_at = sched.efficiency(S0, n)
-    vals = np.array([[1.0], [0.0], [0.0], [0.0]])  # p, m1, m2, q at S_0
-    first, tail = S0, 0.0
-    for c in range(n):
-        dropped, first, width, bands = size_transitions(lam_at, c, first, vals[0], cap)
-        tail += dropped
-        new = np.zeros((4, width))
-        for b in bands:
-            s, j, w = b.s, b.j, b.w
-            pb, m1b, m2b, qb = vals[:, b.rows, None]
-            m = s + j
-            frac = j / m
-            pair = j * (j - 1.0) / (s * np.maximum(s - 1.0, 1.0))
-            m2num = (
-                (s * s * (1.0 + 2.0 * j / s) + s * s * pair) * m2b
-                + (j - s * pair) * qb
-                + 2.0 * mu * j * m * m1b
-                + (j * nu + j * j * mu2) * pb
-            )
-            new[0] += b.scatter(w * pb, width)
-            new[1] += b.scatter(w * (m1b + mu * frac * pb), width)
-            new[2] += b.scatter(w * m2num / m**2, width)
-            new[3] += b.scatter(w * (qb + (2.0 * mu * m1b + (nu + mu2) * pb) * frac), width)
-            tail += float(pb[:, 0] @ b.cut)
-        vals = new
+
+    def step(s, j, w, v):
+        pb, m1b, m2b, qb = v
+        m = s + j
+        frac = j / m
+        pair = j * (j - 1.0) / (s * np.maximum(s - 1.0, 1.0))
+        m2num = (
+            (s * s * (1.0 + 2.0 * j / s) + s * s * pair) * m2b
+            + (j - s * pair) * qb
+            + 2.0 * mu * j * m * m1b
+            + (j * nu + j * j * mu2) * pb
+        )
+        yield w * pb
+        yield w * (m1b + mu * frac * pb)
+        yield w * m2num / m**2
+        yield w * (qb + (2.0 * mu * m1b + (nu + mu2) * pb) * frac)
+
+    for first, vals, tail in size_program(sched, S0, n, 4, step):
+        pass
     p, m1, m2, q = vals
     M_eta = float(m1.sum())
     EM2 = float(m2.sum())

@@ -1,12 +1,15 @@
 """Exact references, envelopes, and the remainder recursion."""
 
+import math
+import time
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from branchpcr import harmonic
+from branchpcr import _pmf, harmonic, kinetics
 from branchpcr._pmf import binom_row
 from branchpcr.moments import (
     MutationLaw,
@@ -106,9 +109,10 @@ def test_size_law_full_efficiency_point_mass():
     assert law.probs[idx] == pytest.approx(1.0)
 
 
-def test_size_law_cap():
+def test_size_law_cap(monkeypatch):
+    monkeypatch.setattr(_pmf, "_SIZE_CAP", 7)
     with pytest.raises(ValueError):
-        size_law(build_schedule([0.5] * 3), 1, 3, cap=7)
+        size_law(build_schedule([0.5] * 3), 1, 3)
     with pytest.raises(ValueError):
         size_law(build_schedule([0.5]), 0, 1)
 
@@ -285,7 +289,7 @@ def test_exact_Vn_within_envelope_at_scale(instance):
 
 # ----- exact joint dynamic program -----
 
-def test_exact_moments_internal_relations():
+def test_exact_moments_internal_relations(monkeypatch):
     dp = exact_sample_moments(build_schedule([0.5] * 5), poisson_law(0.06), 2, 5, 4)
     assert dp.Vt == pytest.approx(dp.D_eta / 4 + (1 - 0.25) * dp.Rn, rel=1e-14)
     assert dp.D_zeta_mean == pytest.approx(dp.D_eta - dp.Rn, rel=1e-12)
@@ -294,8 +298,9 @@ def test_exact_moments_internal_relations():
         exact_sample_moments(build_schedule([0.5]), poisson_law(0.06), 2, 1, 0)
     with pytest.raises(ValueError):
         exact_sample_moments(build_schedule([0.5]), poisson_law(0.06), 0, 1, 1)
+    monkeypatch.setattr(_pmf, "_SIZE_CAP", 8)
     with pytest.raises(ValueError):
-        exact_sample_moments(build_schedule([0.5] * 4), poisson_law(0.06), 1, 4, 1, cap=8)
+        exact_sample_moments(build_schedule([0.5] * 4), poisson_law(0.06), 1, 4, 1)
 
 
 def test_exact_first_moment_identity():
@@ -467,14 +472,16 @@ def test_size_laws_path():
         assert one.tail_mass == law.tail_mass
 
 
-def test_banded_support_stays_narrow():
+def test_banded_support_stays_narrow(monkeypatch):
     # the carried support, not S0 2^n, is checked against the cap
     lams = [0.5] * 12
     law = size_law(build_schedule(lams), 2, 12)
     assert law.sizes[-1] < 4000 < 2 * 2**12
-    assert size_law(build_schedule(lams), 2, 12, cap=4000).sizes[-1] == law.sizes[-1]
+    monkeypatch.setattr(_pmf, "_SIZE_CAP", 4000)
+    assert size_law(build_schedule(lams), 2, 12).sizes[-1] == law.sizes[-1]
+    monkeypatch.setattr(_pmf, "_SIZE_CAP", int(law.sizes[-1]) - 1)
     with pytest.raises(ValueError, match="above cap"):
-        size_law(build_schedule(lams), 2, 12, cap=law.sizes[-1] - 1)
+        size_law(build_schedule(lams), 2, 12)
     assert float(law.probs.sum()) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -516,10 +523,11 @@ def test_trimmed_support_at_benchmark_scale():
     assert law.tail_mass <= 11 * 1e-17
 
 
-def test_size_law_saturating_schedule():
+def test_size_law_saturating_schedule(monkeypatch):
     # lambda = D/(C + s) per source size, D/(C + S0) = 1 at the start
     sched = build_schedule(mm_C=10.0, mm_D=11.0)
-    laws = size_laws(sched, 1, 20, cap=5000)
+    monkeypatch.setattr(_pmf, "_SIZE_CAP", 5000)
+    laws = size_laws(sched, 1, 20)
     # the first step is the point mass at 2 (the band of a point mass is
     # its one size)
     np.testing.assert_array_equal(laws[1].probs[laws[1].sizes == 2], [1.0])
@@ -538,6 +546,61 @@ def test_size_law_saturating_schedule():
     with pytest.raises(ValueError):
         exact_Vn_Vpn(sched, 1, 2)
 
+
+
+def test_size_programs_keep_their_bits():
+    # float.hex of the size programs' outputs: any change in the order of
+    # their arithmetic (trims, blocks, scatter, tail sums) shows here
+    idx = (0, 100, 501, 152, 1001)
+    sched = build_schedule([0.5] * 11)
+    law = size_law(sched, 2, 11)
+    assert (int(law.sizes[0]), len(law.sizes)) == (2, 1002)
+    assert law.tail_mass.hex() == "0x1.b5ac94577004ep-57"
+    assert math.fsum(law.probs.tolist()).hex() == "0x1.0000000000002p+0"
+    assert [float(law.probs[i]).hex() for i in idx] == [
+        "0x1.000000000000bp-22", "0x1.14908819daf86p-8", "0x1.ef071ffab92f1p-20",
+        "0x1.71db298f8f887p-8", "0x1.8d0d334e7b708p-125"]
+    dp = exact_sample_moments(sched, poisson_law(0.05), 2, 11, 10)
+    assert [x.hex() for x in (dp.tail_mass, dp.Et, dp.Vt, dp.Rn)] == [
+        "0x1.b5ac94577004ep-57", "0x1.6a396ca005314p-3", "0x1.27795886a076ep-5",
+        "0x1.43a279b5e6f7ap-6"]
+    assert dp.p.tobytes() == law.probs.tobytes()
+    assert [float(dp.q[i]).hex() for i in idx] == [
+        "0x0.0p+0", "0x1.a9255ad61d608p-11", "0x1.099d45d217db5p-21",
+        "0x1.3c03a30c0392ap-10", "0x1.d9a16a3e063fep-127"]
+    last = size_laws(build_schedule(mm_C=10.0, mm_D=11.0), 1, 20)[-1]
+    assert (int(last.sizes[0]), len(last.sizes)) == (47, 299)
+    assert last.tail_mass.hex() == "0x1.cc0c689885777p-55"
+    assert math.fsum(last.probs.tolist()).hex() == "0x1.0000000000004p+0"
+    assert float(last.probs[110]).hex() == "0x1.01a0944f8cea4p-5"
+    assert float(last.probs[-1]).hex() == "0x1.9158517b6c726p-223"
+    w = kinetics.exact_w_mean(kinetics.MMParams(C=1000.0, D=1001.0, S0=1), 20)
+    assert w.hex() == "0x1.b9d6fe6c1ff2dp+2"
+
+
+def test_size_support_reaches_the_mean():
+    # the largest carried size is at least E[S_k] = S0 prod(1 + lambda), so
+    # a fixed schedule whose mean passes the cap is refused only where the
+    # cycles would pass it too
+    rng = np.random.default_rng(7)
+    lams = np.array([0.0, 1e-15, 1e-9, 0.01, 0.146, 0.5, 0.872, 0.99, 1 - 1e-12, 1.0])
+    for _ in range(200):
+        S0, n = int(rng.integers(1, 51)), int(rng.integers(1, 10))
+        sched = [float(x) for x in rng.choice(lams, size=n)]
+        for k, law in enumerate(size_laws(build_schedule(sched), S0, n)):
+            assert law.sizes[-1] >= S0 * math.prod(1.0 + L for L in sched[:k]), (S0, sched, k)
+
+
+def test_reference_analysis_refused_up_front():
+    # S0 = 100, n = 30 has mean 2.5e9 sizes: refused before the first cycle,
+    # where the cycles would pass the cap at cycle 16 after minutes of work
+    sched = build_schedule(REF_LAMBDAS)
+    for call in (lambda: size_law(sched, 100, 30),
+                 lambda: exact_sample_moments(sched, poisson_law(0.05), 100, 30, 3)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="above cap 2000000"):
+            call()
+        assert time.perf_counter() - start < 1.0
 
 # ----- envelopes -----
 

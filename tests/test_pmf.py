@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from branchpcr import _pmf
 from branchpcr._pmf import (
-    BAND_TAIL, band_limits, binom_band, binom_row, poisson_table, size_transitions,
+    BAND_TAIL, band_limits, binom_band, binom_row, poisson_table, size_program,
 )
+from branchpcr.schedule import build_schedule
 
 SIZES = (1, 2, 3, 5, 16, 17, 40, 100, 501, 4096, 8192)
 LAMBDAS = (1e-9, 0.01, 0.146, 0.5, 0.743, 0.872, 0.99, 1 - 1e-9)
@@ -139,27 +141,57 @@ def test_band_per_row_efficiency():
         assert np.all(w[i, width:] == 0.0)
 
 
-def test_size_transitions_trims_light_ends():
+def seeded_program(S0, lams, law):
+    """``size_program`` whose first cycle puts law(j) on size S0 + j.
+
+    Later cycles step the probability and record each block's (s, v).
+    """
+    seen = []
+
+    def step(s, j, w, v):
+        seen.append((s[:, 0].copy(), v[0, :, 0].copy()))
+        return (law(j) if len(seen) == 1 else w * v[0],)
+
+    return list(size_program(build_schedule(lams), S0, len(lams), 1, step)), seen
+
+
+def test_size_program_trims_light_ends(monkeypatch):
     # sizes 10..17; the two lightest leading and trailing sizes each hold at
     # most BAND_TAIL/4 together, the third trailing one tips past it
     p = np.array([1e-18, 1e-18, 0.5, 0.5 - 5e-18, 1e-18, 1e-18, 1e-18, 1e-18])
-    dropped, first, width, bands = size_transitions(
-        lambda c, s: np.full(len(s), 0.5), 0, 10, p, cap=100)
-    assert dropped == p[:2].sum() + p[-2:].sum()
-    (band,) = bands
-    assert band.rows == slice(2, 6)
-    np.testing.assert_array_equal(band.s[:, 0], [12, 13, 14, 15])
+    # the first cycle's one source, 10, has a whole row onto 10..20
+    seed = lambda j: np.pad(p, (0, 3))[j.astype(int)]
+    steps, seen = seeded_program(10, [0.5, 0.5], seed)
+    (_, _, t0), (first, law, t1), (first2, law2, t2) = steps
+    assert t0 == t1 == 0.0 and first == 10
+    np.testing.assert_array_equal(law[0], np.concatenate((p, np.zeros(3))))
+    assert t2 == p[:2].sum() + p[-2:].sum()
+    (s, v), = seen[1:]
+    np.testing.assert_array_equal(s, [12, 13, 14, 15])
+    np.testing.assert_array_equal(v, p[2:6])
     # rows this short are whole, so the next support is 12 .. 30
-    assert (first, width) == (12, 19) and np.all(band.cut == 0.0)
-    with pytest.raises(ValueError, match="above cap"):
-        size_transitions(lambda c, s: np.full(len(s), 0.5), 0, 10, p, cap=29)
-    # long rows are cut at BAND_TAIL/2 each
-    p = np.full(100, 0.01)
-    dropped, _, _, bands = size_transitions(
-        lambda c, s: np.full(len(s), 0.3), 0, 5000, p, cap=10**5)
-    cut = np.concatenate([b.cut for b in bands])
-    assert dropped == 0.0 and len(cut) == 100
+    assert (first2, law2.shape[1]) == (12, 19)
+    assert np.all(band_limits(s, 0.5, BAND_TAIL / 2)[2] == 0.0)
+    monkeypatch.setattr(_pmf, "_SIZE_CAP", 30)
+    seeded_program(10, [0.5, 0.5], seed)
+    monkeypatch.setattr(_pmf, "_SIZE_CAP", 29)
+    with pytest.raises(ValueError, match="size support reaches 30 at cycle 2, above cap 29"):
+        seeded_program(10, [0.5, 0.5], seed)
+
+
+def test_size_program_cuts_long_rows():
+    # a uniform law on 100 sizes from 7500 on: long rows, cut at BAND_TAIL/2
+    # each, and no light end to drop
+    steps, seen = seeded_program(5000, [0.5, 0.3], lambda j: ((2500 <= j) & (j < 2600)) * 0.01)
+    (_, law, t1), (_, _, t2) = steps[1:]
+    assert np.count_nonzero(law[0]) == 100
+    (s, v), = seen[1:]
+    np.testing.assert_array_equal(s, np.arange(7500.0, 7600.0))
+    np.testing.assert_array_equal(v, np.full(100, 0.01))
+    cut = band_limits(s, 0.3, BAND_TAIL / 2)[2]
     assert np.all((0.0 < cut) & (cut <= BAND_TAIL / 2))
+    assert t2 == t1 + float(v @ cut)
+    assert 0.0 < t2 - t1 <= BAND_TAIL / 2
 
 
 @pytest.mark.parametrize("mu", MUS)
