@@ -93,6 +93,10 @@ def parse_config(raw: dict) -> RunConfig:
     for name in ("s0", "n", "seed", "replicates", "population_cap"):
         if name in raw:
             setattr(cfg, name, _int_field(raw[name], name))
+    for name in ("replicates", "population_cap"):
+        value = getattr(cfg, name)
+        if name in raw and value < 1:
+            raise ConfigError(f"config field '{name}' must be at least 1, got {value}")
     if cfg.population_cap is not None:
         from .moments import MAX_POPULATION_CAP
 
@@ -339,7 +343,7 @@ def cmd_simulate(args) -> int:
     ell = cfg.ell or 1
     spec = ProcessSpec(sched=sched, law=law, S0=s0)
     deterministic = sched.kind == "deterministic"
-    collect = bool(args.tv) and law.integer_valued and deterministic
+    collect = bool(args.tv) and law.poisson and deterministic
     print(f"simulating {cfg.replicates} replicates (seed {cfg.seed}, "
           f"threads {args.threads})", file=sys.stderr)
     cap_kw = {} if cfg.population_cap is None else {"population_cap": cfg.population_cap}

@@ -70,17 +70,6 @@ def _binom_weights(k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(k + 1), binom_row(k, lam)
 
 
-def binomial_mix(k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact law of the post-duplication count M_k = k + Binomial(k, lambda).
-
-    Returns (values, probabilities) with values k..2k.
-    """
-    _check_k(k)
-    _check_lambda(lam)
-    j, w = _binom_weights(k, lam)
-    return k + j, w
-
-
 def H_y(k: int, lam: float, y: float) -> float:
     """Shifted harmonic mean E[(k + y)/(M_k + y)], C_family's Hy. Requires finite y, k + y > 0."""
     return C_family(k, lam, y).Hy

@@ -97,15 +97,6 @@ def exact_w_mean(params: MMParams, n: int) -> float:
     return sum(params.D * law.harmonic_moment(params.C + params.D) for law in laws)
 
 
-def zeta_sum(n: int, t: float) -> float:
-    """Shifted harmonic sum over k = 1..n of 1/(t + k); needs t > -1."""
-    if n < 0:
-        raise ValueError("cycle count must be nonnegative")
-    if t <= -1.0:
-        raise ValueError("shift must exceed -1")
-    return sum(1.0 / (t + k) for k in range(1, n + 1))
-
-
 def random_efficiency_envelope(
     params: MMParams, law: MutationLaw, n: int
 ) -> tuple[float, float]:

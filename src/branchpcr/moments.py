@@ -44,14 +44,11 @@ class MutationLaw:
     ``poisson`` pins the increment law to Poisson(mu), which forces nu = mu
     and integer states. Without it only (mu, nu) matter analytically; for
     sampling, the simulator realizes the law as a two-point distribution.
-    ``integer_valued`` marks laws whose states live on a lattice, enabling
-    total-variation computations.
     """
 
     mu: float
     nu: float
     poisson: bool = False
-    integer_valued: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mu) and math.isfinite(self.nu)):
@@ -87,7 +84,7 @@ class MutationLaw:
 
 def poisson_law(mu: float) -> MutationLaw:
     """Poisson(mu) increments."""
-    return MutationLaw(mu=mu, nu=mu, poisson=True, integer_valued=True)
+    return MutationLaw(mu=mu, nu=mu, poisson=True)
 
 
 @dataclass(frozen=True)
@@ -495,15 +492,6 @@ def Rn_recursion_bound(
                     + L * (1.0 - L) * h)
             h = (1.0 - L / 2.0) * h + a * float(g2[k - 1]) * (nu + mu2) / S0
     return R
-
-
-def theorem_k_bound(n: int, mu0: float, L0: int, S0: int) -> float:
-    """Crude distance bound n L0 mu0 / S0 for the general offspring model."""
-    if mu0 < 0.0:
-        raise ValueError("mu0 must be nonnegative")
-    if L0 < 1 or S0 < 1:
-        raise ValueError("L0 and S0 must be at least 1")
-    return n * L0 * mu0 / S0
 
 
 def moment_envelope(

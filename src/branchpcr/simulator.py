@@ -645,89 +645,3 @@ def enumerate_tiny(
         M_eta=M_eta, M2_eta=M2_eta, D_eta=D_eta, D_zeta_mean=M2_eta - EM2,
         sizes=sizes, p=p_v, m1=m1_v, m2=m2_v, q=q_v, tail_mass=0.0,
     )
-
-
-@dataclass(frozen=True)
-class GeneralPopulation:
-    """Snapshot of the general offspring-number model."""
-
-    gen: int
-    size: int
-    states: dict[float, int]
-
-    def mean(self) -> float:
-        return sum(v * c for v, c in self.states.items()) / self.size
-
-
-def _check_general_inputs(arity_pmfs, child_means, n):
-    if len(arity_pmfs) < n or len(child_means) < n:
-        raise ValueError("need per-cycle arity laws and child means for n cycles")
-    for c in range(n):
-        pmf = arity_pmfs[c]
-        if abs(sum(pmf.values()) - 1.0) > 1e-9:
-            raise ValueError(f"arity law at cycle {c + 1} does not sum to 1")
-        for j, prob in pmf.items():
-            if j < 1 or prob < 0.0:
-                raise ValueError("arities must be >= 1 with nonnegative probabilities")
-            if prob > 0.0 and len(child_means[c][j]) != j:
-                raise ValueError(f"cycle {c + 1}: arity {j} needs {j} child means")
-
-
-def simulate_general(
-    arity_pmfs: list[dict[int, float]],
-    child_means: list[dict[int, tuple[float, ...]]],
-    S0: int,
-    n: int,
-    rng: np.random.Generator,
-    population_cap: int = DEFAULT_POPULATION_CAP,
-) -> list[GeneralPopulation]:
-    """General model: each particle is replaced by L children (L >= 1 random),
-    child c of an arity-j family shifting by the deterministic mean
-    child_means[cycle][j][c]. Increment randomness is suppressed; only the
-    arities are drawn, which is all the first-moment checks need.
-    """
-    if S0 < 1:
-        raise ValueError("initial population must be at least 1")
-    _check_general_inputs(arity_pmfs, child_means, n)
-    table: dict[float, int] = {0.0: S0}
-    traj = [GeneralPopulation(0, S0, table)]
-    for c in range(n):
-        arities = sorted(arity_pmfs[c])
-        probs = np.array([arity_pmfs[c][j] for j in arities])
-        new: dict[float, int] = {}
-        for state in sorted(table):
-            count = table[state]
-            fam = rng.multinomial(count, probs)
-            for j, n_fam in zip(arities, fam):
-                if n_fam == 0:
-                    continue
-                for shift in child_means[c][j]:
-                    key = state + shift
-                    new[key] = new.get(key, 0) + int(n_fam)
-        table = new
-        size = sum(table.values())
-        if size > population_cap:
-            raise PopulationCapExceeded(c + 1, size, [s.size for s in traj])
-        traj.append(GeneralPopulation(c + 1, size, table))
-    return traj
-
-
-def theorem_j_mean(
-    arity_pmfs: list[dict[int, float]],
-    child_means: list[dict[int, tuple[float, ...]]],
-    n: int,
-) -> float:
-    """Limit mean of a sampled state in the general model.
-
-    Each cycle contributes sum_j P(L=j) (total mean increment of an arity-j
-    family) / E(L). The two-child special case recovers mu alpha_k per cycle.
-    """
-    _check_general_inputs(arity_pmfs, child_means, n)
-    total = 0.0
-    for c in range(n):
-        pmf = arity_pmfs[c]
-        mean_L = sum(j * p for j, p in pmf.items())
-        total += sum(
-            p * sum(child_means[c][j]) for j, p in pmf.items() if p > 0.0
-        ) / mean_L
-    return total

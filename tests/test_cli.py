@@ -281,6 +281,16 @@ def test_simulate_tv_report(tmp_path):
     assert tv["distance"] <= tv["bound"] + 4 * tv["mc_error"]
 
 
+def test_simulate_tv_skips_two_point_laws(tmp_path):
+    # the report needs integer states, which only the Poisson law gives
+    cfg = sim_config(tmp_path, mutation={"mean": 0.1, "var": 0.04})
+    proc = run_cli("simulate", "--config", cfg, "--seed", "11", "--tv")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert "tv" not in payload
+    assert payload["envelope_flags"]["Et"] == "pass"
+
+
 def test_simulate_population_cap(tmp_path):
     cfg = write_config(tmp_path, {
         "s0": 1, "n": 28,
@@ -426,6 +436,7 @@ def test_mm_bounds(tmp_path):
     ("schedule", {"mm": {"C": math.inf, "D": 1.0}}),
     ("population_cap", 2**62), pytest.param("population_cap", 10**400, id="population_cap-1e400"),
     ("sample", {"ell": 0, "t": 0.1}), ("sample", {"ell": -2}),
+    ("replicates", 0), ("replicates", -3), ("population_cap", 0), ("population_cap", -5),
 ])
 def test_config_fields_are_typed(tmp_path, field, value):
     raw = json.loads(Path(ref_config(tmp_path)).read_text())

@@ -23,12 +23,6 @@ lams = st.one_of(
 )
 
 
-def test_binomial_mix_example():
-    values, probs = harmonic.binomial_mix(2, 0.5)
-    np.testing.assert_array_equal(values, [2, 3, 4])
-    np.testing.assert_allclose(probs, [0.25, 0.5, 0.25])
-
-
 def test_pointwise_frozen_values():
     assert harmonic.H(2, 0.5) == pytest.approx(2 * (0.25 / 2 + 0.5 / 3 + 0.25 / 4))
     assert harmonic.H(2, 0.5) == pytest.approx(17.0 / 24.0, abs=1e-12)

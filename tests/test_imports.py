@@ -1,9 +1,11 @@
 """What `import branchpcr` and each CLI command load, read from sys.modules
-of a fresh process."""
+of a fresh process, and which public names the package and benchmark call."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,3 +122,53 @@ def test_command_loads_only_its_layers(configs, case):
     full = {f"branchpcr.{m}" if m in LAYERS else m for m in absent}
     assert {f"branchpcr.{m}" for m in needed} <= set(loaded)
     assert full.isdisjoint(loaded), sorted(full & set(loaded))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# public names that no library path, command or benchmark operation calls,
+# each kept for a stated reason; wiring one in or deleting it shortens the list
+UNCALLED_KEPT = {
+    "correction_ratio_report": "acceptance 2's correction-ratio constants",
+    "sample_size_guidance": "ROADMAP item 8: replace it by the exact bias or wire it into bounds",
+    "B_family": "test reference: the scalar front of the B rows the suite reduces",
+    "H_y": "test reference: the scalar front of C_family's Hy",
+    "taylor_sandwich": "test reference: the scalar row of the suite's Taylor sandwich",
+    "exact_w_mean": "ROADMAP item 5: the exact E[w_n] column of mm",
+    "Rn_recursion_bound": "test reference: the recursion that telescopes to rn_upper_bound",
+    "simulate_batch": "ROADMAP item 1: the engine the benchmark's mm operation moves to",
+}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module reads, imports or lists as strings, outside the
+    top-level definition that binds each name."""
+    refs = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)   # the lazy export table's keys
+        refs |= names - {getattr(stmt, "name", None)}
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    package = ROOT / "src" / "branchpcr"
+    callers = [*package.glob("*.py"),
+               *(p for p in (ROOT / "bench").glob("*.py") if p.name != "test_bench.py")]
+    called = set().union(*(_references(ast.parse(p.read_text())) for p in callers))
+    public = {
+        stmt.name
+        for module in (*LAYERS, "_pmf")
+        for stmt in ast.parse((package / f"{module}.py").read_text()).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+    }
+    uncalled = public - called
+    assert sorted(uncalled - set(UNCALLED_KEPT)) == [], "public names only tests call"
+    assert sorted(set(UNCALLED_KEPT) - uncalled) == [], "kept names that now have a caller"

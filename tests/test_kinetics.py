@@ -10,7 +10,6 @@ from branchpcr.kinetics import (
     exact_w_mean,
     random_efficiency_envelope,
     w_bounds,
-    zeta_sum,
 )
 from branchpcr.moments import exact_sample_moments, poisson_law
 from branchpcr.schedule import mm_lambda
@@ -76,22 +75,6 @@ def test_cycle_count_edges():
     assert w0.lower == 0.0 and w0.upper == 0.0
     with pytest.raises(ValueError):
         w_bounds(p, -1)
-
-
-def test_zeta_sum_values():
-    assert zeta_sum(1, 0.0) == pytest.approx(1.0)
-    assert zeta_sum(3, 1.0) == pytest.approx(1.0 / 2 + 1.0 / 3 + 1.0 / 4)
-    assert zeta_sum(0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        zeta_sum(-1, 0.0)
-    with pytest.raises(ValueError):
-        zeta_sum(2, -1.5)
-
-
-@pytest.mark.parametrize("y", [0.0, 0.5, 2.0])
-def test_zeta_sum_dominates_log(y):
-    for n in (1, 5, 50, 400):
-        assert zeta_sum(n, y) >= math.log(1.0 + n / (1.0 + y)) - 1e-12
 
 
 @pytest.mark.parametrize("b", [1.0, 2.0, 10.0])

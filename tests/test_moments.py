@@ -24,7 +24,6 @@ from branchpcr.moments import (
     rn_upper_bound,
     size_law,
     size_laws,
-    theorem_k_bound,
     variance_envelope,
 )
 from branchpcr.schedule import build_schedule, derived_sequences, mm_lambda
@@ -51,7 +50,7 @@ def test_mutation_law_validation():
     with pytest.raises(ValueError):
         MutationLaw(mu=0.1, nu=0.2, poisson=True)
     law = poisson_law(0.05)
-    assert law.nu == 0.05 and law.poisson and law.integer_valued
+    assert law.nu == 0.05 and law.poisson
     assert law.second_moment == pytest.approx(0.05 + 0.0025)
 
 
@@ -807,15 +806,6 @@ def test_one_step_remainder_identity():
             for law in (poisson_law(0.07), MutationLaw(mu=0.1, nu=0.04)):
                 for n in (1, 2, 4):
                     assert abs(residual(lams, law, S0, n)) < 1e-10, (S0, lams, n)
-
-
-def test_theorem_k_bound_values():
-    assert theorem_k_bound(2, 1.0, 8, 4) == pytest.approx(4.0)
-    assert theorem_k_bound(5, 0.0, 3, 2) == 0.0
-    with pytest.raises(ValueError):
-        theorem_k_bound(2, -1.0, 3, 2)
-    with pytest.raises(ValueError):
-        theorem_k_bound(2, 1.0, 0, 2)
 
 
 @given(

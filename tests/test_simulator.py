@@ -1,4 +1,4 @@
-"""Monte Carlo engine, tiny exact enumeration, and general branching checks."""
+"""Monte Carlo engine and tiny exact enumeration."""
 
 import dataclasses
 import hashlib
@@ -14,7 +14,6 @@ from branchpcr.moments import (
     infinite_population_moments,
     moment_envelope,
     poisson_law,
-    theorem_k_bound,
     variance_envelope,
 )
 from branchpcr.schedule import build_schedule, derived_sequences, mm_lambda
@@ -30,8 +29,6 @@ from branchpcr.simulator import (
     monte_carlo_moments,
     simulate,
     simulate_batch,
-    simulate_general,
-    theorem_j_mean,
 )
 
 
@@ -336,70 +333,6 @@ def test_tiny_total_variation_is_small():
     t2 = enumerate_tiny(build_schedule(lams), law, 2, 4).Rn
     bound = variance_envelope(seqs, law, 2, 4, 1).Rn_hi
     assert t2 <= bound + 1e-14
-
-
-# ----- general branching (arbitrary arity) -----
-
-def ternary_inputs(n):
-    pmf = [{3: 1.0}] * n
-    means = [{3: (0.0, 0.05, 0.05)}] * n
-    return pmf, means
-
-
-def test_simulate_general_validation():
-    rng = np.random.Generator(np.random.Philox(3))
-    with pytest.raises(ValueError):
-        simulate_general([{1: 0.4, 2: 0.5}], [{1: (0.0,), 2: (0.0, 0.1)}], 1, 1, rng)
-    with pytest.raises(ValueError):
-        simulate_general([{0: 1.0}], [{0: ()}], 1, 1, rng)
-    with pytest.raises(ValueError):
-        simulate_general([{2: 1.0}], [{2: (0.0,)}], 1, 1, rng)
-    with pytest.raises(ValueError):
-        simulate_general([{2: 1.0}], [{2: (0.0, 0.1)}], 1, 2, rng)
-
-
-def test_theorem_j_recovers_duplication():
-    # binary branching with per-cycle success probability reproduces mu W_n
-    lams = [0.3, 0.8, 0.5]
-    mu = 0.05
-    seqs = derived_sequences(build_schedule(lams), 3)
-    pmfs = [{1: 1 - lam, 2: lam} for lam in lams]
-    means = [{1: (0.0,), 2: (0.0, mu)} for _ in lams]
-    assert theorem_j_mean(pmfs, means, 3) == pytest.approx(mu * seqs.W[3], rel=1e-12)
-
-
-def test_theorem_j_ternary_one_cycle():
-    pmfs, means = ternary_inputs(1)
-    assert theorem_j_mean(pmfs, means, 1) == pytest.approx(2 * 0.05 / 3)
-
-
-def test_theorem_j_against_simulation():
-    pmfs, means = ternary_inputs(3)
-    target = theorem_j_mean(pmfs, means, 3)
-    rng = np.random.Generator(np.random.Philox(17))
-    tot, reps = 0.0, 3000
-    for _ in range(reps):
-        pops = simulate_general(pmfs, means, 2, 3, rng)
-        tot += pops[-1].mean()
-    assert tot / reps == pytest.approx(target, abs=0.004)
-
-
-def test_theorem_k_dominates_general_mean():
-    # mean increments bounded by mu0 with arity at most L0 stay under
-    # n L0 mu0 / S0
-    pmfs = [{1: 0.5, 3: 0.5}] * 4
-    means = [{1: (0.01,), 3: (0.02, 0.0, 0.01)}] * 4
-    got = theorem_j_mean(pmfs, means, 4)
-    assert got <= theorem_k_bound(4, 0.02, 3, 1) + 1e-15
-
-
-def test_simulate_general_trajectory_shape():
-    pmfs, means = ternary_inputs(2)
-    rng = np.random.Generator(np.random.Philox(9))
-    pops = simulate_general(pmfs, means, 2, 2, rng)
-    assert [p.gen for p in pops] == [0, 1, 2]
-    assert pops[0].size == 2
-    assert pops[-1].size == 2 * 3**2
 
 
 @pytest.mark.parametrize("law,final,batch_sha,t_mean", [
