@@ -103,6 +103,9 @@ def parse_config(raw: dict) -> RunConfig:
         if cfg.population_cap > MAX_POPULATION_CAP:
             raise ConfigError(f"config field 'population_cap' must be at most "
                               f"{MAX_POPULATION_CAP}, got {cfg.population_cap}")
+        if cfg.s0 is not None and cfg.population_cap < cfg.s0:
+            raise ConfigError(f"config field 'population_cap' must be at least s0 = "
+                              f"{cfg.s0}, got {cfg.population_cap}")
     if "z" in raw:
         cfg.z = _float_field(raw["z"], "z")
 

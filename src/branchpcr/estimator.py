@@ -195,38 +195,6 @@ def poisson_interval(
 
 
 @dataclass(frozen=True)
-class SampleSizeGuidance:
-    """Initial copy numbers that make the finite-size correction ignorable."""
-
-    target: float
-    lambda_min: float
-    sum_lambda: float
-    S0_crude: int      # from S0 n lambda_min >= 2 / target
-    S0_refined: int    # from S0 sum(lambda) >= 2 / target
-
-
-def sample_size_guidance(
-    seqs: DerivedSequences, n: int, target: float = 0.01
-) -> SampleSizeGuidance:
-    """Smallest S0 keeping the relative correction at or below ``target``."""
-    _check_n(seqs, n)
-    if not 0.0 < target < 1.0:
-        raise ValueError("target relative error must be in (0, 1)")
-    lam = seqs.lam[:n]
-    lam_min = min(lam)
-    sum_lam = math.fsum(lam)
-    crude = math.inf if lam_min == 0.0 else math.ceil(2.0 / (target * n * lam_min))
-    refined = math.inf if sum_lam == 0.0 else math.ceil(2.0 / (target * sum_lam))
-    return SampleSizeGuidance(
-        target=target,
-        lambda_min=lam_min,
-        sum_lambda=sum_lam,
-        S0_crude=crude,
-        S0_refined=refined,
-    )
-
-
-@dataclass(frozen=True)
 class EstimateReport:
     """Everything the command-line estimate prints."""
 

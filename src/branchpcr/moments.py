@@ -14,10 +14,10 @@ step per cycle, reports the mass it left out, and refuses a size support
 past 2,000,000 sizes.
 
 The sample variance of an ell-sample adds a remainder R_n (the variance of
-the conditional mean). R_n is bounded by iterating the one-step recursion
-with per-cycle coefficient bounds and harmonic-moment contractions; the
-iteration telescopes to the closed-form u/u'/u'' sums, which is asserted by
-tests. The exact dynamic program is the reference the envelopes are tested
+the conditional mean). R_n is bounded by the closed-form u/u'/u'' sums that
+the one-step recursion (per-cycle coefficient bounds, harmonic-moment
+contractions) telescopes to; tests step the recursion and check the sums.
+The exact dynamic program is the reference the envelopes are tested
 against; enumeration in the simulator module provides a second, independent
 reference.
 """
@@ -216,7 +216,7 @@ def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.nda
     """
     import numpy as np
 
-    from .harmonic import _EPS, _QUAD_BUDGET, _gauss_kronrod
+    from .harmonic import _EPS, _gauss_kronrod
 
     if S0 < 1:
         raise ValueError("initial population must be at least 1")
@@ -259,8 +259,7 @@ def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.nda
         gp = (1.0 - lr) + 2.0 * lr * (1.0 - w)
         return rate[rows][:, None] * np.exp(S0 * logx) / (gp * gp)
 
-    sums, err = _gauss_kronrod(integrand, a, b, 0.0, _QUAD_BUDGET,
-                               group=np.array(cyc), rtol=_PGF_RTOL)
+    sums, err = _gauss_kronrod(integrand, a, b, 0.0, group=np.array(cyc), rtol=_PGF_RTOL)
     A_seq[: len(sums)] = sums
     Vn = math.fsum(A_seq.tolist())
     return A_seq, Vn, err + _EPS * Vn
@@ -357,48 +356,6 @@ def _uniform_V(S0: int) -> float:
     return 1.5 if S0 == 1 else 1.0 / (S0 - 1)
 
 
-@dataclass(frozen=True)
-class FirstMomentEnvelope:
-    Et_lo: float
-    Et_hi: float
-    TV_hi: float
-    Vn_lo: float
-    Vn_hi: float
-
-
-def first_moment_envelope(
-    seqs: DerivedSequences,
-    law: MutationLaw,
-    S0: int,
-    n: int,
-) -> FirstMomentEnvelope:
-    """Bracket E[M(zeta_n)] and the total-variation distance to the limit law.
-
-    The correction sum V_n is bracketed by every certified route (the three
-    schedule-specific sums with their initial-size prefactors, plus the
-    uniform constant); the smallest upper bound wins. The same minimum bounds
-    the total-variation distance.
-    """
-    if S0 < 1:
-        raise ValueError("initial population must be at least 1")
-    v = float(seqs.v[n])
-    vp = float(seqs.vp[n])
-    vpp = float(seqs.vpp[n])
-    cands = [vpp / (S0 + 1), vp / S0, _uniform_V(S0)]
-    if S0 >= 2:
-        cands.append(v / (S0 - 1))
-    Vn_hi = min(cands)
-    Vn_lo = v / (S0 + 1)
-    W = float(seqs.W[n])
-    return FirstMomentEnvelope(
-        Et_lo=law.mu * (W - Vn_hi),
-        Et_hi=law.mu * (W - Vn_lo),
-        TV_hi=Vn_hi,
-        Vn_lo=Vn_lo,
-        Vn_hi=Vn_hi,
-    )
-
-
 def rn_upper_bound(seqs: DerivedSequences, law: MutationLaw, S0: int, n: int) -> float:
     """Smallest certified upper bound on the remainder R_n."""
     if S0 < 1:
@@ -419,95 +376,36 @@ def rn_upper_bound(seqs: DerivedSequences, law: MutationLaw, S0: int, n: int) ->
     return min(cands)
 
 
-@dataclass(frozen=True)
-class VarianceEnvelope:
-    Vt_lo: float
-    Vt_hi: float
-    Rn_hi: float
-
-
-def variance_envelope(
-    seqs: DerivedSequences,
-    law: MutationLaw,
-    S0: int,
-    n: int,
-    ell: int,
-) -> VarianceEnvelope:
-    """Bracket V(t) for an ell-sample mean.
-
-    For ell >= 3 the sample variance sits above its infinite-population value
-    and below it plus the remainder bound. A single draw sits below instead.
-    ell = 2 can fall on either side, so it gets the union of both brackets.
-    """
-    if ell < 1:
-        raise ValueError("sample size must be at least 1")
-    _, Vt_star = infinite_population_moments(seqs, law, n, ell)
-    Rn_hi = rn_upper_bound(seqs, law, S0, n)
-    slack_lo = (law.nu + law.mu**2) * _uniform_V(S0)
-    if ell >= 3:
-        lo, hi = Vt_star, Vt_star + (1.0 - 1.0 / ell) * Rn_hi
-    elif ell == 1:
-        lo, hi = Vt_star - slack_lo, Vt_star
-    else:
-        lo, hi = Vt_star - slack_lo, Vt_star + (1.0 - 1.0 / ell) * Rn_hi
-    return VarianceEnvelope(Vt_lo=max(lo, 0.0), Vt_hi=hi, Rn_hi=Rn_hi)
-
-
-def Rn_recursion_bound(
-    seqs: DerivedSequences, law: MutationLaw, S0: int, n: int
-) -> np.ndarray:
-    """Upper bounds on R_0..R_n by stepping the one-step recursion.
-
-    Each step adds the per-cycle coefficient bounds weighted by harmonic
-    moments of the size, and contracts a running bound on the shifted
-    second-moment functional. The final entry telescopes to the closed-form
-    u/u'/u'' sums of the matching variant, which tests pin to 1e-12.
-    """
-    import numpy as np
-
-    if S0 < 1:
-        raise ValueError("initial population must be at least 1")
-    nu, mu2 = law.nu, law.mu**2
-    lam, alpha = seqs.lam, seqs.alpha
-    R = np.zeros(n + 1)
-    if S0 >= 2:
-        pref = 1.0 / (S0 - 1)
-        g = 0.0
-        for k in range(1, n + 1):
-            L, a = lam[k - 1], alpha[k - 1]
-            gam_prev = float(seqs.gamma[k - 1])
-            R[k] = (R[k - 1]
-                    + nu * a * (1.0 - a) * gam_prev * pref
-                    + mu2 * L * gam_prev * pref
-                    + L * (1.0 - L) * g)
-            g = g / (1.0 + L) + a * gam_prev * (nu + mu2) * pref
-    else:
-        g2, g3 = seqs.gamma_i[2], seqs.gamma_i[3]
-        h = 0.0
-        for k in range(1, n + 1):
-            L, a = lam[k - 1], alpha[k - 1]
-            R[k] = (R[k - 1]
-                    + nu * a * (1.0 - a) * float(g2[k - 1]) / S0
-                    + mu2 * L * float(g3[k - 1]) / (S0 + 1)
-                    + L * (1.0 - L) * h)
-            h = (1.0 - L / 2.0) * h + a * float(g2[k - 1]) * (nu + mu2) / S0
-    return R
-
-
 def moment_envelope(
     seqs: DerivedSequences, law: MutationLaw, S0: int, n: int, ell: int
 ) -> MomentEnvelope:
-    """Assemble the full envelope record for one instance."""
+    """Every envelope for one instance.
+
+    The upper bound on V_n is the least of its certified routes (the three
+    schedule sums with their initial-size prefactors, and the uniform
+    constant); it also bounds the total-variation distance to the limit law.
+    V(t) sits above its infinite-population value and below it plus the
+    remainder bound for ell >= 3, below it for a single draw, and on either
+    side for ell = 2, which gets the union of both brackets.
+    """
     Et_star, Vt_star = infinite_population_moments(seqs, law, n, ell)
-    fme = first_moment_envelope(seqs, law, S0, n)
-    ve = variance_envelope(seqs, law, S0, n, ell)
+    Rn_hi = rn_upper_bound(seqs, law, S0, n)
+    v = float(seqs.v[n])
+    cands = [float(seqs.vpp[n]) / (S0 + 1), float(seqs.vp[n]) / S0, _uniform_V(S0)]
+    if S0 >= 2:
+        cands.append(v / (S0 - 1))
+    Vn_hi = min(cands)
+    Vn_lo = v / (S0 + 1)
+    W = float(seqs.W[n])
+    Vt_lo = Vt_star if ell >= 3 else Vt_star - law.second_moment * _uniform_V(S0)
+    Vt_hi = Vt_star if ell == 1 else Vt_star + (1.0 - 1.0 / ell) * Rn_hi
     return MomentEnvelope(
         n=n, S0=S0, ell=ell,
         Et_star=Et_star, Vt_star=Vt_star,
-        Et_lo=fme.Et_lo, Et_hi=fme.Et_hi,
-        Vt_lo=ve.Vt_lo, Vt_hi=ve.Vt_hi,
-        TV_hi=fme.TV_hi,
-        Rn_hi=ve.Rn_hi,
-        Zn_hi=law.second_moment * fme.Vn_hi,
-        Vn_lo=fme.Vn_lo, Vn_hi=fme.Vn_hi,
+        Et_lo=law.mu * (W - Vn_hi), Et_hi=law.mu * (W - Vn_lo),
+        Vt_lo=max(Vt_lo, 0.0), Vt_hi=Vt_hi,
+        TV_hi=Vn_hi,
+        Rn_hi=Rn_hi,
+        Zn_hi=law.second_moment * Vn_hi,
+        Vn_lo=Vn_lo, Vn_hi=Vn_hi,
     )

@@ -131,6 +131,8 @@ def simulate(
     """
     if n < 0:
         raise ValueError("cycle count must be nonnegative")
+    if population_cap < spec.S0:
+        raise ValueError(f"population cap {population_cap} is below the initial size {spec.S0}")
     lam_at = spec.sched.efficiency(spec.S0, n)
     scale, pmf = _increments(spec.law)
     fixed, two_point = len(pmf) == 1, not spec.law.poisson
@@ -237,6 +239,8 @@ def _check_run(spec: ProcessSpec, n: int, replicates: int, population_cap: int) 
     if max(spec.S0, population_cap) > MAX_POPULATION_CAP:
         raise ValueError(f"initial size and population cap must not exceed "
                          f"{MAX_POPULATION_CAP}, the engine's 64-bit limit")
+    if population_cap < spec.S0:
+        raise ValueError(f"population cap {population_cap} is below the initial size {spec.S0}")
 
 
 def _run_chunk(

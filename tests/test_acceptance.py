@@ -16,11 +16,9 @@ from branchpcr.kinetics import MMParams, w_bounds
 from branchpcr.moments import (
     exact_Vn_Vpn,
     exact_sample_moments,
-    first_moment_envelope,
     moment_envelope,
     poisson_law,
     size_law,
-    variance_envelope,
 )
 from branchpcr.schedule import build_schedule, derived_sequences
 from branchpcr.simulator import (
@@ -149,8 +147,7 @@ def test_acceptance_5_exact_oracles_agree():
                     a, b = getattr(tiny, f), getattr(dp, f)
                     if abs(a - b) >= 1e-10:
                         failures.append(f"{f} S0={S0} lam={lam} n={n}: {a} vs {b}")
-                fme = first_moment_envelope(seqs, law, S0, n)
-                ve = variance_envelope(seqs, law, S0, n, 1)
+                fme = ve = moment_envelope(seqs, law, S0, n, 1)
                 if not (fme.Et_lo - 1e-12 <= tiny.Et <= fme.Et_hi + 1e-12):
                     failures.append(f"Et outside envelope S0={S0} lam={lam} n={n}")
                 if not (ve.Vt_lo - 1e-12 <= tiny.Vt <= ve.Vt_hi + 1e-12):
@@ -172,8 +169,7 @@ def test_acceptance_6_monte_carlo_envelopes():
     law = poisson_law(0.05)
     spec = ProcessSpec(sched, law, S0)
     mc = monte_carlo_moments(spec, n, ell, replicates=100_000, seed=606, threads=4)
-    fme = first_moment_envelope(seqs, law, S0, n)
-    ve = variance_envelope(seqs, law, S0, n, ell)
+    fme = ve = moment_envelope(seqs, law, S0, n, ell)
     failures = []
     if not (fme.Et_lo - 4 * mc.t_se <= mc.t_mean <= fme.Et_hi + 4 * mc.t_se):
         failures.append(

@@ -308,6 +308,14 @@ def test_simulate_population_cap(tmp_path):
     assert "population cap exceeded" in proc.stderr
 
 
+def test_population_cap_below_s0_is_a_config_error(tmp_path):
+    # it used to simulate one cycle and exit 4 with "population reached 2 at cycle 1"
+    cfg = sim_config(tmp_path, n=3, population_cap=1, schedule={"lambdas": [0.5] * 3})
+    for command in ("simulate", "bounds"):
+        code, out, err = run_main([command, "--config", cfg])
+        assert (code, out) == (2, ""), err
+        assert err.startswith("config error: config field 'population_cap' must be at least s0 = 2")
+
 def test_simulate_population_cap_config_field(tmp_path):
     cfg = write_config(tmp_path, {
         "s0": 1, "n": 28,

@@ -1,4 +1,4 @@
-"""Point estimate, brackets, intervals, and design guidance."""
+"""Point estimate, brackets, intervals, and the negligibility rule."""
 
 import math
 
@@ -15,7 +15,6 @@ from branchpcr.estimator import (
     negligibility,
     point_estimate,
     poisson_interval,
-    sample_size_guidance,
 )
 from branchpcr.moments import exact_Vn_Vpn, moment_envelope, poisson_law
 from branchpcr.schedule import build_schedule, derived_sequences
@@ -77,20 +76,8 @@ def test_reference_negligibility():
     assert rep.negligible
 
 
-def test_reference_sample_size_guidance():
-    g = sample_size_guidance(ref_seqs(), 30, target=0.01)
-    assert g.S0_crude == 46
-    assert g.S0_refined == 10
-    assert g.S0_refined == math.ceil(2.0 / (0.01 * sum(REF_LAMBDAS)))
-    with pytest.raises(ValueError):
-        sample_size_guidance(ref_seqs(), 30, target=0.0)
-
-
 def test_zero_efficiency_guidance():
     seqs = seqs_for([0.0, 0.5])
-    g = sample_size_guidance(seqs, 2)
-    assert math.isinf(g.S0_crude)
-    assert np.isfinite(g.S0_refined)
     rep = negligibility(seqs, 10, 2)
     assert math.isinf(rep.relative_error) or rep.relative_error > 0.01
     assert not rep.negligible

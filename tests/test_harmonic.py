@@ -190,24 +190,24 @@ def test_quadrature_error_estimate_bounds_actual_error():
             def integrand(t):
                 return ((1.0 - lam) * t + lam * t * t) ** k / ((1.0 - lam) + 2.0 * lam * t) ** 2
 
-            value, err = harmonic._gauss_kronrod(integrand, 0.0, 1.0, harmonic._QUAD_TOL,
-                                                 harmonic._QUAD_BUDGET)
+            value, err = harmonic._gauss_kronrod(integrand, 0.0, 1.0, harmonic._QUAD_TOL)
             exact = _exact_integral(k, lam)
             assert err <= harmonic._QUAD_TOL
             assert abs(value - exact) <= err + 4 * np.finfo(float).eps * exact, (k, lam)
 
 
-def test_quadrature_budget():
+def test_quadrature_budget(monkeypatch):
     def kink(t):
         return np.abs(t - 1.0 / 3.0)
 
-    value, err = harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12, 10**5)
+    monkeypatch.setattr(harmonic, "_QUAD_BUDGET", 10**5)
+    value, err = harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12)
     assert abs(value - 5.0 / 18.0) <= err + 1e-15
     # the first pass takes 16 pieces of 15 evaluations each
-    with pytest.raises(RuntimeError):
-        harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12, 10)     # not even one pass
-    with pytest.raises(RuntimeError):
-        harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12, 100)    # not even one pass
+    for budget in (10, 100):                                    # not even one pass
+        monkeypatch.setattr(harmonic, "_QUAD_BUDGET", budget)
+        with pytest.raises(RuntimeError, match=f"exceeded {budget} evaluations"):
+            harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12)
     # a budget that admits the first pass and a few splits, not convergence
     evals = []
 
@@ -215,8 +215,9 @@ def test_quadrature_budget():
         evals.append(t.size)
         return kink(t)
 
+    monkeypatch.setattr(harmonic, "_QUAD_BUDGET", 400)
     with pytest.raises(RuntimeError):
-        harmonic._gauss_kronrod(counted, 0.0, 1.0, 1e-12, 400)
+        harmonic._gauss_kronrod(counted, 0.0, 1.0, 1e-12)
     assert evals[0] == 240 and len(evals) > 2 and sum(evals) <= 400
 
 
@@ -235,7 +236,7 @@ def test_gauss_kronrod_off_the_unit_interval(a, b, c):
     cases = ((poly, (b - a) / 23.0),
              (kink, math.copysign(((c - a) ** 2 + (b - c) ** 2) / 2.0, b - a)))
     for g, exact in cases:
-        value, err = harmonic._gauss_kronrod(g, a, b, 1e-12, 10**5)
+        value, err = harmonic._gauss_kronrod(g, a, b, 1e-12)
         assert err <= 1e-12
         assert abs(value - exact) <= err + 4 * np.finfo(float).eps * abs(exact), (g, value)
 
@@ -257,7 +258,7 @@ def test_gauss_kronrod_groups():
         return np.where(r == 0, x * x + np.abs(x - 1.7),
                         np.where(r == 2, np.abs(x - 1.0 / 3.0), np.exp(-x)))
 
-    sums, err = harmonic._gauss_kronrod(g, a, b, 0.0, 10**5, group=group, rtol=1e-13)
+    sums, err = harmonic._gauss_kronrod(g, a, b, 0.0, group=group, rtol=1e-13)
     want = np.array([9.0 + (1.7**2 + 1.3**2) / 2.0, 0.0, -5.0 / 18.0, -math.expm1(-16.0)])
     assert passes[0] == 6 * 16 and len(passes) > 2     # the kink takes splits
     assert sums.shape == (4,) and sums[1] == 0.0
@@ -267,9 +268,9 @@ def test_gauss_kronrod_groups():
     def kink(x, *rows):
         return np.abs(x - 1.0 / 3.0)
 
-    one = harmonic._gauss_kronrod(kink, np.array([1.0]), np.array([0.0]), 1e-12, 10**5,
+    one = harmonic._gauss_kronrod(kink, np.array([1.0]), np.array([0.0]), 1e-12,
                                   group=np.array([0]))
-    assert (one[0][0], one[1]) == harmonic._gauss_kronrod(kink, 1.0, 0.0, 1e-12, 10**5)
+    assert (one[0][0], one[1]) == harmonic._gauss_kronrod(kink, 1.0, 0.0, 1e-12)
 
 
 def test_gauss_kronrod_rule_exactness():

@@ -129,12 +129,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # each kept for a stated reason; wiring one in or deleting it shortens the list
 UNCALLED_KEPT = {
     "correction_ratio_report": "acceptance 2's correction-ratio constants",
-    "sample_size_guidance": "ROADMAP item 8: replace it by the exact bias or wire it into bounds",
     "B_family": "test reference: the scalar front of the B rows the suite reduces",
     "H_y": "test reference: the scalar front of C_family's Hy",
     "taylor_sandwich": "test reference: the scalar row of the suite's Taylor sandwich",
     "exact_w_mean": "ROADMAP item 5: the exact E[w_n] column of mm",
-    "Rn_recursion_bound": "test reference: the recursion that telescopes to rn_upper_bound",
     "simulate_batch": "ROADMAP item 1: the engine the benchmark's mm operation moves to",
 }
 

@@ -14,17 +14,14 @@ from branchpcr._pmf import binom_row
 from branchpcr.moments import (
     MutationLaw,
     _pgf_corrections,
-    Rn_recursion_bound,
     exact_Vn_Vpn,
     exact_sample_moments,
-    first_moment_envelope,
     infinite_population_moments,
     moment_envelope,
     poisson_law,
     rn_upper_bound,
     size_law,
     size_laws,
-    variance_envelope,
 )
 from branchpcr.schedule import build_schedule, derived_sequences, mm_lambda
 from branchpcr.simulator import enumerate_tiny
@@ -260,8 +257,8 @@ def test_exact_Vn_reference_schedule(S0, want, digits):
     seqs = seqs_for(REF_LAMBDAS)
     A_seq, Vn, _ = exact_Vn_Vpn(build_schedule(REF_LAMBDAS), S0, 30)
     assert abs(Vn - want) <= 0.5 * 10.0**-digits
-    fme = first_moment_envelope(seqs, poisson_law(0.05), S0, 30)
-    assert fme.Vn_lo <= Vn <= fme.Vn_hi
+    env = moment_envelope(seqs, poisson_law(0.05), S0, 30, 1)
+    assert env.Vn_lo <= Vn <= env.Vn_hi
     assert_per_cycle_sandwich(A_seq, seqs, S0, 1e-12, 0.0)
 
 
@@ -281,8 +278,8 @@ def test_exact_Vn_within_envelope_at_scale(instance):
     seqs = seqs_for(lams)
     A_seq, Vn, err = _pgf_corrections(build_schedule(lams), S0, n)
     assert err <= 1e-13 * Vn
-    fme = first_moment_envelope(seqs, poisson_law(0.05), S0, n)
-    assert fme.Vn_lo * (1 - 1e-12) <= Vn <= fme.Vn_hi * (1 + 1e-12)
+    env = moment_envelope(seqs, poisson_law(0.05), S0, n, 1)
+    assert env.Vn_lo * (1 - 1e-12) <= Vn <= env.Vn_hi * (1 + 1e-12)
     assert_per_cycle_sandwich(A_seq, seqs, S0, 1e-12, 0.0)
 
 
@@ -577,6 +574,113 @@ def test_size_programs_keep_their_bits():
     assert w.hex() == "0x1.b9d6fe6c1ff2dp+2"
 
 
+_ENVELOPE_BITS = {
+    ("ref", "poisson", 1): (
+        "0x1.355dc46982648p-1 0x1.32bcc0b25e5bdp-1 0x1.34e61443b7507p-1 0x1.a4a252768564ep-4 "
+        "0x1.7e20d5b748182p-5 0x1.6155268c84880p-8 0x1.2b385e7bb22a6p-6 0x1.a4a252768564ep-4",
+        "0x1.3e0357700730ap-1 0x1.15b16beae8785p-1 0x1.3e0357700730ap-1",
+        "0x1.3e0357700730ap-2 0x1.dabf00cb937ffp-3 0x1.55e564cb7bb22p-2",
+        "0x1.a80474955eeb8p-3 0x1.a80474955eeb8p-3 0x1.e7b49833eaef8p-3",
+    ),
+    ("ref", "poisson", 2): (
+        "0x1.355dc46982648p-1 0x1.346e641dec3c5p-1 0x1.350df9a5a5ac7p-1 0x1.2b385e7bb22a6p-5 "
+        "0x1.885dc349463f0p-6 0x1.f6b09ebb54474p-10 0x1.8ef5d34f98388p-7 0x1.2b385e7bb22a6p-5",
+        "0x1.3e0357700730ap-1 0x1.23220fc1f2b5cp-1 0x1.3e0357700730ap-1",
+        "0x1.3e0357700730ap-2 0x1.0840c813de3aep-2 0x1.4a46458a5162ap-2",
+        "0x1.a80474955eeb8p-3 0x1.a80474955eeb8p-3 0x1.c8b6ef8624c61p-3",
+    ),
+    ("ref", "poisson", 10): (
+        "0x1.355dc46982648p-1 0x1.35432b7d8e272p-1 0x1.35480179e91b0p-1 0x1.09f9378a657b0p-8 "
+        "0x1.402df82d57300p-8 0x1.bed5e26da03f5p-13 0x1.b33ab7f9bd54fp-9 0x1.09f9378a657b0p-8",
+        "0x1.3e0357700730ap-1 0x1.3b06c1403dcdap-1 0x1.3e0357700730ap-1",
+        "0x1.3e0357700730ap-2 0x1.380a2b10746aap-2 0x1.4083b36061df0p-2",
+        "0x1.a80474955eeb8p-3 0x1.a80474955eeb8p-3 0x1.aeb0146ba611dp-3",
+    ),
+    ("ref", "twopoint", 1): (
+        "0x1.355dc46982648p+0 0x1.32bcc0b25e5bdp+0 0x1.34e61443b7507p+0 0x1.a4a252768564ep-4 "
+        "0x1.a5ea3b7e24808p-5 0x1.5081db920450cp-8 0x1.2b385e7bb22a6p-6 0x1.a4a252768564ep-4",
+        "0x1.1a1482d4e1e73p-1 0x1.e75c38dcf7019p-2 0x1.1a1482d4e1e73p-1",
+        "0x1.1a1482d4e1e73p-2 0x1.9a8f6c102a34cp-3 0x1.3473268cc42f4p-2",
+        "0x1.781b591bd7defp-3 0x1.781b591bd7defp-3 0x1.be6d0db0ddf46p-3",
+    ),
+    ("ref", "twopoint", 2): (
+        "0x1.355dc46982648p+0 0x1.346e641dec3c5p+0 0x1.350df9a5a5ac7p+0 0x1.2b385e7bb22a6p-5 "
+        "0x1.ceddf1c61d1c0p-6 0x1.dec0972c5043dp-10 0x1.8ef5d34f98388p-7 0x1.2b385e7bb22a6p-5",
+        "0x1.1a1482d4e1e73p-1 0x1.007ae93b484d9p-1 0x1.1a1482d4e1e73p-1",
+        "0x1.1a1482d4e1e73p-2 0x1.cdc29f435d680p-3 0x1.288b726312d01p-2",
+        "0x1.781b591bd7defp-3 0x1.781b591bd7defp-3 0x1.9eadd7ec5a4bfp-3",
+    ),
+    ("ref", "twopoint", 10): (
+        "0x1.355dc46982648p+0 0x1.35432b7d8e272p+0 0x1.35480179e91b0p+0 0x1.09f9378a657b0p-8 "
+        "0x1.7b27abe73da60p-8 0x1.a98ebf43d591ap-13 0x1.b33ab7f9bd54fp-9 0x1.09f9378a657b0p-8",
+        "0x1.1a1482d4e1e73p-1 0x1.173c555209b9bp-1 0x1.1a1482d4e1e73p-1",
+        "0x1.1a1482d4e1e73p-2 0x1.146427cf318c3p-2 0x1.1d0ad22cb0628p-2",
+        "0x1.781b591bd7defp-3 0x1.781b591bd7defp-3 0x1.80018205fe7d1p-3",
+    ),
+    ("edge", "poisson", 1): (
+        "0x1.4054054054054p-4 0x1.2612612612613p-4 0x1.357afac767cadp-4 0x1.0690690690690p-3 "
+        "0x1.29214dde0b176p-5 0x1.b91b91b91b91cp-8 0x1.b1e9a2e4e9219p-5 0x1.0690690690690p-3",
+        "0x1.498aa08a86b05p-4 0x1.bed118643b6c0p-10 0x1.498aa08a86b05p-4",
+        "0x1.498aa08a86b05p-5 0x0.0p+0 0x1.de1b47798c3c0p-5",
+        "0x1.b76380b8b395cp-6 0x1.b76380b8b395cp-6 0x1.a1c7f445b6852p-5",
+    ),
+    ("edge", "poisson", 2): (
+        "0x1.4054054054054p-4 0x1.2ed2ed2ed2ed3p-4 0x1.3918a8efb6890p-4 0x1.5e15e15e15e15p-4 "
+        "0x1.2ff4ee4b451e3p-6 0x1.2612612612612p-8 0x1.21466c989b6bbp-5 0x1.5e15e15e15e15p-4",
+        "0x1.498aa08a86b05p-4 0x1.ca018c678b650p-6 0x1.498aa08a86b05p-4",
+        "0x1.498aa08a86b05p-5 0x0.0p+0 0x1.9587dc1d57f7ep-5",
+        "0x1.b76380b8b395cp-6 0x1.b76380b8b395cp-6 0x1.410365201b7fap-5",
+    ),
+    ("edge", "poisson", 10): (
+        "0x1.4054054054054p-4 0x1.3deae67aca313p-4 0x1.3e5b1a9eb4b4dp-4 0x1.81b33b76248fap-7 "
+        "0x1.f637e4a9d50d0p-9 0x1.43fcf481f5c06p-11 0x1.3b92a5039246fp-7 0x1.81b33b76248fap-7",
+        "0x1.498aa08a86b05p-4 0x1.31a5ef0c3b987p-4 0x1.498aa08a86b05p-4",
+        "0x1.498aa08a86b05p-5 0x1.19c13d8df0808p-5 0x1.593c5fafd558cp-5",
+        "0x1.b76380b8b395cp-6 0x1.b76380b8b395cp-6 0x1.e13d7e718556dp-6",
+    ),
+    ("edge", "twopoint", 1): (
+        "0x1.4054054054054p-3 0x1.2612612612613p-3 0x1.357afac767cadp-3 0x1.0690690690690p-3 "
+        "0x1.36b1de1eab90fp-5 0x1.a41a41a41a41ap-8 0x1.b1e9a2e4e9219p-5 0x1.0690690690690p-3",
+        "0x1.251da48f744a0p-4 0x0.0p+0 0x1.251da48f744a0p-4",
+        "0x1.251da48f744a0p-5 0x0.0p+0 0x1.c076939eca128p-5",
+        "0x1.86d230bf45b80p-6 0x1.86d230bf45b80p-6 0x1.928a571ebfe75p-5",
+    ),
+    ("edge", "twopoint", 2): (
+        "0x1.4054054054054p-3 0x1.2ed2ed2ed2ed3p-3 0x1.3918a8efb6890p-3 0x1.5e15e15e15e15p-4 "
+        "0x1.52005fd393ac4p-6 0x1.1811811811811p-8 0x1.21466c989b6bbp-5 0x1.5e15e15e15e15p-4",
+        "0x1.251da48f744a0p-4 0x1.61435f0a9df4cp-6 0x1.251da48f744a0p-4",
+        "0x1.251da48f744a0p-5 0x0.0p+0 0x1.799dbc8459351p-5",
+        "0x1.86d230bf45b80p-6 0x1.86d230bf45b80p-6 0x1.3413e2fb7ec02p-5",
+    ),
+    ("edge", "twopoint", 10): (
+        "0x1.4054054054054p-3 0x1.3deae67aca313p-3 0x1.3e5b1a9eb4b4dp-3 0x1.81b33b76248fap-7 "
+        "0x1.2a5090e7cc68ap-8 0x1.348f62c4ea0c8p-11 0x1.3b92a5039246fp-7 0x1.81b33b76248fap-7",
+        "0x1.251da48f744a0p-4 0x1.0e5c3878b2ddfp-4 0x1.251da48f744a0p-4",
+        "0x1.251da48f744a0p-5 0x1.ef3598c3e2e3ap-6 0x1.37c2ad9df1109p-5",
+        "0x1.86d230bf45b80p-6 0x1.86d230bf45b80p-6 0x1.b88a48e5e7c97p-6",
+    ),
+}
+
+
+def test_moment_envelope_keeps_its_bits():
+    # float.hex of every MomentEnvelope field on a small grid: per (schedule,
+    # law, S0) the eight fields that do not depend on ell, then (Vt_star,
+    # Vt_lo, Vt_hi) at ell = 1, 2, 3
+    scheds = {"ref": REF_LAMBDAS, "edge": [0.5, 0.0, 1.0, 0.3, 1.0, 0.0]}
+    laws = {"poisson": poisson_law(0.05), "twopoint": MutationLaw(mu=0.1, nu=0.04)}
+    for (sched, law, S0), (shared, *per_ell) in _ENVELOPE_BITS.items():
+        n = len(scheds[sched])
+        seqs = seqs_for(scheds[sched])
+        for ell, want in zip((1, 2, 3), per_ell):
+            env = moment_envelope(seqs, laws[law], S0, n, ell)
+            assert (env.n, env.S0, env.ell) == (n, S0, ell)
+            assert " ".join(x.hex() for x in (
+                env.Et_star, env.Et_lo, env.Et_hi, env.TV_hi,
+                env.Rn_hi, env.Zn_hi, env.Vn_lo, env.Vn_hi)) == shared, (sched, law, S0)
+            assert " ".join(x.hex() for x in (env.Vt_star, env.Vt_lo, env.Vt_hi)) == want, (
+                sched, law, S0, ell)
+
+
 def test_size_support_reaches_the_mean():
     # the largest carried size is at least E[S_k] = S0 prod(1 + lambda), so
     # a fixed schedule whose mean passes the cap is refused only where the
@@ -605,22 +709,22 @@ def test_reference_analysis_refused_up_front():
 
 def test_first_moment_envelope_zero_mean():
     seqs = seqs_for([0.5] * 4)
-    fme = first_moment_envelope(seqs, poisson_law(0.0), 2, 4)
-    assert fme.Et_lo == 0.0 and fme.Et_hi == 0.0
+    env = moment_envelope(seqs, poisson_law(0.0), 2, 4, 1)
+    assert env.Et_lo == 0.0 and env.Et_hi == 0.0
 
 
 def test_first_moment_envelope_candidates():
     lams = [0.4, 0.8, 0.6]
     seqs = seqs_for(lams)
     for S0 in (1, 2, 5):
-        fme = first_moment_envelope(seqs, poisson_law(0.1), S0, 3)
+        env = moment_envelope(seqs, poisson_law(0.1), S0, 3, 1)
         cands = [seqs.vpp[3] / (S0 + 1), seqs.vp[3] / S0,
                  1.5 if S0 == 1 else 1.0 / (S0 - 1)]
         if S0 >= 2:
             cands.append(seqs.v[3] / (S0 - 1))
-        assert fme.Vn_hi == pytest.approx(min(cands), rel=1e-14)
-        assert fme.TV_hi == fme.Vn_hi
-        assert fme.Vn_lo == pytest.approx(seqs.v[3] / (S0 + 1), rel=1e-14)
+        assert env.Vn_hi == pytest.approx(min(cands), rel=1e-14)
+        assert env.TV_hi == env.Vn_hi
+        assert env.Vn_lo == pytest.approx(seqs.v[3] / (S0 + 1), rel=1e-14)
 
 
 @pytest.mark.parametrize("S0,n,ell", [(2, 6, 3), (1, 5, 1), (3, 6, 2), (2, 6, 10)])
@@ -630,13 +734,12 @@ def test_envelopes_contain_exact_values(S0, n, ell):
     seqs = seqs_for(lams)
     law = poisson_law(0.08)
     dp = exact_sample_moments(sched, law, S0, n, ell)
-    fme = first_moment_envelope(seqs, law, S0, n)
-    ve = variance_envelope(seqs, law, S0, n, ell)
-    assert fme.Et_lo - 1e-12 <= dp.Et <= fme.Et_hi + 1e-12
-    assert ve.Vt_lo - 1e-12 <= dp.Vt <= ve.Vt_hi + 1e-12
-    assert dp.Rn <= ve.Rn_hi + 1e-12
+    env = moment_envelope(seqs, law, S0, n, ell)
+    assert env.Et_lo - 1e-12 <= dp.Et <= env.Et_hi + 1e-12
+    assert env.Vt_lo - 1e-12 <= dp.Vt <= env.Vt_hi + 1e-12
+    assert dp.Rn <= env.Rn_hi + 1e-12
     _, Vn, _ = exact_Vn_Vpn(sched, S0, n)
-    assert fme.Vn_lo - 1e-12 <= Vn <= fme.Vn_hi + 1e-12
+    assert env.Vn_lo - 1e-12 <= Vn <= env.Vn_hi + 1e-12
 
 
 @pytest.mark.parametrize("lams", [
@@ -684,9 +787,9 @@ def test_sample_mean_orderings():
 def test_variance_envelope_branches():
     seqs = seqs_for([0.5] * 6)
     law = poisson_law(0.08)
-    v1 = variance_envelope(seqs, law, 2, 6, 1)
-    v2 = variance_envelope(seqs, law, 2, 6, 2)
-    v3 = variance_envelope(seqs, law, 2, 6, 3)
+    v1 = moment_envelope(seqs, law, 2, 6, 1)
+    v2 = moment_envelope(seqs, law, 2, 6, 2)
+    v3 = moment_envelope(seqs, law, 2, 6, 3)
     _, star1 = infinite_population_moments(seqs, law, 6, 1)
     assert v1.Vt_hi == pytest.approx(star1)
     assert v3.Vt_lo == pytest.approx(star1 / 3)
@@ -695,7 +798,7 @@ def test_variance_envelope_branches():
     assert v2.Vt_hi >= v3.Vt_hi * (0.5 / (2 / 3)) - 1e-12
     assert v1.Vt_lo >= 0.0
     with pytest.raises(ValueError):
-        variance_envelope(seqs, law, 2, 6, 0)
+        moment_envelope(seqs, law, 2, 6, 0)
 
 
 def test_envelope_growth_regimes():
@@ -706,8 +809,8 @@ def test_envelope_growth_regimes():
     for n in (10, 40, 80):
         sum_seqs = seqs_for([2.0**-k for k in range(1, n + 1)])
         const_seqs = seqs_for([0.3] * n)
-        hi_sum.append(variance_envelope(sum_seqs, law, 2, n, 5).Vt_hi)
-        hi_const.append(variance_envelope(const_seqs, law, 2, n, 5).Vt_hi)
+        hi_sum.append(moment_envelope(sum_seqs, law, 2, n, 5).Vt_hi)
+        hi_const.append(moment_envelope(const_seqs, law, 2, n, 5).Vt_hi)
     assert hi_sum[-1] <= hi_sum[0] * 1.01
     assert hi_const[-1] > 2 * hi_const[0]
 
@@ -723,6 +826,44 @@ def test_moment_envelope_assembly():
 
 
 # ----- remainder bounds -----
+
+def Rn_recursion_bound(seqs, law, S0, n):
+    """Upper bounds on R_0..R_n by stepping the one-step recursion.
+
+    The proof check of ``rn_upper_bound``: each step adds the per-cycle
+    coefficient bounds weighted by harmonic moments of the size, and
+    contracts a running bound on the shifted second-moment functional. The
+    final entry telescopes to the closed-form u/u'/u'' sums of the matching
+    variant, which the tests below pin to 1e-12.
+    """
+    if S0 < 1:
+        raise ValueError("initial population must be at least 1")
+    nu, mu2 = law.nu, law.mu**2
+    lam, alpha = seqs.lam, seqs.alpha
+    R = np.zeros(n + 1)
+    if S0 >= 2:
+        pref = 1.0 / (S0 - 1)
+        g = 0.0
+        for k in range(1, n + 1):
+            L, a = lam[k - 1], alpha[k - 1]
+            gam_prev = float(seqs.gamma[k - 1])
+            R[k] = (R[k - 1]
+                    + nu * a * (1.0 - a) * gam_prev * pref
+                    + mu2 * L * gam_prev * pref
+                    + L * (1.0 - L) * g)
+            g = g / (1.0 + L) + a * gam_prev * (nu + mu2) * pref
+    else:
+        g2, g3 = seqs.gamma_i[2], seqs.gamma_i[3]
+        h = 0.0
+        for k in range(1, n + 1):
+            L, a = lam[k - 1], alpha[k - 1]
+            R[k] = (R[k - 1]
+                    + nu * a * (1.0 - a) * float(g2[k - 1]) / S0
+                    + mu2 * L * float(g3[k - 1]) / (S0 + 1)
+                    + L * (1.0 - L) * h)
+            h = (1.0 - L / 2.0) * h + a * float(g2[k - 1]) * (nu + mu2) / S0
+    return R
+
 
 def test_remainder_closed_form_candidates():
     seqs = seqs_for([0.5] * 10)
@@ -820,8 +961,7 @@ def test_envelope_containment_property(lams, S0, ell):
     seqs = seqs_for(lams)
     law = MutationLaw(mu=0.09, nu=0.02)
     dp = exact_sample_moments(sched, law, S0, n, ell)
-    fme = first_moment_envelope(seqs, law, S0, n)
-    ve = variance_envelope(seqs, law, S0, n, ell)
-    assert fme.Et_lo - 1e-10 <= dp.Et <= fme.Et_hi + 1e-10
-    assert ve.Vt_lo - 1e-10 <= dp.Vt <= ve.Vt_hi + 1e-10
-    assert dp.Rn <= ve.Rn_hi + 1e-10
+    env = moment_envelope(seqs, law, S0, n, ell)
+    assert env.Et_lo - 1e-10 <= dp.Et <= env.Et_hi + 1e-10
+    assert env.Vt_lo - 1e-10 <= dp.Vt <= env.Vt_hi + 1e-10
+    assert dp.Rn <= env.Rn_hi + 1e-10

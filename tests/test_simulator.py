@@ -10,11 +10,9 @@ from branchpcr.kinetics import MMParams
 from branchpcr.moments import (
     MutationLaw,
     exact_sample_moments,
-    first_moment_envelope,
     infinite_population_moments,
     moment_envelope,
     poisson_law,
-    variance_envelope,
 )
 from branchpcr.schedule import build_schedule, derived_sequences, mm_lambda
 from branchpcr import simulator
@@ -147,8 +145,8 @@ def test_monte_carlo_against_envelopes():
         assert mc.t_var == pytest.approx(dp.Vt, abs=4 * mc.t_var_se)
         assert mc.M_mean == pytest.approx(dp.M_eta, abs=4 * mc.M_se)
         assert mc.martingale_mean == pytest.approx(2.0, abs=4 * mc.martingale_se)
-        fme = first_moment_envelope(seqs, spec.law, 2, 6)
-        assert fme.Et_lo - 4 * mc.t_se <= mc.t_mean <= fme.Et_hi + 4 * mc.t_se
+        env = moment_envelope(seqs, spec.law, 2, 6, 1)
+        assert env.Et_lo - 4 * mc.t_se <= mc.t_mean <= env.Et_hi + 4 * mc.t_se
 
 
 def test_envelope_checks():
@@ -260,6 +258,27 @@ def test_population_cap_exception():
     assert err.sizes == [2**g for g in range(err.gen)]
 
 
+
+def test_population_cap_below_initial_size():
+    # refused before any draw, where it used to run a cycle and report a cap
+    # exceeded at cycle 1 (even at lambda = 0, where the size never changes)
+    for lam in (0.5, 0.0):
+        spec = spec_for([lam] * 3, S0=2)
+        rng = np.random.Generator(np.random.Philox(1))
+        for run in (lambda: simulate(spec, 3, rng, population_cap=1),
+                    lambda: monte_carlo_moments(spec, 3, 1, 4, 1, population_cap=1),
+                    lambda: simulate_batch(spec, 3, 4, 1, population_cap=1)):
+            with pytest.raises(ValueError, match="population cap 1 is below the initial size 2"):
+                run()
+        assert rng.random() == np.random.Generator(np.random.Philox(1)).random()
+    # a cap equal to S0 holds a population that never grows
+    spec = spec_for([0.0] * 3, S0=2)
+    traj = simulate(spec, 3, np.random.Generator(np.random.Philox(1)), population_cap=2)
+    assert [x.size for x in traj] == [2] * 4
+    assert simulate_batch(spec, 3, 4, 1, population_cap=2)[0].sizes.tolist() == [2] * 4
+    mc = monte_carlo_moments(spec, 3, 1, 4, 1, population_cap=2)
+    assert (mc.peak_population, mc.cap_headroom) == (2, 1.0)
+
 # ----- limiting sample distribution -----
 
 def test_eta_star_distribution_moments():
@@ -331,7 +350,7 @@ def test_tiny_total_variation_is_small():
     law = poisson_law(0.05)
     seqs = derived_sequences(build_schedule(lams), 4)
     t2 = enumerate_tiny(build_schedule(lams), law, 2, 4).Rn
-    bound = variance_envelope(seqs, law, 2, 4, 1).Rn_hi
+    bound = moment_envelope(seqs, law, 2, 4, 1).Rn_hi
     assert t2 <= bound + 1e-14
 
 
