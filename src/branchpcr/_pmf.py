@@ -8,18 +8,20 @@ outward from the mode so every step shrinks the value and the tails underflow
 gracefully to zero.
 
 ``binom_band`` does this for many rows at once: the mode values in one array
-pass, the walks as 2-D cumulative products, and each row cut to a band
-around its mean past which Hoeffding's inequality leaves at most
-``BAND_TAIL`` of the mass. ``binom_row`` is its uncut one-row case, and
-``size_program`` is the one dynamic program over the size law S -> S +
-Binomial(S, lambda) through such bands: each cycle it drops the ends of the
-law that hold at most ``BAND_TAIL/4`` each, cuts the rows of the sizes it
-keeps at ``BAND_TAIL/2``, so a cycle leaves out at most ``BAND_TAIL``, and
-sums a caller's per-cell values onto the next sizes. The size law and the
-joint size-and-moment program are its two steps. With ``poisson_table``
-they are the package's only source of binomial and Poisson weights: the
-harmonic functionals, the size-law and moment programs and the simulator's
-increment table all read them.
+pass, the walks as 2-D cumulative products, each over only the columns on
+its own side of the rows' modes, and each row cut to a band around its mean
+past which Hoeffding's inequality leaves at most ``BAND_TAIL`` of the mass.
+``binom_row`` is its uncut one-row case, and ``size_program`` is the one
+dynamic program over the size law S -> S + Binomial(S, lambda) through such
+bands: each cycle it drops the ends of the law that hold at most
+``BAND_TAIL/4`` each, cuts the rows of the sizes it keeps at
+``BAND_TAIL/2``, so a cycle leaves out at most ``BAND_TAIL``, and sums a
+caller's per-cell values onto the next sizes; a fixed schedule's efficiency
+reaches the kernel as one float, a saturating one's as one per size. The
+size law and the joint size-and-moment program are its two steps. With
+``poisson_table`` they are the package's only source of binomial and
+Poisson weights: the harmonic functionals, the size-law and moment programs
+and the simulator's increment table all read them.
 """
 
 from __future__ import annotations
@@ -159,6 +161,8 @@ def binom_band(
     ``lam`` is one efficiency or one per row. Returns (lo, w, cut): w[i, c]
     is the probability of lo[i] + c duplications among s[i] particles, zero
     past the row's band; lo is an int array and cut the per-row tail bound.
+    The walks start at each row's mode, which lies in its band whenever
+    ``tail`` is at most 2 e^-2 (the band's half-width is then at least 1).
     """
     s = np.asarray(s, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -171,18 +175,32 @@ def binom_band(
     # (j + 1) q / ((s - j) lam) below it, each cumulated outward from the mode
     # (value 1). lam and q enter each ratio apart, never as one rounded lam/q
     # whose error every step would repeat. Past the band the ratio is 0.
-    inside = j <= hi[:, None]
+    # Each walk is exactly 1 on the far side of its row's mode, so the upward
+    # one runs only from the leftmost mode's column a on, and the downward one
+    # only up to the rightmost mode's column b - 1: leading 1s leave a running
+    # product unchanged. Columns left of a take the downward walk alone,
+    # columns from b on the upward one (0 past a row's band), and the columns
+    # between, where the rows' modes lie, the product of the two.
+    a, b = int((m - lo).min()), int((m - lo).max()) + 1
+    jr, jl = j[:, a:], j[:, :b]
+    inside = jr <= hi[:, None]
     up = inside.astype(float)
-    np.divide((S - j + 1.0) * L, j * Q, out=up, where=inside & (j > M))
-    down = np.ones_like(j)
-    np.divide((j + 1.0) * Q, (S - j) * L, out=down, where=j < M)
-    w = np.cumprod(up, axis=1)
-    w *= np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+    np.divide((S - jr + 1.0) * L, jr * Q, out=up, where=inside & (jr > M))
+    down = np.ones_like(jl)
+    np.divide((jl + 1.0) * Q, (S - jl) * L, out=down, where=jl < M)
+    w = np.empty_like(j)
+    np.cumprod(up, axis=1, out=w[:, a:])
+    down = np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+    w[:, :a] = down[:, :a]
+    w[:, a:b] *= down[:, a:]
     # 1 - lam = q (1 + c) exactly; the rounding of q itself is in every ratio,
     # so the value |j - m| steps out from the mode is off by (1 + c)^(j - m)
     c = ((1.0 - q) - lam) / np.where(q > 0.0, q, 1.0)
     pm = _binom_mode(m, s, lam, q)
-    w *= (pm * (1.0 + c * m))[:, None] - (pm * c)[:, None] * j
+    if c.any():
+        w *= (pm * (1.0 + c * m))[:, None] - (pm * c)[:, None] * j
+    else:        # c = 0, as 1 - lam is exact for lam >= 1/2 (Sterbenz): the factor is pm
+        w *= pm[:, None]
     return lo.astype(np.int64), w, cut
 
 
@@ -207,7 +225,8 @@ def size_program(sched: EfficiencySchedule, S0: int, n: int, rows: int, step):
     lam_k) passes it is refused before the first cycle.
     """
     lam_at = sched.efficiency(S0, n)
-    mean = S0 * math.prod(1.0 + L for L in sched.prefix(n)) if sched.kind == "deterministic" else 0.0
+    fixed = sched.kind == "deterministic"
+    mean = S0 * math.prod(1.0 + L for L in sched.prefix(n)) if fixed else 0.0
     if mean > _SIZE_CAP:
         raise ValueError(f"mean size {mean:.6g} after {n} cycles is above cap {_SIZE_CAP}")
     first, vals, tail = S0, np.eye(rows, 1), 0.0
@@ -219,7 +238,7 @@ def size_program(sched: EfficiencySchedule, S0: int, n: int, rows: int, step):
         kept = slice(lead, len(p) - trail)
         tail += float(p[:lead].sum() + p[kept.stop :].sum())
         s = first + np.arange(kept.start, kept.stop, dtype=float)
-        lam = np.broadcast_to(lam_at(c, s), s.shape)
+        lam = lam_at(c, s)             # a fixed schedule's one float, else one per size
         lo, hi, _ = band_limits(s, lam, _ROW_TAIL)
         first, top = int((s + lo).min()), int((s + hi).max())
         if top > _SIZE_CAP:
@@ -228,7 +247,8 @@ def size_program(sched: EfficiencySchedule, S0: int, n: int, rows: int, step):
         block = max(1, _BLOCK_CELLS // int((hi - lo).max() + 1.0))
         kept_vals, vals = vals[:, kept, None], np.zeros((rows, width))
         for a in range(0, len(s), block):
-            lo, w, cut = binom_band(s[a : a + block], lam[a : a + block], _ROW_TAIL)
+            part = lam if fixed else lam[a : a + block]
+            lo, w, cut = binom_band(s[a : a + block], part, _ROW_TAIL)
             j = lo[:, None] + np.arange(w.shape[1])
             src, v = s[a : a + block, None], kept_vals[:, a : a + block]
             # cells past a row's band carry weight 0; clipping keeps them in range

@@ -414,17 +414,21 @@ def _float_arg(text: str, name: str) -> float:
 
 
 def cmd_harmonic(args) -> int:
+    # a check over an empty grid checks nothing, so the suite needs k_max >= 1
+    least, where = (1, " for --property-check") if args.property_check else (0, "")
     if args.k_max is not None and args.k_max > _HARMONIC_K_MAX:
         raise ConfigError(f"--k-max must be at most {_HARMONIC_K_MAX}, got {args.k_max}")
+    if args.k_max is not None and args.k_max < least:
+        raise ConfigError(f"--k-max must be at least {least}{where}, got {args.k_max}")
+    if args.property_check:
+        for flag, value in (("--lambdas", args.lambdas), ("--y", args.y)):
+            if value is not None:
+                raise ConfigError(f"{flag} does not apply to --property-check, "
+                                  "which runs its own grid")
     from .harmonic import _inequality_suite, family_table
 
     if args.property_check:
-        kwargs = {}
-        if args.k_max is not None:
-            if args.k_max < 1:
-                raise ConfigError(f"--k-max must be at least 1 for --property-check, "
-                                  f"got {args.k_max}")
-            kwargs["k_max"] = args.k_max
+        kwargs = {} if args.k_max is None else {"k_max": args.k_max}
         violations, checked = _inequality_suite(**kwargs)
         for v in violations:
             print(f"violation: {v}", file=sys.stderr)

@@ -401,6 +401,24 @@ def test_harmonic_property_check():
         assert "config error: --k-max must be at least 1" in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["--lambdas", "0.5"], ["--y", "1"]])
+def test_harmonic_negative_k_max_is_a_config_error(flags):
+    """A bad flag value is a config error (2), not the table's domain error (3)."""
+    code, out, err = run_main(["harmonic", "--k-max", "-5", *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: --k-max must be at least 0, got -5")
+
+
+@pytest.mark.parametrize("flags", [["--lambdas", "0.3"], ["--y", "1"], ["--y=-0.5"],
+                                   ["--lambdas", "0.3", "--y", "1"]])
+def test_harmonic_property_check_rejects_table_flags(flags):
+    """The suite runs its own grid, so a table flag beside it is refused, not ignored."""
+    code, out, err = run_main(["harmonic", "--property-check", "--k-max", "3", *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {flags[0].split('=')[0]} does not apply "
+                          "to --property-check")
+
+
 @pytest.mark.parametrize("k_max", ["1001", "200000"])
 @pytest.mark.parametrize("form", [["--lambdas", "0.5"], ["--property-check"]])
 def test_harmonic_k_max_is_capped(form, k_max):

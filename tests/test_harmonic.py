@@ -273,6 +273,37 @@ def test_gauss_kronrod_groups():
     assert (one[0][0], one[1]) == harmonic._gauss_kronrod(kink, 1.0, 0.0, 1e-12)
 
 
+def test_gauss_kronrod_bound_option():
+    # bound=False skips only the error bound: the same value to the bit, on
+    # the acceptance-4 grid at ell = 1 and 2, where A_integral passes it
+    def same(*args, **kwargs):
+        value, err = harmonic._gauss_kronrod(*args, **kwargs)
+        bare, none = harmonic._gauss_kronrod(*args, **kwargs, bound=False)
+        assert none is None and np.asarray(err).dtype == float
+        assert np.asarray(bare).tobytes() == np.asarray(value).tobytes()
+        return value
+
+    for lam in [round(0.1 * i, 1) for i in range(1, 10)]:
+        for k in range(1, 41):
+            for ell in (1, 2):
+                def integrand(t):
+                    ft = (1.0 - lam) * t + lam * t * t
+                    return ft**k / ((1.0 - lam) + 2.0 * lam * t) ** (2 * ell)
+
+                value = same(integrand, 0.0, 1.0, harmonic._QUAD_TOL)
+                assert harmonic.A_integral(k, ell, lam) == value, (k, lam, ell)
+    # an integral that refines past the first pass, alone and as a group
+    passes = []
+
+    def kink(t, *rows):
+        passes.append(t.shape[0])
+        return np.abs(t - 1.0 / 3.0)
+
+    same(kink, 0.0, 1.0, 1e-12)
+    assert len(passes) > 2
+    same(kink, np.array([0.0, 0.5]), np.array([0.5, 1.0]), 1e-12, group=np.array([0, 1]))
+
+
 def test_gauss_kronrod_rule_exactness():
     # K15 integrates polynomials of degree <= 22 exactly and G7 those of
     # degree <= 13; G7 misses x^14

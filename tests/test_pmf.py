@@ -1,6 +1,8 @@
 """The binomial rows, their bands and the Poisson table against scipy and 40-digit mpmath."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -139,6 +141,44 @@ def test_band_per_row_efficiency():
         width = hi[i] - lo[i] + 1
         np.testing.assert_allclose(w[i, :width], row[lo[i] : hi[i] + 1], rtol=1e-15, atol=0)
         assert np.all(w[i, width:] == 0.0)
+
+
+# (s, lam, tail) -> (shape of w, sum of lo, (row, column, w) cells, sha256 of
+# the space-joined float.hex of each row's fsum, fsum of those row sums)
+BAND_PINS = {
+    # the benchmark's last size-program block: S0 = 2, lam = 0.5, n = 11
+    "bench": ((np.arange(2.0, 597.0), 0.5, BAND_TAIL / 2), (595, 220), 46030, (
+        (0, 0, "0x1.0000000000001p-2"), (297, 110, "0x1.3fd07a2a2a9b4p-15"),
+        (594, 109, "0x1.0b9fb038612c3p-5"),
+    ), "f4e46d73b27c913f461887819e8c6ba01fe83dbd671a61e07b33db0a9a7efeb0", "0x1.2980000000000p+9"),
+    "lam 0.9": ((np.arange(3000.0, 3501.0), 0.9, BAND_TAIL), (501, 529), 1338236, (
+        (0, 0, "0x1.b81fb5246c248p-138"), (250, 264, "0x1.460a21c6492bap-6"),
+        (500, 264, "0x1.70303f1aed8c3p-6"),
+    ), "04f7e61d853e17addf489ec05e7ab048dae69541680a263cb36ebc3442cc9c3b", "0x1.f500000000001p+8"),
+    # D/(C + s) with C = 1000, D = 1001: lam = 1 at s = 1
+    "saturating": ((np.arange(1.0, 301.0), 1001.0 / (1000.0 + np.arange(1.0, 301.0)), BAND_TAIL / 2),
+                   (300, 147), 22365, (
+        (0, 0, "0x1.0000000000000p+0"), (150, 73, "0x1.0ee9158073b99p-26"),
+        (299, 77, "0x1.bfc8f70c14dfbp-5"),
+    ), "68077b1dd6d7711a572683c9f42544e434f22a1cb0eba3f71b4cea7d4d95bc0e", "0x1.2c00000000000p+8"),
+    "uncut, mixed": ((np.array([7.0, 7.0, 7.0, 40.0, 40.0, 40.0, 0.0, 1.0, 100.0]),
+                      np.array([0.0, 0.3, 1.0, 0.0, 0.3, 1.0, 0.3, 0.3, 0.3]), 0.0), (9, 101), 0, (
+        (0, 0, "0x1.0000000000000p+0"), (4, 50, "0x0.0p+0"), (8, 30, "0x1.63777a4efbbe7p-4"),
+    ), "6840ad04bc4393d2c4d2800d95ec6f208d959e82d1cba5f04f10cef3968bc055", "0x1.2000000000000p+3"),
+}
+
+
+@pytest.mark.parametrize("name", BAND_PINS)
+def test_binom_band_keeps_its_bits(name):
+    """The kernel's cells and row sums, to the bit, on four blocks: one per
+    tail, one efficiency per block or per row, and rows with lam 0 and 1."""
+    args, shape, lo_sum, cells, digest, total = BAND_PINS[name]
+    lo, w, _ = binom_band(*args)
+    assert (w.shape, int(lo.sum())) == (shape, lo_sum)
+    assert [float(w[i, c]).hex() for i, c, _ in cells] == [x for _, _, x in cells]
+    sums = [math.fsum(row) for row in w.tolist()]
+    assert hashlib.sha256(" ".join(x.hex() for x in sums).encode()).hexdigest() == digest
+    assert math.fsum(sums).hex() == total
 
 
 def seeded_program(S0, lams, law):
