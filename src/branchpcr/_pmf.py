@@ -249,11 +249,11 @@ def size_program(sched: EfficiencySchedule, S0: int, n: int, rows: int, step):
         for a in range(0, len(s), block):
             part = lam if fixed else lam[a : a + block]
             lo, w, cut = binom_band(s[a : a + block], part, _ROW_TAIL)
-            j = lo[:, None] + np.arange(w.shape[1])
+            j = lo[:, None] + np.arange(w.shape[1], dtype=float)
             src, v = s[a : a + block, None], kept_vals[:, a : a + block]
             # cells past a row's band carry weight 0; clipping keeps them in range
-            to = np.minimum(src.astype(np.int64) - first + j, width - 1).ravel()
-            for r, x in enumerate(step(src, j.astype(float), w, v)):
+            to = np.minimum(src - first + j, width - 1).astype(np.intp).ravel()
+            for r, x in enumerate(step(src, j, w, v)):
                 vals[r] += np.bincount(to, x.ravel(), width)
             tail += float(v[0, :, 0] @ cut)
         yield first, vals, tail

@@ -1,8 +1,9 @@
 """Command-line interface: bounds, estimation, simulation, harmonic tables.
 
 One JSON object per invocation on stdout (or CSV with --format csv);
-human-oriented diagnostics go to stderr. Exit codes: 0 success, 2 config
-error, 3 domain error or failed checks, 4 population cap exceeded.
+human-oriented diagnostics go to stderr. Exit codes: 0 success, 1 stdout
+closed before the output was written, 2 config error, 3 domain error or
+failed checks, 4 population cap exceeded.
 
 Each command imports the layers it runs inside its own function, so a call
 loads only those: ``harmonic`` never loads the simulator, ``bounds`` never
@@ -559,7 +560,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_number_values(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # here, so a closed pipe raises inside the try
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -567,6 +570,11 @@ def main(argv=None) -> int:
         # OverflowError: a number too large for a float or a machine integer
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull, so the flush
+        # at exit finds no closed pipe to raise on again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

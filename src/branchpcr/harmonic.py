@@ -87,20 +87,6 @@ def A(k: int, lam: float) -> float:
     return _centred(H(k, lam), lam)
 
 
-def G(k: int, lam: float) -> float:
-    """Second harmonic moment E[(k/M_k)^2]."""
-    return power_moment(k, lam, 2)
-
-
-def power_moment(k: int, lam: float, power: int) -> float:
-    """E[(k/M_k)^power] for integer power >= 1."""
-    _check_k(k)
-    _check_lambda(lam)
-    if power < 1:
-        raise ValueError("power must be at least 1")
-    return float(_power_rows(k, *_binom_weights(k, lam), power)[0])
-
-
 def _h_rows(k, j: np.ndarray, w: np.ndarray) -> np.ndarray:
     """E[k/M_k] of each row of weights w over the duplication counts j."""
     return np.sum(w * k / (k + j), axis=-1)

@@ -339,6 +339,11 @@ def exact_sample_moments(
     for first, vals, tail in size_program(sched, S0, n, 4, step):
         pass
     p, m1, m2, q = vals
+    return _exact_moments(n, S0, ell, first + np.arange(len(p)), p, m1, m2, q, tail)
+
+
+def _exact_moments(n: int, S0: int, ell: int, sizes, p, m1, m2, q, tail: float) -> ExactMoments:
+    """The ExactMoments record of the per-size restricted sums p, m1, m2 and q."""
     M_eta = float(m1.sum())
     EM2 = float(m2.sum())
     M2_eta = float(q.sum())
@@ -348,7 +353,7 @@ def exact_sample_moments(
     return ExactMoments(
         n=n, S0=S0, ell=ell, Et=M_eta, Vt=Vt, Rn=Rn,
         M_eta=M_eta, M2_eta=M2_eta, D_eta=D_eta, D_zeta_mean=M2_eta - EM2,
-        sizes=first + np.arange(len(p)), p=p, m1=m1, m2=m2, q=q, tail_mass=tail,
+        sizes=sizes, p=p, m1=m1, m2=m2, q=q, tail_mass=tail,
     )
 
 

@@ -9,9 +9,11 @@ lattice directly (scale 1). A general (mu, nu) law is realized as the
 two-point distribution on {0, a} with a = (nu + mu^2)/mu and atom
 probability p = mu^2/(nu + mu^2), which matches both moments. Each cycle
 reads its efficiency from ``EfficiencySchedule.efficiency``, draws a
-binomial duplication count per occupied class and a multinomial (or, for
-two-point laws, binomial) split of the copies' increments, so the cost
-scales with the number of occupied classes rather than the population size.
+binomial duplication count per occupied class, and splits the copies among
+the increments with ``_split``, the one place either engine reads the kind
+of law: nothing for a one-entry table, one binomial for a two-point law,
+one multinomial for a Poisson law. The cost scales with the number of
+occupied classes rather than the population size.
 
 ``simulate`` runs one trajectory on a dict of counts. The Monte Carlo engine
 (``simulate_batch``, ``monte_carlo_moments``) steps a chunk of up to
@@ -32,13 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pmf import poisson_table
-from .moments import MAX_POPULATION_CAP, ExactMoments, MomentEnvelope, MutationLaw
+from .moments import (MAX_POPULATION_CAP, ExactMoments, MomentEnvelope, MutationLaw,
+                      _exact_moments)
 from .schedule import DerivedSequences, EfficiencySchedule
 
 DEFAULT_POPULATION_CAP = 10**8
 _CHUNK = 1024
 _PMF_TAIL = 1e-12
-_DRAW_CELLS = 1 << 20           # most (class, increment) cells in one multinomial draw
+_DRAW_CELLS = 1 << 20           # most (class, increment) cells in one increment draw
 _ROW_CELLS = 1 << 24            # most such cells of one replicate in one cycle
 
 
@@ -99,10 +102,9 @@ def _increments(law: MutationLaw) -> tuple[float, np.ndarray]:
 
     A Poisson law has scale 1 and its table up to the (1 - 1e-12)-quantile,
     renormalized; a two-point law has scale a and pmf (1 - p, p). A law with
-    no increments has pmf (1,). The engines split a copy's increment with
-    one binomial for a two-point law and one multinomial over the table for
-    a Poisson law. The table is built once per law (laws are frozen, so
-    equal laws share it) and is read-only.
+    no increments has pmf (1,). Both engines split the copies over the
+    table with ``_split``. The table is built once per law (laws are
+    frozen, so equal laws share it) and is read-only.
     """
     if law.poisson:
         if law.mu == 0.0:
@@ -118,6 +120,20 @@ def _increments(law: MutationLaw) -> tuple[float, np.ndarray]:
     return scale, pmf
 
 
+def _split(dups, pmf: np.ndarray, poisson: bool, rng: np.random.Generator) -> np.ndarray:
+    """How many of ``dups`` copies take each increment of ``pmf``, on a new last axis.
+
+    A one-entry table draws nothing, a Poisson law one multinomial over its
+    table, and a two-point law one binomial for the copies that take its atom.
+    """
+    if len(pmf) == 1:
+        return np.asarray(dups)[..., None]
+    if poisson:
+        return rng.multinomial(dups, pmf)
+    hits = rng.binomial(dups, pmf[1])
+    return np.stack((dups - hits, hits), axis=-1)
+
+
 def simulate(
     spec: ProcessSpec,
     n: int,
@@ -129,13 +145,9 @@ def simulate(
     Each cycle's efficiency is the schedule's at the current size. Each
     cycle builds a new table, which its snapshot keeps without a copy.
     """
-    if n < 0:
-        raise ValueError("cycle count must be nonnegative")
-    if population_cap < spec.S0:
-        raise ValueError(f"population cap {population_cap} is below the initial size {spec.S0}")
+    _check_run(spec, n, 1, population_cap)
     lam_at = spec.sched.efficiency(spec.S0, n)
     scale, pmf = _increments(spec.law)
-    fixed, two_point = len(pmf) == 1, not spec.law.poisson
 
     table: dict[int, int] = {0: spec.S0}
     size = spec.S0
@@ -150,18 +162,9 @@ def simulate(
             new[m] = new.get(m, 0) + count
             if dups == 0:
                 continue
-            if fixed:
-                new[m] += dups
-            elif two_point:
-                hits = int(rng.binomial(dups, pmf[1]))
-                if hits:
-                    new[m + 1] = new.get(m + 1, 0) + hits
-                if dups - hits:
-                    new[m] += dups - hits
-            else:
-                for inc, cnt in enumerate(rng.multinomial(dups, pmf).tolist()):
-                    if cnt:
-                        new[m + inc] = new.get(m + inc, 0) + cnt
+            for inc, cnt in enumerate(_split(dups, pmf, spec.law.poisson, rng).tolist()):
+                if cnt:
+                    new[m + inc] = new.get(m + inc, 0) + cnt
         table = new
         size = sum(table.values())
         realized = realized + (float(lam),)
@@ -253,9 +256,8 @@ def _run_chunk(
 ) -> list[ReplicateBatch]:
     """Step ``rows`` replicates for n cycles as one count array; a batch per mark.
 
-    Each cycle draws one array binomial for the duplications, then one array
-    binomial (two-point law) or multinomial over the increment table (Poisson
-    law) for the increments of the copies.
+    Each cycle draws one array binomial for the duplications, then splits
+    the copies over the increment table with ``_split`` per row block.
     """
     lam_at = spec.sched.efficiency(spec.S0, n)
     scale, pmf = _increments(spec.law)
@@ -273,26 +275,18 @@ def _run_chunk(
         lams[:, c:c + 1] = lam
         dups = rng.binomial(counts, lam)
         width = counts.shape[1]
-        if len(pmf) == 1:
-            new = counts + dups
-        elif not spec.law.poisson:
-            hits = rng.binomial(dups, pmf[1])
-            new = np.zeros((rows, width + 1), dtype=np.int64)
-            new[:, :width] = counts + dups - hits
-            new[:, 1:] += hits
-        else:
-            if width * len(pmf) > _ROW_CELLS:
-                raise ValueError(f"{width} occupied classes times an increment table of "
-                                 f"{len(pmf)} entries exceed {_ROW_CELLS} cells per replicate")
-            new = np.zeros((rows, width + len(pmf) - 1), dtype=np.int64)
-            new[:, :width] = counts
-            # row blocks bound the (rows, width, len(pmf)) draw array; the
-            # stream is consumed cell by cell, so the blocking leaves it unchanged
-            step = max(1, _DRAW_CELLS // (width * len(pmf)))
-            for lo in range(0, rows, step):
-                draws = rng.multinomial(dups[lo:lo + step], pmf)
-                for inc in range(len(pmf)):
-                    new[lo:lo + step, inc:inc + width] += draws[:, :, inc]
+        if width * len(pmf) > _ROW_CELLS:
+            raise ValueError(f"{width} occupied classes times an increment table of "
+                             f"{len(pmf)} entries exceed {_ROW_CELLS} cells per replicate")
+        new = np.zeros((rows, width + len(pmf) - 1), dtype=np.int64)
+        new[:, :width] = counts
+        # row blocks bound the (rows, width, len(pmf)) draw array; the
+        # stream is consumed cell by cell, so the blocking leaves it unchanged
+        step = max(1, _DRAW_CELLS // (width * len(pmf)))
+        for lo in range(0, rows, step):
+            draws = _split(dups[lo:lo + step], pmf, spec.law.poisson, rng)
+            for inc in range(len(pmf)):
+                new[lo:lo + step, inc:inc + width] += draws[:, :, inc]
         counts = new[:, :np.flatnonzero(new.any(axis=0))[-1] + 1]
         sizes = sizes + dups.sum(axis=1)
         over = np.flatnonzero(sizes > population_cap)
@@ -582,8 +576,12 @@ def enumerate_tiny(
 
     Conditional on a tree pattern, the increments on the edges are iid, so
     every moment is a polynomial in (mu, nu) with combinatorial coefficients
-    read off the pattern. Independent of the dynamic program in the moments
-    module, which it cross-checks.
+    read off the pattern. The two sums of a pattern that are not (leaves,
+    depth sum) enter those polynomials linearly, so one tree's law collapses
+    to (leaves, depth sum) -> (P, E[b 1], E[q 1]), and a forest of S0
+    independent trees is the (S0 - 1)-fold product of that law with itself,
+    where the sizes and the depth sums add. Independent of the dynamic
+    program in the moments module, which it cross-checks.
     """
     if S0 not in (1, 2):
         raise ValueError("enumeration supports initial sizes 1 and 2")
@@ -591,61 +589,29 @@ def enumerate_tiny(
         raise ValueError("enumeration supports at most 4 cycles")
     if ell < 1:
         raise ValueError("sample size must be at least 1")
-    lam = sched.prefix(n)
-    single = _single_tree_outcomes(lam, 0, n, {})
+    tree: dict[tuple[int, int], tuple[float, float, float]] = {}
+    for (s, a, b, q), p in _single_tree_outcomes(sched.prefix(n), 0, n, {}).items():
+        P, Pb, Pq = tree.get((s, a), (0.0, 0.0, 0.0))
+        tree[s, a] = (P + p, Pb + p * b, Pq + p * q)
+    forest = tree
+    for _ in range(S0 - 1):
+        grown: dict[tuple[int, int], tuple[float, float, float]] = {}
+        for (s1, a1), (p1, pb1, pq1) in forest.items():
+            for (s2, a2), (p2, pb2, pq2) in tree.items():
+                # E[b_tot 1] and E[q_tot 1] over the product law
+                P, Pb, Pq = grown.get((s1 + s2, a1 + a2), (0.0, 0.0, 0.0))
+                grown[s1 + s2, a1 + a2] = (P + p1 * p2, Pb + (pb1 * p2 + p1 * pb2),
+                                           Pq + (pq1 * p2 + p1 * pq2))
+        forest = grown
+
     mu, nu = law.mu, law.nu
     mu2 = mu * mu
-
-    if S0 == 1:
-        patterns = single.items()
-    else:
-        collapsed: dict[tuple[int, int], list[float]] = {}
-        for (s, a, b, q), p in single.items():
-            cell = collapsed.setdefault((s, a), [0.0, 0.0, 0.0])
-            cell[0] += p
-            cell[1] += p * b
-            cell[2] += p * q
-        pats: dict = {}
-        for (s1, a1), (p1, pb1, pq1) in collapsed.items():
-            for (s2, a2), (p2, pb2, pq2) in collapsed.items():
-                s, a = s1 + s2, a1 + a2
-                # E[b_tot 1] and E[q_tot 1] over the product law
-                pb = pb1 * p2 + p1 * pb2
-                pq = pq1 * p2 + p1 * pq2
-                cell = pats.setdefault((s, a), [0.0, 0.0, 0.0])
-                cell[0] += p1 * p2
-                cell[1] += pb
-                cell[2] += pq
-        patterns = [((s, a, None, None), tuple(cell)) for (s, a), cell in pats.items()]
-
-    max_size = S0 * 2**n
-    sizes = np.arange(S0, max_size + 1)
-    width = len(sizes)
-    p_v = np.zeros(width)
-    m1_v = np.zeros(width)
-    m2_v = np.zeros(width)
-    q_v = np.zeros(width)
-    for key, payload in patterns:
-        s, a = key[0], key[1]
+    sizes = np.arange(S0, S0 * 2**n + 1)
+    p_v, m1_v, m2_v, q_v = np.zeros((4, len(sizes)))
+    for (s, a), (prob, eb, eq) in forest.items():
         idx = s - S0
-        if S0 == 1:
-            prob = payload
-            eb, eq = prob * key[2], prob * key[3]
-        else:
-            prob, eb, eq = payload
         p_v[idx] += prob
         m1_v[idx] += mu * a * prob / s
         m2_v[idx] += (nu * eb + mu2 * a * a * prob) / (s * s)
         q_v[idx] += (nu * a * prob + mu2 * eq) / s
-
-    M_eta = float(m1_v.sum())
-    EM2 = float(m2_v.sum())
-    M2_eta = float(q_v.sum())
-    Rn = EM2 - M_eta**2
-    D_eta = M2_eta - M_eta**2
-    Vt = D_eta / ell + (1.0 - 1.0 / ell) * Rn
-    return ExactMoments(
-        n=n, S0=S0, ell=ell, Et=M_eta, Vt=Vt, Rn=Rn,
-        M_eta=M_eta, M2_eta=M2_eta, D_eta=D_eta, D_zeta_mean=M2_eta - EM2,
-        sizes=sizes, p=p_v, m1=m1_v, m2=m2_v, q=q_v, tail_mass=0.0,
-    )
+    return _exact_moments(n, S0, ell, sizes, p_v, m1_v, m2_v, q_v, 0.0)

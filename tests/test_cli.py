@@ -430,6 +430,23 @@ def test_harmonic_k_max_is_capped(form, k_max):
     assert "Traceback" not in proc.stderr
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that stops early (``| head``) ends the call with exit 1, quietly."""
+    env = dict(os.environ)
+    env.pop("BRANCHPCR_SEED", None)
+    # about 136 KB of CSV, past a 64 KB pipe buffer, so the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "branchpcr", "harmonic", "--k-max", "200", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert proc.stdout.readline().startswith("k,lambda,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_mm_bounds(tmp_path):
     cfg = write_config(tmp_path, {
         "s0": 1, "n": 10,

@@ -27,8 +27,8 @@ def test_pointwise_frozen_values():
     assert harmonic.H(2, 0.5) == pytest.approx(2 * (0.25 / 2 + 0.5 / 3 + 0.25 / 4))
     assert harmonic.H(2, 0.5) == pytest.approx(17.0 / 24.0, abs=1e-12)
     assert harmonic.A(1, 0.5) == pytest.approx(1.0 / 12.0, abs=1e-15)
-    assert harmonic.G(1, 0.5) == pytest.approx(0.625)
     fam = harmonic.B_family(1, 0.5)
+    assert fam.G == pytest.approx(0.625)
     assert fam.B == pytest.approx(0.125)
     assert fam.Bp == pytest.approx(0.0625)
     assert fam.B2 == pytest.approx(0.125)
@@ -49,18 +49,13 @@ def test_domain_errors():
         harmonic.H_y(1, 0.5, -1.0)  # k + y must stay positive
     with pytest.raises(ValueError):
         harmonic.C_family(2, 0.5, -2.0)
-    with pytest.raises(ValueError):
-        harmonic.power_moment(2, 0.5, 0)
 
 
 def test_power_moment_specializations():
     for k, lam in ((1, 0.3), (4, 0.9), (7, 0.0)):
-        assert harmonic.power_moment(k, lam, 1) == pytest.approx(
-            harmonic.H(k, lam), abs=1e-15
-        )
-        assert harmonic.power_moment(k, lam, 2) == pytest.approx(
-            harmonic.G(k, lam), abs=1e-15
-        )
+        p1, p2 = harmonic._power_rows(k, *harmonic._binom_weights(k, lam), 1, 2)
+        assert float(p1) == pytest.approx(harmonic.H(k, lam), abs=1e-15)
+        assert float(p2) == pytest.approx(harmonic.B_family(k, lam).G, abs=1e-15)
 
 
 @given(ks, lams)
@@ -144,7 +139,7 @@ def test_taylor_sandwich_spot():
         for lam in (0.1, 0.5, 0.9):
             h_up, g_low = harmonic.taylor_sandwich(k, lam)
             assert harmonic.H(k, lam) <= h_up + 1e-12
-            assert harmonic.G(k, lam) >= g_low - 1e-12
+            assert harmonic.B_family(k, lam).G >= g_low - 1e-12
 
 
 def test_integral_matches_centered_mean():
@@ -414,9 +409,9 @@ def _reference_violations(k_max, lambdas, y_values, slack, tail_k=500):
             check(fam.Bp <= lam / (k + 1) + slack, f"B' coefficient bound {tag}")
             check(fam.Bpp <= n2 / (k + 2) + slack, f"B'' coefficient bound {tag}")
             check(fam.G <= inv**2 + 3.0 * fam.A + slack, f"G vs A bound {tag}")
-            for p in range(1, 6):
-                check(harmonic.power_moment(k, lam, p)
-                      <= inv**p + fam.A * p * (p + 1) / 2.0 + slack,
+            powers = harmonic._power_rows(k, *harmonic._binom_weights(k, lam), 1, 2, 3, 4, 5)
+            for p, moment in enumerate(powers, start=1):
+                check(float(moment) <= inv**p + fam.A * p * (p + 1) / 2.0 + slack,
                       f"power moment bound p={p} {tag}")
             check(fam.Bp <= fam.A * (1.0 + 3.0 * lam) * inv + slack, f"B' vs A upper {tag}")
             check(fam.B >= fam.A / 2.0 - slack, f"B vs A lower {tag}")

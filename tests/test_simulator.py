@@ -112,7 +112,8 @@ def test_monte_carlo_validation():
     with pytest.raises(ValueError):
         monte_carlo_moments(spec, 3, 1, replicates=0, seed=1)
     for run in (lambda **kw: monte_carlo_moments(spec, ell=1, replicates=4, seed=1, **kw),
-                lambda **kw: simulate_batch(spec, replicates=4, seed=1, **kw)):
+                lambda **kw: simulate_batch(spec, replicates=4, seed=1, **kw),
+                lambda **kw: simulate(spec, rng=np.random.Generator(np.random.Philox(0)), **kw)):
         with pytest.raises(ValueError, match="cycle count must be nonnegative"):
             run(n=-1)
         with pytest.raises(ValueError, match="64-bit"):
@@ -333,7 +334,7 @@ def test_enumerate_tiny_domain():
 def test_enumerate_tiny_matches_dynamic_program():
     law = MutationLaw(mu=0.1, nu=0.04)
     for S0 in (1, 2):
-        for n in (0, 1, 2, 3):
+        for n in (0, 1, 2, 3, 4):
             lams = [0.25, 0.5, 0.9, 0.4][:n] or []
             sched = build_schedule(lams or [0.5])
             tiny = enumerate_tiny(sched, law, S0, n, ell=2)
@@ -360,6 +361,11 @@ def test_tiny_total_variation_is_small():
                         12: 4, 13: 1, 14: 6, 15: 1, 16: 1, 17: 3, 19: 1, 23: 1},
      "46069eb783e61f35", 7.55),
     (MutationLaw(mu=0.1, nu=0.04), {0: 37, 1: 18, 2: 5}, "c0ca564154b4d830", 0.22916666666666666),
+    # one-entry tables draw nothing for the increments
+    (poisson_law(0.0), {0: 52}, "7e0169e7556212bb", 0.0),
+    (MutationLaw(mu=0.0, nu=0.0), {0: 52}, "7e0169e7556212bb", 0.0),
+    # a two-entry Poisson table still draws a multinomial
+    (poisson_law(1e-14), {0: 44}, "b42e69871150bcdc", 0.0),
 ])
 def test_increment_table_built_once_keeps_the_draws(law, final, batch_sha, t_mean):
     # the table is made once per law and shared read-only; the draws and
