@@ -4,21 +4,26 @@ The population after n cycles carries an empirical state distribution; its
 mean measure has first moment mu (W_n - V_n) where V_n sums the per-cycle
 harmonic corrections A_k = E[A(S_{k-1}, lambda_k)]. This module computes the
 infinite-population values, exact finite-population references, and interval
-envelopes assembled from the correction sums of the schedule module. The
-exact V_n is one quadrature per cycle over the size law's generating
-function, all cycles in one adaptive pass, with a reported error bound; it
-runs at any S0 and n. The size law and the joint size-and-moment law are
-one dynamic program, ``_pmf.size_program``, with two steps: it carries the
-probability (and the four restricted moments) through one banded binomial
-step per cycle, reports the mass it left out, and refuses a size support
-past 2,000,000 sizes.
+envelopes assembled from the correction sums of the schedule module.
+
+On a fixed schedule the exact values come from the size law's generating
+function, its maps composed once per abscissa by ``_compose``: the exact V_n
+is one quadrature per cycle, all cycles in one adaptive pass, and the exact
+sample moments (``exact_sample_moments``) are three integrals over the same
+function with each particle's state carried as a mark, in one pass. Both
+report a quadrature error bound and run at any S0 and n. The size law, and
+the sample moments of a saturating schedule (whose efficiency depends on
+the size), come from one dynamic program, ``_pmf.size_program``, with two
+steps: it carries the probability (and the four restricted moments) through
+one banded binomial step per cycle, reports the mass it left out, and
+refuses a size support past 2,000,000 sizes.
 
 The sample variance of an ell-sample adds a remainder R_n (the variance of
 the conditional mean). R_n is bounded by the closed-form u/u'/u'' sums that
 the one-step recursion (per-cycle coefficient bounds, harmonic-moment
 contractions) telescopes to; tests step the recursion and check the sums.
-The exact dynamic program is the reference the envelopes are tested
-against; enumeration in the simulator module provides a second, independent
+The exact values are the reference the envelopes are tested against;
+enumeration in the simulator module provides a second, independent
 reference.
 """
 
@@ -28,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .schedule import DerivedSequences, EfficiencySchedule
+from .schedule import DerivedSequences, EfficiencySchedule, Floats
 
 if TYPE_CHECKING:
     import numpy as np
@@ -194,6 +199,55 @@ def exact_Vn_Vpn(
     return A_seq, Vn, float(np.sum(A_seq**2 + (1.0 - 2.0 * alpha) * A_seq))
 
 
+def _panels(m: float) -> list[float]:
+    """Quadrature panel edges in w = 1 - x for a size law of mean m: 0, 4^j / m below 1, and 1.
+
+    A generating function G(1 - w) of a law of mean m falls off past w near
+    1/m, so the panels follow that scale and widen geometrically after it.
+    """
+    edges = [0.0]
+    w = 1.0 / m
+    while w < 1.0:
+        edges.append(w)
+        w *= 4.0
+    edges.append(1.0)
+    return edges
+
+
+def _compose(v: np.ndarray, lam: Floats, starts: list[int]):
+    """Compose the size maps a <- a (1 - lambda + lambda a) in place, last cycle first.
+
+    ``v`` holds each abscissa's a as w = 1 - a while w < 1/2 and as -a (sign
+    bit set; -0.0 once a underflows) after: the w form is w <- w (1 + lambda -
+    lambda w), the x form -a <- -a (1 - lambda + lambda a), and the switch
+    at w in [1/2, 1] is exact, so neither side of a loses its small digits.
+    Cycle c's map applies to the rows of ``v`` from starts[c] on; a cycle
+    with lambda 0 is the identity and is skipped. Before each map the
+    generator yields (lambda, u), u the view of ``v`` the map is about to
+    step, so a caller can read a there; ``_a_log`` reads log a at the end.
+    """
+    import numpy as np
+
+    for c in range(len(lam) - 1, -1, -1):
+        L = lam[c]
+        if L == 0.0:
+            continue
+        u = v[starts[c]:]
+        yield L, u
+        np.subtract(u, 1.0, out=u, where=u >= 0.5)   # to x form, exactly: w in [1/2, 1]
+        u *= np.where(np.signbit(u), 1.0 - L, 1.0 + L) - L * u
+
+
+def _a_log(v: np.ndarray) -> np.ndarray:
+    """log a from ``_compose``'s w or x form: log1p(-w), or log x (-inf where x underflowed)."""
+    import numpy as np
+
+    loga = np.log1p(-v)
+    with np.errstate(divide="ignore"):
+        np.log(-v, out=loga, where=np.signbit(v))
+    return loga
+
+
 def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.ndarray, float, float]:
     """(A_1..A_n, V_n, a bound on the error of V_n) from the size law's generating function.
 
@@ -205,14 +259,11 @@ def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.nda
         A_k = lambda_k (1 - lambda_k) int_0^1 G_k(t) / g_k'(t)^2 dt,
 
     a positive integrand; a cycle with lambda_k in {0, 1} has A_k = 0. Each
-    integral runs in w = 1 - t over panels with edges at 4^j / m_k, m_k the
-    mean of S_k, where G_k(1 - w) falls off, and up to 1. The maps compose
-    in w form, w <- w (1 + lambda - lambda w), while w < 1/2 and in x form
-    after, so neither loses the small side's digits, and G_k is
-    exp(S0 log x). All cycles' panels go through one call of the quadrature
-    kernel, each with a tolerance of _PGF_RTOL times its first-pass
-    estimate; V_n is the correctly rounded sum of the A_k, and its bound is
-    the kernel's plus that rounding.
+    integral runs in w = 1 - t over ``_panels`` of the mean of S_k. The maps
+    compose in ``_compose``, and G_k is exp(S0 log a). All cycles' panels go
+    through one call of the quadrature kernel, each with a tolerance of
+    _PGF_RTOL times its first-pass estimate; V_n is the correctly rounded
+    sum of the A_k, and its bound is the kernel's plus that rounding.
     """
     import numpy as np
 
@@ -220,44 +271,32 @@ def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.nda
 
     if S0 < 1:
         raise ValueError("initial population must be at least 1")
-    lam = np.array(sched.prefix(n), dtype=float)
+    lams = sched.prefix(n)
+    lam = np.array(lams, dtype=float)
     A_seq = np.zeros(n)
     a: list[float] = []
     b: list[float] = []
     cyc: list[int] = []
     m = float(S0)
-    for c, L in enumerate(lam.tolist()):
+    for c, L in enumerate(lams):
         m *= 1.0 + L
         if 0.0 < L < 1.0:
-            edges = [0.0]
-            w = 1.0 / m
-            while w < 1.0:
-                edges.append(w)
-                w *= 4.0
-            edges.append(1.0)
+            edges = _panels(m)
             a += edges[:-1]
             b += edges[1:]
             cyc += [c] * (len(edges) - 1)
     if not cyc:
         return A_seq, 0.0, 0.0
     rate = lam * (1.0 - lam)
-    maps = [(c, L) for c, L in enumerate(lam.tolist()) if L > 0.0][::-1]
 
     def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # rows come in ascending cycle order, so cycles >= c are a suffix
-        starts = np.searchsorted(rows, np.arange(n)).tolist()
-        v = w.copy()   # w while below 1/2, then -x (signbit set; -0.0 when x underflows)
-        for c, L in maps:
-            u = v[starts[c]:]
-            np.subtract(u, 1.0, out=u, where=u >= 0.5)   # to x form, exactly: w in [1/2, 1]
-            u *= np.where(np.signbit(u), 1.0 - L, 1.0 + L) - L * u
-        xf = np.signbit(v)
-        logx = np.log1p(-v)
-        with np.errstate(divide="ignore"):
-            np.log(-v, out=logx, where=xf)
+        v = w.copy()
+        for _ in _compose(v, lams, np.searchsorted(rows, np.arange(n)).tolist()):
+            pass
         lr = lam[rows][:, None]
         gp = (1.0 - lr) + 2.0 * lr * (1.0 - w)
-        return rate[rows][:, None] * np.exp(S0 * logx) / (gp * gp)
+        return rate[rows][:, None] * np.exp(S0 * _a_log(v)) / (gp * gp)
 
     sums, err = _gauss_kronrod(integrand, a, b, 0.0, group=np.array(cyc), rtol=_PGF_RTOL)
     A_seq[: len(sums)] = sums
@@ -265,17 +304,99 @@ def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.nda
     return A_seq, Vn, err + _EPS * Vn
 
 
+def _marked_sums(
+    sched: EfficiencySchedule, law: MutationLaw, S0: int, n: int
+) -> tuple[float, float, float, float]:
+    """(M_eta, M2_eta, E[M^2], error bound) from the marked generating function.
+
+    Each particle carries its state X as a mark (Harris 1963, ch. I and
+    III). For one founder of state 0 before cycle k and a fixed x, carry the
+    size PGF a = Psi_k(x), F_r = E[sum_i X_i^r x^S] (r = 0, 1, 2) and the
+    pair sums P_rs = E[sum_{i != j} X_i^r X_j^s x^S] (rs = 00, 10, 11), from
+    a = F0 = x and the rest 0 after cycle n, back through k = n..1 with
+    g = 1 - lambda + 2 lambda a and old values on the right:
+
+        F0 <- g F0                  F1 <- g F1 + mu lambda a F0
+        F2 <- g F2 + lambda a (2 mu F1 + s2 F0)
+        P00 <- g P00 + 2 lambda F0^2
+        P10 <- g P10 + lambda (mu a P00 + F0 (2 F1 + mu F0))
+        P11 <- g P11 + lambda a (s2 P00 + 2 mu P10) + 2 lambda F1 (F1 + mu F0)
+
+    with s2 = nu + mu^2 and a stepped by ``_compose``: the pair sums split
+    over which subtree, parent's or copy's, holds each particle, and a
+    copy's increment is shared by its whole subtree. S0 independent
+    founders give E[sum X x^S] = S0 F1 a^(S0-1), E[sum X^2 x^S] = S0 F2
+    a^(S0-1) and E[(sum X)^2 x^S] = S0 (F2 + P11) a^(S0-1) + S0 (S0 - 1)
+    F1^2 a^(S0-2), each power exp(k log a). As 1/s = int_0^1 x^(s-1) dx and
+    1/s^2 = int_0^1 (-log x) x^(s-1) dx, the three moments are those sums
+    over x, the last times -log x, integrated over ``_panels`` of the mean
+    of S_n in one grouped call of the quadrature kernel at _PGF_RTOL. Each
+    abscissa costs O(n), whatever the size support.
+
+    The bound is on the absolute error of every moment formed from the
+    three: the kernel's bound err covers their sum of errors, M_eta^2 adds
+    2 M_eta err + err^2 to it, and the subtractions R_n = E[M^2] - M_eta^2
+    and D_eta = M2_eta - M_eta^2 and the sample variance add a few roundings
+    of E[M^2] and M2_eta. Relative to R_n that is E[M^2]/R_n times the
+    relative error of E[M^2], the cancellation of the subtraction.
+    """
+    import numpy as np
+
+    from .harmonic import _EPS, _gauss_kronrod
+
+    lam = sched.prefix(n)
+    mu, s2 = law.mu, law.second_moment
+    edges = _panels(S0 * math.prod(1.0 + L for L in lam))
+    whole = [0] * n
+
+    def power(k: int, loga: np.ndarray):
+        return np.exp(k * loga) if k else 1.0     # 0 * -inf would be nan
+
+    def integrand(pieces: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # the three integrals share their panels, so a piece's abscissae
+        # mostly come once per integral: step each distinct row once
+        w, back = np.unique(pieces, axis=0, return_inverse=True)
+        x = 1.0 - w
+        v = w.copy()
+        F0, F1, F2, P00, P10, P11 = x, 0.0, 0.0, 0.0, 0.0, 0.0
+        for L, u in _compose(v, lam, whole):
+            la = L * np.where(np.signbit(u), -u, 1.0 - u)   # lambda a
+            g = (1.0 - L) + 2.0 * la
+            P11 = g * P11 + la * (s2 * P00 + 2.0 * mu * P10) + 2.0 * L * F1 * (F1 + mu * F0)
+            P10 = g * P10 + mu * la * P00 + L * F0 * (2.0 * F1 + mu * F0)
+            P00 = g * P00 + 2.0 * L * F0 * F0
+            F2 = g * F2 + la * (2.0 * mu * F1 + s2 * F0)
+            F1 = g * F1 + mu * la * F0
+            F0 = g * F0
+        loga = _a_log(v)
+        p1 = power(S0 - 1, loga)
+        e3 = S0 * (F2 + P11) * p1
+        if S0 > 1:
+            e3 = e3 + S0 * (S0 - 1.0) * F1 * F1 * power(S0 - 2, loga)
+        e = np.stack(np.broadcast_arrays(S0 * F1 * p1, S0 * F2 * p1, -np.log1p(-w) * e3)) / x
+        return e[rows, back.reshape(-1)]
+
+    k = len(edges) - 1
+    sums, err = _gauss_kronrod(integrand, edges[:-1] * 3, edges[1:] * 3, 0.0,
+                               group=np.repeat(np.arange(3), k), rtol=_PGF_RTOL)
+    M_eta, M2_eta, EM2 = sums.tolist()
+    bound = err * max(1.0, 2.0 * M_eta + err) + 4.0 * _EPS * max(EM2, M2_eta)
+    return M_eta, M2_eta, EM2, bound
+
+
 @dataclass(frozen=True)
 class ExactMoments:
-    """Exact sample/empirical moments from the joint size-moment dynamic program.
+    """Exact first and second moments of the empirical and sampled means.
 
-    Per final size s the program tracks the probability and the restricted
-    expectations of the empirical mean, its square, and the empirical second
-    moment, so every downstream quantity (including the remainder R_n and the
-    variance of an ell-sample mean) follows exactly. ``tail_mass`` bounds the
-    probability the trimmed, banded binomial steps left out of ``p``; the
-    program is ``size_law``'s with three more rows, so ``sizes``, ``p`` and
-    ``tail_mass`` are its own. Nothing is renormalized.
+    A fixed schedule's values come from the marked generating function
+    (``_marked_sums``), which drops no sizes: ``tail_mass`` is 0.0 and
+    ``quad_error`` bounds the absolute error of every moment here, the
+    quadrature's error carried through the subtractions; relative to Rn it
+    grows by the cancellation factor E[M^2]/Rn. A saturating schedule's come
+    from the banded joint size-and-moment program (``_banded_moments``):
+    ``quad_error`` is 0.0 and ``tail_mass`` bounds the probability its
+    trims and band cuts left out, which is size_law's own. Nothing is
+    renormalized.
     """
 
     n: int
@@ -288,12 +409,8 @@ class ExactMoments:
     M2_eta: float      # E[M2(zeta_n)]
     D_eta: float       # M2_eta - M_eta^2
     D_zeta_mean: float  # E[D(zeta_n)] = D_eta - Rn
-    sizes: np.ndarray
-    p: np.ndarray      # P(S_n = s)
-    m1: np.ndarray     # E[M(zeta_n) 1_{S_n=s}]
-    m2: np.ndarray     # E[M(zeta_n)^2 1_{S_n=s}]
-    q: np.ndarray      # E[M2(zeta_n) 1_{S_n=s}]
-    tail_mass: float   # bound on 1 - sum(p), from the trims and band cuts
+    tail_mass: float   # probability the banded program left out; 0.0 for a fixed schedule
+    quad_error: float  # bound on each moment's quadrature and rounding error; 0.0 when banded
 
 
 def exact_sample_moments(
@@ -305,18 +422,38 @@ def exact_sample_moments(
 ) -> ExactMoments:
     """Exact first and second moments of empirical and sampled means.
 
-    One banded pass of ``_pmf.size_program`` per cycle over the size
-    support. Conditional on j duplications among s particles, the
-    duplicating set is a uniform j-subset independent of the accumulated
-    states, which closes the system of four restricted moments propagated
-    here.
+    A fixed schedule takes one quadrature pass over the marked generating
+    function (``_marked_sums``), at any S0 and n; a saturating one, whose
+    efficiency depends on the size, takes the banded joint program
+    (``_banded_moments``), which refuses a size support past 2,000,000.
+    """
+    if ell < 1:
+        raise ValueError("sample size must be at least 1")
+    if S0 < 1:
+        raise ValueError("initial population must be at least 1")
+    if sched.kind == "deterministic":
+        *sums, err = _marked_sums(sched, law, S0, n)
+        return _exact_moments(n, S0, ell, *sums, quad_error=err)
+    _, _, m1, m2, q, tail = _banded_moments(sched, law, S0, n)
+    return _exact_moments(n, S0, ell, float(m1.sum()), float(q.sum()), float(m2.sum()),
+                          tail_mass=tail)
+
+
+def _banded_moments(sched: EfficiencySchedule, law: MutationLaw, S0: int, n: int):
+    """(sizes, p, m1, m2, q, tail_mass) of S_n by the banded joint program.
+
+    p = P(S_n = s), m1 = E[M(zeta_n) 1_{S_n=s}], m2 = E[M(zeta_n)^2
+    1_{S_n=s}] and q = E[M2(zeta_n) 1_{S_n=s}] at each carried size s, in
+    one banded pass of ``_pmf.size_program`` per cycle; tail_mass bounds 1 -
+    sum(p), and sizes, p and tail_mass are ``size_law``'s own. Conditional
+    on j duplications among s particles, the duplicating set is a uniform
+    j-subset independent of the accumulated states, which closes the system
+    of four restricted moments propagated here.
     """
     import numpy as np
 
     from ._pmf import size_program
 
-    if ell < 1:
-        raise ValueError("sample size must be at least 1")
     mu, nu = law.mu, law.nu
     mu2 = mu * mu
 
@@ -339,21 +476,19 @@ def exact_sample_moments(
     for first, vals, tail in size_program(sched, S0, n, 4, step):
         pass
     p, m1, m2, q = vals
-    return _exact_moments(n, S0, ell, first + np.arange(len(p)), p, m1, m2, q, tail)
+    return first + np.arange(len(p)), p, m1, m2, q, tail
 
 
-def _exact_moments(n: int, S0: int, ell: int, sizes, p, m1, m2, q, tail: float) -> ExactMoments:
-    """The ExactMoments record of the per-size restricted sums p, m1, m2 and q."""
-    M_eta = float(m1.sum())
-    EM2 = float(m2.sum())
-    M2_eta = float(q.sum())
+def _exact_moments(n: int, S0: int, ell: int, M_eta: float, M2_eta: float, EM2: float,
+                   tail_mass: float = 0.0, quad_error: float = 0.0) -> ExactMoments:
+    """The ExactMoments record of E[M(zeta_n)], E[M2(zeta_n)] and E[M(zeta_n)^2]."""
     Rn = EM2 - M_eta**2
     D_eta = M2_eta - M_eta**2
     Vt = D_eta / ell + (1.0 - 1.0 / ell) * Rn
     return ExactMoments(
         n=n, S0=S0, ell=ell, Et=M_eta, Vt=Vt, Rn=Rn,
         M_eta=M_eta, M2_eta=M2_eta, D_eta=D_eta, D_zeta_mean=M2_eta - EM2,
-        sizes=sizes, p=p, m1=m1, m2=m2, q=q, tail_mass=tail,
+        tail_mass=tail_mass, quad_error=quad_error,
     )
 
 

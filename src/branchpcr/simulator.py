@@ -606,12 +606,10 @@ def enumerate_tiny(
 
     mu, nu = law.mu, law.nu
     mu2 = mu * mu
-    sizes = np.arange(S0, S0 * 2**n + 1)
-    p_v, m1_v, m2_v, q_v = np.zeros((4, len(sizes)))
+    m1_v, m2_v, q_v = np.zeros((3, S0 * 2**n - S0 + 1))
     for (s, a), (prob, eb, eq) in forest.items():
         idx = s - S0
-        p_v[idx] += prob
         m1_v[idx] += mu * a * prob / s
         m2_v[idx] += (nu * eb + mu2 * a * a * prob) / (s * s)
         q_v[idx] += (nu * a * prob + mu2 * eq) / s
-    return _exact_moments(n, S0, ell, sizes, p_v, m1_v, m2_v, q_v, 0.0)
+    return _exact_moments(n, S0, ell, float(m1_v.sum()), float(q_v.sum()), float(m2_v.sum()))

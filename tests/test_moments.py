@@ -6,13 +6,15 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from branchpcr import _pmf, harmonic, kinetics
 from branchpcr._pmf import binom_row
 from branchpcr.moments import (
     MutationLaw,
+    _banded_moments,
+    _exact_moments,
     _pgf_corrections,
     exact_Vn_Vpn,
     exact_sample_moments,
@@ -289,14 +291,15 @@ def test_exact_moments_internal_relations(monkeypatch):
     dp = exact_sample_moments(build_schedule([0.5] * 5), poisson_law(0.06), 2, 5, 4)
     assert dp.Vt == pytest.approx(dp.D_eta / 4 + (1 - 0.25) * dp.Rn, rel=1e-14)
     assert dp.D_zeta_mean == pytest.approx(dp.D_eta - dp.Rn, rel=1e-12)
-    assert dp.p.sum() == pytest.approx(1.0, rel=1e-12)
+    p = _banded_moments(build_schedule([0.5] * 5), poisson_law(0.06), 2, 5)[1]
+    assert p.sum() == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         exact_sample_moments(build_schedule([0.5]), poisson_law(0.06), 2, 1, 0)
     with pytest.raises(ValueError):
         exact_sample_moments(build_schedule([0.5]), poisson_law(0.06), 0, 1, 1)
     monkeypatch.setattr(_pmf, "_SIZE_CAP", 8)
     with pytest.raises(ValueError):
-        exact_sample_moments(build_schedule([0.5] * 4), poisson_law(0.06), 1, 4, 1)
+        _banded_moments(build_schedule([0.5] * 4), poisson_law(0.06), 1, 4)
 
 
 def test_exact_first_moment_identity():
@@ -331,6 +334,87 @@ def test_single_founder_single_cycle_mean():
     # half the time nothing happens; otherwise the sampled particle carries
     # the fresh increment with probability 1/2
     assert dp.Et == pytest.approx(0.05 / 4)
+
+
+def test_exact_Vn_matches_enumeration():
+    # V_n = W_n - E(t)/mu, with E(t) from the genealogy enumeration
+    law = MutationLaw(mu=1.0, nu=0.0)
+    for lams in ([0.25, 0.5, 0.9, 0.4], [1.0, 0.0, 0.7, 0.2], [0.05, 0.95, 0.3, 1.0]):
+        sched = build_schedule(lams)
+        W = seqs_for(lams).W
+        for S0 in (1, 2):
+            for n in range(5):
+                _, Vn, _ = exact_Vn_Vpn(sched, S0, n)
+                tiny = enumerate_tiny(sched, law, S0, n)
+                assert Vn == pytest.approx(W[n] - tiny.Et / law.mu, abs=1e-13), (lams, S0, n)
+
+
+# ----- exact moments from the marked generating function -----
+
+# the reference analysis (Poisson mu = 0.05, ell = 28, n = 30): S0, then R_n
+# and V(t), each with half a unit of its last digit, as printed from an
+# mpmath evaluation of the same integrals at 30 digits and more
+REF_TABLE = [
+    (1, 0.02734908, 0.5e-8, 0.04845433, 0.5e-8),
+    (10, 0.002859796, 0.5e-9, 0.02493371, 0.5e-8),
+    (100, 2.863031e-4, 0.5e-10, 0.02245825, 0.5e-8),
+    (10**5, 2.863342e-7, 0.5e-13, 0.0221831056, 0.5e-10),
+]
+
+
+@pytest.mark.parametrize("S0, Rn, Rn_tol, Vt, Vt_tol", REF_TABLE)
+def test_marked_moments_reference_table(S0, Rn, Rn_tol, Vt, Vt_tol):
+    law = poisson_law(0.05)
+    dp = exact_sample_moments(build_schedule(REF_LAMBDAS), law, S0, 30, 28)
+    assert dp.tail_mass == 0.0 and 0.0 < dp.quad_error < 1e-13
+    assert dp.Rn == pytest.approx(Rn, abs=Rn_tol)
+    assert dp.Vt == pytest.approx(Vt, abs=Vt_tol)
+    env = moment_envelope(seqs_for(REF_LAMBDAS), law, S0, 30, 28)
+    assert env.Vt_lo <= dp.Vt <= env.Vt_hi
+    assert dp.Rn <= env.Rn_hi
+
+
+def banded_record(sched, law, S0, n, ell):
+    """The ExactMoments record of the banded joint program, as a saturating schedule gets it."""
+    _, _, m1, m2, q, tail = _banded_moments(sched, law, S0, n)
+    return _exact_moments(n, S0, ell, float(m1.sum()), float(q.sum()), float(m2.sum()),
+                          tail_mass=tail)
+
+
+@given(large_instances(), st.sampled_from([poisson_law(0.05), MutationLaw(mu=0.1, nu=0.04)]),
+       st.integers(min_value=1, max_value=30))
+@example((2, [0.5] * 11), poisson_law(0.05), 10)
+@example((3, [0.0, 1.0, 0.3, 0.9, 1e-6]), MutationLaw(mu=0.1, nu=0.04), 2)
+@example((1, [0.9] * 9), poisson_law(0.05), 1)
+@settings(max_examples=40, deadline=None)
+def test_marked_moments_within_envelope_at_scale(instance, law, ell):
+    S0, lams = instance
+    n = len(lams)
+    dp = exact_sample_moments(build_schedule(lams), law, S0, n, ell)
+    env = moment_envelope(seqs_for(lams), law, S0, n, ell)
+    tol = dp.quad_error + 1e-12 * env.Vt_hi
+    assert env.Vt_lo - tol <= dp.Vt <= env.Vt_hi + tol
+    assert dp.Rn <= env.Rn_hi * (1 + 1e-12) + dp.quad_error
+    if S0 * math.prod(1.0 + L for L in lams) <= 2000:
+        # the banded program leaves out at most tail_mass of the probability,
+        # on which M, M^2 and M2 are at most n mu + n^2 (nu + mu^2)
+        ref = banded_record(build_schedule(lams), law, S0, n, ell)
+        K = n * law.mu + n * n * law.second_moment
+        allow = dp.quad_error + ref.tail_mass * K * (2.0 + 2.0 * dp.M_eta)
+        for f in ("Et", "Vt", "Rn", "M_eta", "M2_eta", "D_eta", "D_zeta_mean"):
+            assert abs(getattr(dp, f) - getattr(ref, f)) <= allow, f
+
+
+@pytest.mark.parametrize("lams, n", [([0.5, 0.0, 1.0, 0.3], 4), ([0.5], 0), ([1.0, 0.0], 2)])
+def test_fixed_schedule_never_reaches_the_size_program(monkeypatch, lams, n):
+    def refuse(*args):
+        raise RuntimeError("size program reached")
+
+    monkeypatch.setattr(_pmf, "size_program", refuse)
+    dp = exact_sample_moments(build_schedule(lams), poisson_law(0.05), 2, n, 3)
+    assert dp.tail_mass == 0.0
+    with pytest.raises(RuntimeError, match="size program reached"):
+        exact_sample_moments(build_schedule(mm_C=10.0, mm_D=11.0), poisson_law(0.05), 1, 3, 1)
 
 
 # ----- the banded programs against the dense loops they replaced -----
@@ -447,9 +531,10 @@ def test_banded_programs_match_dense_loops(S0, lams):
     assert Vpn == pytest.approx(Vpn_ref, rel=1e-13, abs=1e-16)
     # the joint moment program
     for mlaw in (poisson_law(0.07), MutationLaw(mu=0.1, nu=0.04)):
+        tail = _banded_moments(sched, mlaw, S0, n)[-1]
+        assert tail <= n * 1e-17
+        assert tail == pytest.approx(law.tail_mass, rel=1e-12, abs=1e-30)
         dp = exact_sample_moments(sched, mlaw, S0, n, 3)
-        assert dp.tail_mass <= n * 1e-17
-        assert dp.tail_mass == pytest.approx(law.tail_mass, rel=1e-12, abs=1e-30)
         ref = dense_exact_sample_moments(sched, mlaw, S0, n, 3)
         for f, want in zip(("Vt", "Rn", "M_eta", "M2_eta", "D_eta"), ref):
             assert getattr(dp, f) == pytest.approx(want, rel=1e-13, abs=1e-16), f
@@ -491,10 +576,10 @@ def test_trimmed_support_keeps_its_budget(lam, S0, n):
     for y in (0.0, 1.0, 5.0):
         hb = harmonic.harmonic_moment_bounds(sched, S0, n, y)
         assert hb.lower <= law.harmonic_moment(y) <= hb.upper, y
-    dp = exact_sample_moments(sched, poisson_law(0.07), S0, n, 3)
-    np.testing.assert_array_equal(dp.sizes, law.sizes)
-    assert dp.p.tobytes() == law.probs.tobytes()   # the size law's own steps, to the bit
-    assert dp.tail_mass == law.tail_mass
+    sizes, p, *_, tail = _banded_moments(sched, poisson_law(0.07), S0, n)
+    np.testing.assert_array_equal(sizes, law.sizes)
+    assert p.tobytes() == law.probs.tobytes()   # the size law's own steps, to the bit
+    assert tail == law.tail_mass
 
 
 def test_trimmed_mass_enters_tail_mass():
@@ -507,8 +592,7 @@ def test_trimmed_mass_enters_tail_mass():
     dropped = float(before.probs[~kept].sum())
     assert 0.0 < dropped <= 1e-17 / 2
     assert after.tail_mass - before.tail_mass == pytest.approx(dropped, rel=1e-9, abs=0.0)
-    dp = exact_sample_moments(sched, poisson_law(0.07), 2, 11, 3)
-    assert dp.tail_mass == after.tail_mass
+    assert _banded_moments(sched, poisson_law(0.07), 2, 11)[-1] == after.tail_mass
 
 
 def test_trimmed_support_at_benchmark_scale():
@@ -556,12 +640,13 @@ def test_size_programs_keep_their_bits():
     assert [float(law.probs[i]).hex() for i in idx] == [
         "0x1.000000000000bp-22", "0x1.14908819daf86p-8", "0x1.ef071ffab92f1p-20",
         "0x1.71db298f8f887p-8", "0x1.8d0d334e7b708p-125"]
-    dp = exact_sample_moments(sched, poisson_law(0.05), 2, 11, 10)
-    assert [x.hex() for x in (dp.tail_mass, dp.Et, dp.Vt, dp.Rn)] == [
+    _, p, m1, m2, q, tail = _banded_moments(sched, poisson_law(0.05), 2, 11)
+    dp = _exact_moments(11, 2, 10, float(m1.sum()), float(q.sum()), float(m2.sum()))
+    assert [x.hex() for x in (tail, dp.Et, dp.Vt, dp.Rn)] == [
         "0x1.b5ac94577004ep-57", "0x1.6a396ca005314p-3", "0x1.27795886a076ep-5",
         "0x1.43a279b5e6f7ap-6"]
-    assert dp.p.tobytes() == law.probs.tobytes()
-    assert [float(dp.q[i]).hex() for i in idx] == [
+    assert p.tobytes() == law.probs.tobytes()
+    assert [float(q[i]).hex() for i in idx] == [
         "0x0.0p+0", "0x1.a9255ad61d608p-11", "0x1.099d45d217db5p-21",
         "0x1.3c03a30c0392ap-10", "0x1.d9a16a3e063fep-127"]
     last = size_laws(build_schedule(mm_C=10.0, mm_D=11.0), 1, 20)[-1]
@@ -695,15 +780,19 @@ def test_size_support_reaches_the_mean():
 
 
 def test_reference_analysis_refused_up_front():
-    # S0 = 100, n = 30 has mean 2.5e9 sizes: refused before the first cycle,
-    # where the cycles would pass the cap at cycle 16 after minutes of work
+    # S0 = 100, n = 30 has mean 2.5e9 sizes: the size law is refused before
+    # the first cycle, where the cycles would pass the cap at cycle 16 after
+    # minutes of work; the exact moments take the generating-function route
     sched = build_schedule(REF_LAMBDAS)
-    for call in (lambda: size_law(sched, 100, 30),
-                 lambda: exact_sample_moments(sched, poisson_law(0.05), 100, 30, 3)):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="above cap 2000000"):
-            call()
-        assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="above cap 2000000"):
+        size_law(sched, 100, 30)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    dp = exact_sample_moments(sched, poisson_law(0.05), 100, 30, 28)
+    assert time.perf_counter() - start < 1.0
+    assert dp.Rn == pytest.approx(2.863031e-4, abs=0.5e-10)
+    assert dp.Vt == pytest.approx(0.02245825, abs=0.5e-8)
 
 # ----- envelopes -----
 
@@ -927,16 +1016,17 @@ def test_one_step_remainder_identity():
         sched = build_schedule(lams)
         dpn = exact_sample_moments(sched, law, S0, n, 1)
         dpn1 = exact_sample_moments(sched, law, S0, n + 1, 1)
+        sizes, p, m1, m2, q, _ = _banded_moments(sched, law, S0, n)
         L = lams[n]
-        fams = {int(s): harmonic.B_family(int(s), L) for s in dpn.sizes}
-        EB = sum(dpn.p[i] * fams[int(s)].B for i, s in enumerate(dpn.sizes))
-        EB2 = sum(dpn.p[i] * fams[int(s)].B2 for i, s in enumerate(dpn.sizes))
-        E1H = sum(dpn.p[i] * (1 - fams[int(s)].H) for i, s in enumerate(dpn.sizes))
+        fams = {int(s): harmonic.B_family(int(s), L) for s in sizes}
+        EB = sum(p[i] * fams[int(s)].B for i, s in enumerate(sizes))
+        EB2 = sum(p[i] * fams[int(s)].B2 for i, s in enumerate(sizes))
+        E1H = sum(p[i] * (1 - fams[int(s)].H) for i, s in enumerate(sizes))
         EDBpp = sum(
-            fams[int(s)].Bpp * (dpn.q[i] - dpn.m2[i]) for i, s in enumerate(dpn.sizes)
+            fams[int(s)].Bpp * (q[i] - m2[i]) for i, s in enumerate(sizes)
         )
         cov = sum(
-            dpn.m1[i] * (1 - fams[int(s)].H) for i, s in enumerate(dpn.sizes)
+            m1[i] * (1 - fams[int(s)].H) for i, s in enumerate(sizes)
         ) - dpn.M_eta * E1H
         rhs = (dpn.Rn + EDBpp + law.nu * EB
                + law.mu**2 * (EB2 - E1H**2) + 2 * law.mu * cov)

@@ -355,6 +355,34 @@ def test_tiny_total_variation_is_small():
     assert t2 <= bound + 1e-14
 
 
+class RecordingGenerator:
+    """A random generator that records the name of every method read from it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("law, draws", [
+    (poisson_law(1e-14), ["multinomial"]),     # a two-entry Poisson table
+    (poisson_law(2.0), ["multinomial"]),
+    (MutationLaw(mu=0.1, nu=0.04), ["binomial"]),
+    (poisson_law(0.0), []),                    # one-entry tables
+    (MutationLaw(mu=0.0, nu=0.0), []),
+])
+def test_split_makes_the_right_draw(law, draws):
+    pmf = simulator._increments(law)[1]
+    dups = np.array([[3, 0, 7], [1, 2, 0]])
+    rng = RecordingGenerator(np.random.Generator(np.random.Philox(4)))
+    split = simulator._split(dups, pmf, law.poisson, rng)
+    assert rng.calls == draws
+    assert split.shape == dups.shape + (len(pmf),)
+    np.testing.assert_array_equal(split.sum(axis=-1), dups)
+
+
 @pytest.mark.parametrize("law,final,batch_sha,t_mean", [
     (poisson_law(0.7), {0: 11, 1: 16, 2: 19, 3: 5, 4: 2, 5: 2}, "a24bb030d02da044", 1.55),
     (poisson_law(3.5), {0: 3, 2: 1, 3: 3, 4: 5, 5: 6, 6: 4, 7: 5, 8: 4, 9: 8, 10: 3, 11: 5,
