@@ -21,9 +21,11 @@ Also provides the integral representation of the centered harmonic mean A(k)
 (an adaptive Gauss-Kronrod G7/K15 quadrature of f^k f'^(-2l) for the
 offspring generating function f, whose first pass is precomputed on [0, 1])
 and interval bounds for harmonic moments of the population size after n
-cycles. The same quadrature kernel takes many integrals over their own
-panels in one pass; moments.exact_Vn_Vpn integrates every cycle's A_k
-over the size law's generating function with it.
+cycles. The same quadrature kernel takes many integrals over one shared
+panel set in one pass, each abscissa evaluated once for all of them; the
+generating-function oracles of the moments module (every cycle's A_k for
+exact_Vn_Vpn, the three marked sums for exact_sample_moments) run through
+it on the panels of S_n's mean.
 """
 
 from __future__ import annotations
@@ -306,95 +308,99 @@ _GK_UNIT_X = (_GK_UNIT_LO + _GK_UNIT_HALF)[:, None] + _GK_UNIT_HALF * _GK_NODES
 _EPS = float(np.finfo(float).eps)
 
 
-def _gauss_kronrod(g, a, b, tol: float, group=None, rtol: float = 0.0, *, bound: bool = True):
+def _gauss_kronrod(g, a, b, tol: float, rtol: float = 0.0, *, bound: bool = True):
     """Adaptive G7/K15 quadrature over panels; (integral or integrals, error bound or None).
 
-    With ``group`` None, [a, b] is one panel, ``g`` takes an array of
-    abscissae and the integral is a float. Otherwise ``a`` and ``b`` are
-    arrays of panel edges and ``group`` numbers the integral each panel adds
-    to, ascending along the panels; the integrals come back as an array
-    indexed by that number (one without panels is 0), and ``g`` takes the
-    abscissae, one row per piece, and the number of each row, which stays
-    ascending. b < a integrates backwards, with negative half-widths.
+    With float ``a`` and ``b``, [a, b] is one panel, ``g`` takes an array of
+    abscissae and the integral is a float. With arrays, ``a`` and ``b`` are
+    the edges of panels that m integrals share: ``g`` takes the abscissae,
+    one row of 15 per piece, and returns an (m, pieces, 15) array, each
+    integral's integrand at every abscissa, and the integrals come back as
+    an array of m. b < a integrates backwards, with negative half-widths.
 
     The first pass cuts every panel into _GK_PIECES equal pieces, the unit
     pieces of [0, 1] and their abscissae scaled to it. Each integral's
     tolerance, ``tol`` plus ``rtol`` times the absolute value of its
-    first-pass estimate, is shared equally among its first-pass pieces. Each
-    pass evaluates g once over every open piece, accepts a piece when
-    |K15 - G7| is within its share and splits it in two, halving the share,
-    otherwise; a pass that accepts every piece, the usual last one, keeps
-    them without masked copies. Each integral is the correctly rounded sum
-    (math.fsum) of its accepted pieces. The returned error bounds the sum of
-    the integrals' absolute errors: the sum of |K15 - G7| over the accepted
-    pieces plus a bound on the rounding of their rule sums and of the
-    integrals' sums, after QUADPACK's qk15 (Piessens et al., 1983). A call
-    that would pass _QUAD_BUDGET evaluations raises RuntimeError. With
-    ``bound=False`` neither the |K15 - G7| sum nor the rounding size is
-    accumulated, the bound comes back as None, and a scalar call whose first
-    pass accepts every piece returns at once; the integrals are the same to
-    the bit.
+    first-pass estimate, is shared equally among the first-pass pieces. Each
+    pass evaluates g once over every open piece, accepts a piece when every
+    integral's |K15 - G7| there is within its share and splits it in two,
+    halving the shares, otherwise; a pass that accepts every piece, the
+    usual last one, keeps them without masked copies. Each integral is the
+    correctly rounded sum (math.fsum) of its accepted pieces. The returned
+    error bounds the sum of the integrals' absolute errors: the sum of
+    |K15 - G7| over the accepted pieces plus a bound on the rounding of
+    their rule sums and of the integrals' sums, after QUADPACK's qk15
+    (Piessens et al., 1983). A call that would pass _QUAD_BUDGET evaluations
+    (abscissae times integrals, counted as one integral until g first
+    returns) raises RuntimeError. With ``bound=False`` neither the |K15 - G7| sum nor
+    the rounding size is accumulated, the bound comes back as None, and a
+    one-panel call whose first pass accepts every piece returns at once;
+    the integrals are the same to the bit.
 
-    The scalar path is kept apart for speed: on a shared 2-CPU machine,
+    The one-panel path is kept apart for speed: on a shared 2-CPU machine,
     ``A_integral``'s 360-integral grid (k = 1..40, lambda = 0.1..0.9), with
-    ``bound=False``, took a median 13.0 ms on it (17.2 ms with the bound) and
-    24.6 ms, bit-identical, as one-panel groups (29.1 ms with the bound), in
-    60 interleaved repeats.
+    ``bound=False``, took a median 6.2 ms on it (8.5 ms with the bound) and
+    11.0 ms, bit-identical, as one-panel, one-integral array calls (13.9 ms
+    with the bound), in 60 interleaved repeats.
     """
-    if group is None:
+    shared = isinstance(a, np.ndarray)
+    if shared:
+        a = a[:, None]                 # (panel, 1) columns
+        span = b[:, None] - a
+        half = np.repeat(span * _GK_UNIT_HALF, _GK_PIECES)
+        x = (a[..., None] + span[..., None] * _GK_UNIT_X).reshape(half.size, -1)
+    else:
         span = b - a
         half = span * _GK_UNIT_HALF    # one half-width while the pieces are equal
         x = a + span * _GK_UNIT_X
-        rows = ()
-    else:
-        a = np.asarray(a, dtype=float)[:, None]                 # (panel, 1) columns
-        span = np.asarray(b, dtype=float)[:, None] - a
-        half = np.repeat(span * _GK_UNIT_HALF, _GK_PIECES)
-        x = (a[..., None] + span[..., None] * _GK_UNIT_X).reshape(half.size, -1)
-        count = int(group[-1]) + 1
-        group = np.repeat(group, _GK_PIECES)
-        rows = (group,)
     lo = hi = share = None             # the first pass's edges are made if it splits
-    parts, part_groups = [], []
+    parts = []
     err = size = 0.0
     evals = 0
+    m = 1                              # integrals, known once g returns
     while True:
-        evals += x.size
+        evals += m * x.size
         if evals > _QUAD_BUDGET:
             raise RuntimeError(f"quadrature exceeded {_QUAD_BUDGET} evaluations")
-        f = g(x, *rows)
-        k15 = half * (f @ _GK_K15)
-        diff = np.abs(k15 - half * (f @ _GK_G7))
+        f = g(x)
+        if shared:                     # one (integral * piece, 15) matrix for the rules
+            m = len(f)
+            f = f.reshape(-1, 15)
+            k15 = half * (f @ _GK_K15).reshape(-1, half.size)
+            diff = np.abs(k15 - half * (f @ _GK_G7).reshape(k15.shape))
+        else:
+            k15 = half * (f @ _GK_K15)
+            diff = np.abs(k15 - half * (f @ _GK_G7))
         if share is None:
-            if rows:
-                est = np.bincount(group, k15, count)
-                share = ((tol + rtol * np.abs(est)) / np.bincount(group, None, count).clip(1))[group]
+            if shared:
+                est = np.abs(k15.sum(axis=1, keepdims=True))
+                share = np.repeat((tol + rtol * est) / half.size, half.size, axis=1)
             else:
                 share = (tol + rtol * abs(k15.sum()) if rtol else tol) * _GK_UNIT_SHARE
         done = diff <= share
+        if shared:
+            done = done.all(axis=0)    # a piece waits for its slowest integral
         last = bool(done.all())
-        if last and not (bound or rows or parts):    # a scalar call's one pass
+        if last and not (bound or shared or parts):    # a one-panel call's one pass
             return math.fsum(k15.tolist()), None
         take = slice(None) if last else done
+        if shared:
+            take = np.s_[:, take]      # every integral's row
         parts.append(k15[take])
-        if rows:
-            part_groups.append(group[take])
         if bound:
             err += diff[take].sum()
-            size += (np.abs(half) * (np.abs(f) @ _GK_K15))[take].sum()
+            rule = (np.abs(f) @ _GK_K15).reshape(k15.shape)
+            size += (np.abs(half) * rule)[take].sum()
         if last:
             break
         if lo is None:
             lo, hi = (a + span * _GK_UNIT_LO).ravel(), (a + span * _GK_UNIT_HI).ravel()
         keep = ~done
-        lo, hi, share = lo[keep], hi[keep], 0.5 * share[keep]
+        lo, hi, share = lo[keep], hi[keep], 0.5 * share[np.s_[:, keep] if shared else keep]
         mid = 0.5 * (lo + hi)
         # each split piece's halves take its place, so the rows keep their order
         lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
-        share = np.repeat(share, 2)
-        if rows:
-            group = np.repeat(group[keep], 2)
-            rows = (group,)
+        share = np.repeat(share, 2, axis=-1)
         half = 0.5 * (hi - lo)
         x = (lo + half)[:, None] + half[:, None] * _GK_NODES
     # with u = eps/2, a rule sum (a 15-term dot product times the rounded
@@ -402,18 +408,10 @@ def _gauss_kronrod(g, a, b, tol: float, group=None, rtol: float = 0.0, *, bound:
     # at most u of each integral; eps in place of u leaves room for the
     # second-order terms
     bound = float(err + 18 * _EPS * size) if bound else None
-    if len(parts) == 1:
-        vals, grp = parts[0].tolist(), group
-    else:                              # later passes' pieces follow the first's
-        vals = np.concatenate(parts).tolist()
-        if rows:
-            grp = np.concatenate(part_groups)
-            order = np.argsort(grp, kind="stable")
-            vals, grp = [vals[i] for i in order.tolist()], grp[order]
-    if not rows:
-        return math.fsum(vals), bound
-    ends = np.searchsorted(grp, np.arange(count), side="right").tolist()
-    return np.array([math.fsum(vals[s:e]) for s, e in zip([0] + ends[:-1], ends)]), bound
+    vals = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    if not shared:
+        return math.fsum(vals.tolist()), bound
+    return np.array([math.fsum(row) for row in vals.tolist()]), bound
 
 
 def A_integral(k: int, ell: int, lam: float) -> float:
@@ -494,11 +492,6 @@ def _bpp_shift_rows(k, j: np.ndarray, w: np.ndarray, lam) -> np.ndarray:
     ``lam`` is one efficiency, or a (lambda, 1) column for (lambda, k, j) rows.
     """
     return lam * (1.0 - lam) * np.sum(w * k / (k + 1.0 + j) ** 2, axis=-1)
-
-
-def _bpp_via_shift(k: int, lam: float) -> float:
-    """Alternative form of Bpp for k >= 2: lam(1-lam) E[k/(3 + M_{k-2})^2]."""
-    return float(_bpp_shift_rows(k, *_binom_weights(k - 2, lam), lam))
 
 
 def inequality_violations(

@@ -7,16 +7,18 @@ infinite-population values, exact finite-population references, and interval
 envelopes assembled from the correction sums of the schedule module.
 
 On a fixed schedule the exact values come from the size law's generating
-function, its maps composed once per abscissa by ``_compose``: the exact V_n
-is one quadrature per cycle, all cycles in one adaptive pass, and the exact
-sample moments (``exact_sample_moments``) are three integrals over the same
-function with each particle's state carried as a mark, in one pass. Both
-report a quadrature error bound and run at any S0 and n. The size law, and
-the sample moments of a saturating schedule (whose efficiency depends on
-the size), come from one dynamic program, ``_pmf.size_program``, with two
-steps: it carries the probability (and the four restricted moments) through
-one banded binomial step per cycle, reports the mass it left out, and
-refuses a size support past 2,000,000 sizes.
+function G_n, its maps composed once per abscissa by ``_compose``, on one
+panel set, the panels of S_n's mean: the exact V_n is one integral per
+cycle over G_n (each A_k substituted onto S_n's generating function), and
+the exact sample moments (``exact_sample_moments``) are three integrals over
+the same function with each particle's state carried as a mark. Each takes
+one adaptive pass, O(n) per abscissa for every cycle, reports a quadrature
+error bound and runs at any S0 and n. The size law, and the sample moments
+of a saturating schedule (whose efficiency depends on the size), come from
+one dynamic program, ``_pmf.size_program``, with two steps: it carries the
+probability (and the four restricted moments) through one banded binomial
+step per cycle, reports the mass it left out, and refuses a size support
+past 2,000,000 sizes.
 
 The sample variance of an ell-sample adds a remainder R_n (the variance of
 the conditional mean). R_n is bounded by the closed-form u/u'/u'' sums that
@@ -186,9 +188,10 @@ def exact_Vn_Vpn(
 
     A_k averages the harmonic correction A(s, lambda_k) = E[s/(s + J)] -
     1/(1 + lambda_k), J ~ Binomial(s, lambda_k), over the law of S_{k-1};
-    it is one integral over the size law's generating function
-    (``_pgf_corrections``), so the cost grows with n and log(S0 2^n), not
-    with the size support. V'_n sums the scalar composition A_k^2 +
+    it is one integral over the generating function of S_n
+    (``_pgf_corrections``), all cycles on one panel set at O(n) per
+    abscissa, so the cost grows with n and log(S0 2^n), not with the size
+    support. V'_n sums the scalar composition A_k^2 +
     (1 - 2 alpha_k) A_k. Needs a schedule that does not depend on the size.
     """
     import numpy as np
@@ -199,32 +202,34 @@ def exact_Vn_Vpn(
     return A_seq, Vn, float(np.sum(A_seq**2 + (1.0 - 2.0 * alpha) * A_seq))
 
 
-def _panels(m: float) -> list[float]:
-    """Quadrature panel edges in w = 1 - x for a size law of mean m: 0, 4^j / m below 1, and 1.
+def _panels(S0: int, lam: Floats) -> np.ndarray:
+    """Quadrature panel edges in w = 1 - x for S_n, of mean m: 0, 4^j / m below 1, and 1.
 
     A generating function G(1 - w) of a law of mean m falls off past w near
     1/m, so the panels follow that scale and widen geometrically after it.
     """
+    import numpy as np
+
     edges = [0.0]
-    w = 1.0 / m
+    w = 1.0 / (S0 * math.prod(1.0 + L for L in lam))
     while w < 1.0:
         edges.append(w)
         w *= 4.0
     edges.append(1.0)
-    return edges
+    return np.array(edges)
 
 
-def _compose(v: np.ndarray, lam: Floats, starts: list[int]):
+def _compose(v: np.ndarray, lam: Floats):
     """Compose the size maps a <- a (1 - lambda + lambda a) in place, last cycle first.
 
     ``v`` holds each abscissa's a as w = 1 - a while w < 1/2 and as -a (sign
     bit set; -0.0 once a underflows) after: the w form is w <- w (1 + lambda -
     lambda w), the x form -a <- -a (1 - lambda + lambda a), and the switch
     at w in [1/2, 1] is exact, so neither side of a loses its small digits.
-    Cycle c's map applies to the rows of ``v`` from starts[c] on; a cycle
-    with lambda 0 is the identity and is skipped. Before each map the
-    generator yields (lambda, u), u the view of ``v`` the map is about to
-    step, so a caller can read a there; ``_a_log`` reads log a at the end.
+    A cycle with lambda 0 is the identity and is skipped. Before each map
+    the generator yields its lambda, so a caller can read a in ``v`` there:
+    one pass, O(n) per abscissa, serves every cycle. ``_a_log`` reads log a
+    at the end.
     """
     import numpy as np
 
@@ -232,10 +237,9 @@ def _compose(v: np.ndarray, lam: Floats, starts: list[int]):
         L = lam[c]
         if L == 0.0:
             continue
-        u = v[starts[c]:]
-        yield L, u
-        np.subtract(u, 1.0, out=u, where=u >= 0.5)   # to x form, exactly: w in [1/2, 1]
-        u *= np.where(np.signbit(u), 1.0 - L, 1.0 + L) - L * u
+        yield L
+        np.subtract(v, 1.0, out=v, where=v >= 0.5)   # to x form, exactly: w in [1/2, 1]
+        v *= np.where(np.signbit(v), 1.0 - L, 1.0 + L) - L * v
 
 
 def _a_log(v: np.ndarray) -> np.ndarray:
@@ -255,15 +259,23 @@ def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.nda
     function G_k = (g_1 o ... o g_k)^S0 (Harris 1963, ch. I), and averaging
     the representation A(s, lambda) = lambda (1 - lambda) int_0^1
     f(t)^s / f'(t)^2 dt (f = g_k) over S_{k-1} term by term gives
+    A_k = lambda_k (1 - lambda_k) int_0^1 G_k(t) / g_k'(t)^2 dt. The
+    substitution t = y_k(x) = g_{k+1} o ... o g_n(x), an increasing map of
+    [0, 1] onto itself with G_k(y_k(x)) = G_n(x), puts every cycle on S_n's
+    generating function:
 
-        A_k = lambda_k (1 - lambda_k) int_0^1 G_k(t) / g_k'(t)^2 dt,
+        A_k = lambda_k (1 - lambda_k) int_0^1 G_n(x) y_k'(x) / g_k'(y_k)^2 dx,
+        y_k' = prod_{j > k} g_j'(y_j),
 
-    a positive integrand; a cycle with lambda_k in {0, 1} has A_k = 0. Each
-    integral runs in w = 1 - t over ``_panels`` of the mean of S_k. The maps
-    compose in ``_compose``, and G_k is exp(S0 log a). All cycles' panels go
-    through one call of the quadrature kernel, each with a tolerance of
-    _PGF_RTOL times its first-pass estimate; V_n is the correctly rounded
-    sum of the A_k, and its bound is the kernel's plus that rounding.
+    a positive integrand; a cycle with lambda_k in {0, 1} has A_k = 0 and no
+    integral (at lambda = 1, g'(y) = 2y vanishes at y = 0). One ``_compose``
+    pass per abscissa reads each y_k before its map and carries the running
+    product y_k', so every cycle costs O(n) per abscissa, and G_n is
+    exp(S0 log a). All cycles share ``_panels`` of the mean of S_n in w = 1 -
+    x, the panels of ``_marked_sums``, in one call of the quadrature kernel,
+    each with a tolerance of _PGF_RTOL times its first-pass estimate; V_n is
+    the correctly rounded sum of the A_k, and its bound is the kernel's plus
+    that rounding.
     """
     import numpy as np
 
@@ -271,35 +283,25 @@ def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.nda
 
     if S0 < 1:
         raise ValueError("initial population must be at least 1")
-    lams = sched.prefix(n)
-    lam = np.array(lams, dtype=float)
+    lam = sched.prefix(n)
+    live = [c for c, L in enumerate(lam) if 0.0 < L < 1.0]
     A_seq = np.zeros(n)
-    a: list[float] = []
-    b: list[float] = []
-    cyc: list[int] = []
-    m = float(S0)
-    for c, L in enumerate(lams):
-        m *= 1.0 + L
-        if 0.0 < L < 1.0:
-            edges = _panels(m)
-            a += edges[:-1]
-            b += edges[1:]
-            cyc += [c] * (len(edges) - 1)
-    if not cyc:
+    if not live:
         return A_seq, 0.0, 0.0
-    rate = lam * (1.0 - lam)
 
-    def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # rows come in ascending cycle order, so cycles >= c are a suffix
+    def integrand(w: np.ndarray) -> np.ndarray:
         v = w.copy()
-        for _ in _compose(v, lams, np.searchsorted(rows, np.arange(n)).tolist()):
-            pass
-        lr = lam[rows][:, None]
-        gp = (1.0 - lr) + 2.0 * lr * (1.0 - w)
-        return rate[rows][:, None] * np.exp(S0 * _a_log(v)) / (gp * gp)
+        rows = []                      # the live cycles' integrands, last cycle first
+        dy = 1.0                       # y_k'
+        for L in _compose(v, lam):
+            gp = (1.0 - L) + 2.0 * L * np.where(np.signbit(v), -v, 1.0 - v)
+            if L < 1.0:
+                rows.append(L * (1.0 - L) * dy / (gp * gp))
+            dy = dy * gp
+        return np.stack(rows[::-1]) * np.exp(S0 * _a_log(v))
 
-    sums, err = _gauss_kronrod(integrand, a, b, 0.0, group=np.array(cyc), rtol=_PGF_RTOL)
-    A_seq[: len(sums)] = sums
+    edges = _panels(S0, lam)
+    A_seq[live], err = _gauss_kronrod(integrand, edges[:-1], edges[1:], 0.0, rtol=_PGF_RTOL)
     Vn = math.fsum(A_seq.tolist())
     return A_seq, Vn, err + _EPS * Vn
 
@@ -330,8 +332,9 @@ def _marked_sums(
     F1^2 a^(S0-2), each power exp(k log a). As 1/s = int_0^1 x^(s-1) dx and
     1/s^2 = int_0^1 (-log x) x^(s-1) dx, the three moments are those sums
     over x, the last times -log x, integrated over ``_panels`` of the mean
-    of S_n in one grouped call of the quadrature kernel at _PGF_RTOL. Each
-    abscissa costs O(n), whatever the size support.
+    of S_n, the panels of ``_pgf_corrections``, in one call of the
+    quadrature kernel at _PGF_RTOL. Each abscissa costs O(n), whatever the
+    size support.
 
     The bound is on the absolute error of every moment formed from the
     three: the kernel's bound err covers their sum of errors, M_eta^2 adds
@@ -346,21 +349,17 @@ def _marked_sums(
 
     lam = sched.prefix(n)
     mu, s2 = law.mu, law.second_moment
-    edges = _panels(S0 * math.prod(1.0 + L for L in lam))
-    whole = [0] * n
+    edges = _panels(S0, lam)
 
     def power(k: int, loga: np.ndarray):
         return np.exp(k * loga) if k else 1.0     # 0 * -inf would be nan
 
-    def integrand(pieces: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # the three integrals share their panels, so a piece's abscissae
-        # mostly come once per integral: step each distinct row once
-        w, back = np.unique(pieces, axis=0, return_inverse=True)
+    def integrand(w: np.ndarray) -> np.ndarray:
         x = 1.0 - w
         v = w.copy()
         F0, F1, F2, P00, P10, P11 = x, 0.0, 0.0, 0.0, 0.0, 0.0
-        for L, u in _compose(v, lam, whole):
-            la = L * np.where(np.signbit(u), -u, 1.0 - u)   # lambda a
+        for L in _compose(v, lam):
+            la = L * np.where(np.signbit(v), -v, 1.0 - v)   # lambda a
             g = (1.0 - L) + 2.0 * la
             P11 = g * P11 + la * (s2 * P00 + 2.0 * mu * P10) + 2.0 * L * F1 * (F1 + mu * F0)
             P10 = g * P10 + mu * la * P00 + L * F0 * (2.0 * F1 + mu * F0)
@@ -373,12 +372,9 @@ def _marked_sums(
         e3 = S0 * (F2 + P11) * p1
         if S0 > 1:
             e3 = e3 + S0 * (S0 - 1.0) * F1 * F1 * power(S0 - 2, loga)
-        e = np.stack(np.broadcast_arrays(S0 * F1 * p1, S0 * F2 * p1, -np.log1p(-w) * e3)) / x
-        return e[rows, back.reshape(-1)]
+        return np.stack(np.broadcast_arrays(S0 * F1 * p1, S0 * F2 * p1, -np.log1p(-w) * e3)) / x
 
-    k = len(edges) - 1
-    sums, err = _gauss_kronrod(integrand, edges[:-1] * 3, edges[1:] * 3, 0.0,
-                               group=np.repeat(np.arange(3), k), rtol=_PGF_RTOL)
+    sums, err = _gauss_kronrod(integrand, edges[:-1], edges[1:], 0.0, rtol=_PGF_RTOL)
     M_eta, M2_eta, EM2 = sums.tolist()
     bound = err * max(1.0, 2.0 * M_eta + err) + 4.0 * _EPS * max(EM2, M2_eta)
     return M_eta, M2_eta, EM2, bound

@@ -75,7 +75,7 @@ def test_family_identities(k, lam):
 @settings(max_examples=150, deadline=None)
 def test_pair_shift_identity(k, lam):
     fam = harmonic.B_family(k, lam)
-    alt = harmonic._bpp_via_shift(k, lam)
+    alt = harmonic._bpp_shift_rows(k, *harmonic._binom_weights(k - 2, lam), lam)
     assert math.isclose(fam.Bpp, alt, rel_tol=0, abs_tol=1e-13)
 
 
@@ -214,6 +214,12 @@ def test_quadrature_budget(monkeypatch):
     with pytest.raises(RuntimeError):
         harmonic._gauss_kronrod(counted, 0.0, 1.0, 1e-12)
     assert evals[0] == 240 and len(evals) > 2 and sum(evals) <= 400
+    # on shared panels every integral's values count, once g has returned
+    evals.clear()
+    with pytest.raises(RuntimeError):
+        harmonic._gauss_kronrod(lambda t: np.stack([counted(t)] * 3), np.array([0.0]),
+                                np.array([1.0]), 1e-12)
+    assert evals[0] == 240 and len(evals) > 1 and evals[0] + 3 * sum(evals[1:]) <= 400
 
 
 @pytest.mark.parametrize("a, b, c", [(2.0, 5.0, 3.0), (1.0, 0.0, 1.0 / 3.0)])
@@ -237,35 +243,41 @@ def test_gauss_kronrod_off_the_unit_interval(a, b, c):
 
 
 def test_gauss_kronrod_groups():
-    # one call, several integrals over their own panels: x^2 + |x - 1.7| over
-    # [0, 1] and [1, 3] (integral 0), none (integral 1), the |t - 1/3| kink
-    # backwards over [1, 0] (integral 2), and e^-t over [0, 1], [1, 4],
-    # [4, 16] (integral 3); the kinks split pieces of two integrals at once
-    a = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 4.0])
-    b = np.array([1.0, 3.0, 0.0, 1.0, 4.0, 16.0])
-    group = np.array([0, 0, 2, 3, 3, 3])
+    # one call, three integrals over one panel set, [0, 1] and [1, 3]:
+    # x^2 + |x - 1.7|, e^-x and |x - 1/3|; the kinks split pieces, and a
+    # split piece splits for every integral
     passes = []
 
-    def g(x, rows):
-        assert x.shape == (len(rows), 15) and np.all(np.diff(rows) >= 0)
-        passes.append(len(rows))
-        r = rows[:, None]
-        return np.where(r == 0, x * x + np.abs(x - 1.7),
-                        np.where(r == 2, np.abs(x - 1.0 / 3.0), np.exp(-x)))
+    def g(x):
+        assert x.ndim == 2 and x.shape[1] == 15
+        passes.append(len(x))
+        return np.stack((x * x + np.abs(x - 1.7), np.exp(-x), np.abs(x - 1.0 / 3.0)))
 
-    sums, err = harmonic._gauss_kronrod(g, a, b, 0.0, group=group, rtol=1e-13)
-    want = np.array([9.0 + (1.7**2 + 1.3**2) / 2.0, 0.0, -5.0 / 18.0, -math.expm1(-16.0)])
-    assert passes[0] == 6 * 16 and len(passes) > 2     # the kink takes splits
-    assert sums.shape == (4,) and sums[1] == 0.0
-    assert np.sum(np.abs(sums - want)) <= err + 4 * np.finfo(float).eps * np.sum(np.abs(want))
-    assert err <= 1e-13 * np.sum(np.abs(want))
-    # one panel in one group is the scalar call: the same pieces and sums
-    def kink(x, *rows):
+    want = np.array([9.0 + (1.7**2 + 1.3**2) / 2.0, -math.expm1(-3.0), 65.0 / 18.0])
+    eps = np.finfo(float).eps
+    for a, b, sign in (([0.0, 1.0], [1.0, 3.0], 1.0), ([3.0, 1.0], [1.0, 0.0], -1.0)):
+        passes.clear()
+        sums, err = harmonic._gauss_kronrod(g, np.array(a), np.array(b), 0.0, rtol=1e-13)
+        assert passes[0] == 2 * 16 and len(passes) > 2     # the kinks take splits
+        assert sums.shape == (3,)
+        assert np.sum(np.abs(sums - sign * want)) <= err + 4 * eps * np.sum(want)
+        assert err <= 1e-13 * np.sum(want)
+        bare, none = harmonic._gauss_kronrod(g, np.array(a), np.array(b), 0.0, rtol=1e-13,
+                                             bound=False)
+        assert none is None and bare.tobytes() == sums.tobytes()
+
+    # one panel and one integral is the scalar call: the same pieces, sums
+    # and bound, with and without splits, forwards and backwards
+    def kink(x):
         return np.abs(x - 1.0 / 3.0)
 
-    one = harmonic._gauss_kronrod(kink, np.array([1.0]), np.array([0.0]), 1e-12,
-                                  group=np.array([0]))
-    assert (one[0][0], one[1]) == harmonic._gauss_kronrod(kink, 1.0, 0.0, 1e-12)
+    for f, a, b, tol, rtol in ((kink, 1.0, 0.0, 1e-12, 0.0), (kink, 0.0, 1.0, 0.0, 1e-13),
+                               (np.exp, 0.0, 2.0, 1e-12, 0.0), (np.exp, 2.0, 0.0, 0.0, 1e-13)):
+        for bound in (True, False):
+            one = harmonic._gauss_kronrod(lambda x: f(x)[None], np.array([a]), np.array([b]),
+                                          tol, rtol, bound=bound)
+            assert (one[0][0], one[1]) == harmonic._gauss_kronrod(f, a, b, tol, rtol,
+                                                                  bound=bound)
 
 
 def test_gauss_kronrod_bound_option():
@@ -287,16 +299,18 @@ def test_gauss_kronrod_bound_option():
 
                 value = same(integrand, 0.0, 1.0, harmonic._QUAD_TOL)
                 assert harmonic.A_integral(k, ell, lam) == value, (k, lam, ell)
-    # an integral that refines past the first pass, alone and as a group
+    # an integral that refines past the first pass, alone and with another
+    # on shared panels
     passes = []
 
-    def kink(t, *rows):
+    def kink(t):
         passes.append(t.shape[0])
         return np.abs(t - 1.0 / 3.0)
 
     same(kink, 0.0, 1.0, 1e-12)
     assert len(passes) > 2
-    same(kink, np.array([0.0, 0.5]), np.array([0.5, 1.0]), 1e-12, group=np.array([0, 1]))
+    same(lambda t: np.stack((kink(t), t * t)), np.array([0.0, 0.5]), np.array([0.5, 1.0]),
+         1e-12)
 
 
 def test_gauss_kronrod_rule_exactness():
@@ -430,8 +444,8 @@ def _reference_violations(k_max, lambdas, y_values, slack, tail_k=500):
             check(fam.G >= g_low - slack, f"G Taylor lower {tag}")
             if k >= 2:
                 check(abs(fam.Bpp + fam.B1 - 1.0) <= slack, f"B''+B1 identity {tag}")
-                check(abs(fam.Bpp - harmonic._bpp_via_shift(k, lam)) <= slack,
-                      f"B'' shift identity {tag}")
+                shift = harmonic._bpp_shift_rows(k, *harmonic._binom_weights(k - 2, lam), lam)
+                check(abs(fam.Bpp - shift) <= slack, f"B'' shift identity {tag}")
                 check(fam.Bpp >= n2 * inv**2 * k / (k + 1) ** 2 - slack, f"B'' lower bound {tag}")
             check(abs(fam.B2 - (1.0 - fam.H) ** 2 - fam.Bp) <= slack, f"B2 decomposition {tag}")
             for y in y_values:

@@ -1,5 +1,5 @@
 """What `import branchpcr` and each CLI command load, read from sys.modules
-of a fresh process, and which public names the package and benchmark call."""
+of a fresh process, and which names the package and benchmark call."""
 
 import ast
 import json
@@ -137,36 +137,53 @@ UNCALLED_KEPT = {
 }
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Names a module reads, imports or lists as strings, outside the
-    top-level definition that binds each name."""
-    refs = set()
-    for stmt in tree.body:
-        names = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)   # the lazy export table's keys
-        refs |= names - {getattr(stmt, "name", None)}
-    return refs
+def _reads(node: ast.AST, function: bool) -> set[str]:
+    """Names a statement reads, imports or lists as strings; in a function or
+    class, the names it binds itself (parameters, assignments) are local and
+    do not count."""
+    names, local = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            (names if isinstance(sub.ctx, ast.Load) else local).add(sub.id)
+        elif isinstance(sub, ast.arg):
+            local.add(sub.arg)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)   # the lazy export table's keys
+    return names - local if function else names
 
 
 def test_every_public_name_has_a_caller():
+    # a name counts as called only from reachable code: the fixpoint from
+    # module-level code (the commands, the benchmark's operations and the
+    # lazy export table) and UNCALLED_KEPT, through the top-level
+    # definitions each reached name binds; private helpers count too
     package = ROOT / "src" / "branchpcr"
     callers = [*package.glob("*.py"),
                *(p for p in (ROOT / "bench").glob("*.py") if p.name != "test_bench.py")]
-    called = set().union(*(_references(ast.parse(p.read_text())) for p in callers))
-    public = {
+    top, bodies = set(), {}
+    for path in callers:
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bodies.setdefault(stmt.name, set()).update(_reads(stmt, True) - {stmt.name})
+            else:
+                top |= _reads(stmt, False)
+    reached, todo = set(), [*top, *UNCALLED_KEPT]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += bodies.get(name, ())
+    defined = {
         stmt.name
         for module in (*LAYERS, "_pmf")
         for stmt in ast.parse((package / f"{module}.py").read_text()).body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
     }
-    uncalled = public - called
-    assert sorted(uncalled - set(UNCALLED_KEPT)) == [], "public names only tests call"
-    assert sorted(set(UNCALLED_KEPT) - uncalled) == [], "kept names that now have a caller"
+    assert sorted(defined - reached) == [], "names only tests call"
+    called = top.union(*(bodies.get(name, ()) for name in reached))
+    assert sorted(set(UNCALLED_KEPT) - defined) == [], "kept names that are gone"
+    assert sorted(set(UNCALLED_KEPT) & called) == [], "kept names that now have a caller"

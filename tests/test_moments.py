@@ -203,20 +203,23 @@ def assert_per_cycle_sandwich(A_seq, seqs, S0, rel, tol):
 
 # ----- exact V_n from the size law's generating function, against references -----
 
-def _mp_Vn(S0, lam, n, nodes):
-    """V_n on the constant schedule lam, by Gauss-Legendre on the PGF integrals in mpmath.
+def _mp_Vn(S0, lams, nodes):
+    """V_n on the schedule lams, by Gauss-Legendre on the PGF integrals in mpmath.
 
-    A_k = lam (1 - lam) int_0^1 G_k(t)/g'(t)^2 dt, G_k = (g o ... o g)^S0
-    (k maps), g(x) = x (1 - lam + lam x). The panels run in w = 1 - t up to
-    1/2, cut at 4^j/m_k where G_k falls off, and in t up to 1/2, cut at
-    (1 - lam)/(2 lam) 4^i where 1/g'^2 peaks.
+    A_k = lam_k (1 - lam_k) int_0^1 G_k(t)/g_k'(t)^2 dt, G_k = (g_1 o ... o
+    g_k)^S0, g_k(x) = x (1 - lam_k + lam_k x); a cycle with lam_k in {0, 1}
+    adds 0. The panels run in w = 1 - t up to 1/2, cut at 4^j/m_k where G_k
+    falls off, and in t up to 1/2, cut at (1 - lam_k)/(2 lam_k) 4^i where
+    1/g_k'^2 peaks.
     """
-    L = mpmath.mpf(lam)
+    Ls = [mpmath.mpf(L) for L in lams]
     half = mpmath.mpf(1) / 2
     nodes, weights = mpmath.mp.gauss_quadrature(nodes, "legendre")
     m, V = mpmath.mpf(S0), mpmath.mpf(0)
-    for k in range(1, n + 1):
+    for k, L in enumerate(Ls):
         m *= 1 + L
+        if not 0 < L < 1:
+            continue
         for side, first in (("w", 1 / m), ("t", (1 - L) / (2 * L))):
             edges = [mpmath.mpf(0)]
             while first < half:
@@ -229,8 +232,8 @@ def _mp_Vn(S0, lam, n, nodes):
                     u = a + h * (x + 1)
                     t = 1 - u if side == "w" else u
                     y = t
-                    for _ in range(k):
-                        y = y * (1 - L + L * y)
+                    for Lj in reversed(Ls[: k + 1]):
+                        y = y * (1 - Lj + Lj * y)
                     V += L * (1 - L) * h * wt * y**S0 / (1 - L + 2 * L * t) ** 2
     return V
 
@@ -241,13 +244,30 @@ def test_exact_Vn_matches_mpmath():
     # about 4e-21 relative, checked here on the first
     with mpmath.workdps(30):
         cases = ((3, 0.99, 12), (2, 0.9, 14), (2, 0.5, 16))
-        refs = [_mp_Vn(S0, lam, n, 20) for S0, lam, n in cases]
-        assert abs(_mp_Vn(*cases[0], 30) - refs[0]) <= 1e-19 * refs[0]
+        refs = [_mp_Vn(S0, [lam] * n, 20) for S0, lam, n in cases]
+        assert abs(_mp_Vn(3, [0.99] * 12, 30) - refs[0]) <= 1e-19 * refs[0]
     for (S0, lam, n), ref in zip(cases, refs):
         _, Vn, err = _pgf_corrections(build_schedule([lam] * n), S0, n)
         assert abs(Vn - float(ref)) <= err, (S0, lam, n)
         assert err <= 1e-14 * Vn
         assert Vn == exact_Vn_Vpn(build_schedule([lam] * n), S0, n)[1]
+
+
+def test_exact_Vn_matches_mpmath_on_a_mixed_schedule():
+    # cycles that never or always duplicate sit between live ones: they add
+    # no integral, though their maps enter the other cycles' substitution;
+    # the run of lambda = 1 maps squares y_k to 0 at small x, where a
+    # lambda = 1 cycle's g'(y) = 2y would vanish
+    lams = [0.7, 1.0, 0.3, 0.0, 0.9] + [1.0] * 8 + [0.5, 0.0, 0.8, 0.99]
+    n = len(lams)
+    with mpmath.workdps(30):
+        refs = {S0: _mp_Vn(S0, lams, 20) for S0 in (1, 2, 7)}
+        assert abs(_mp_Vn(2, lams, 30) - refs[2]) <= 1e-19 * refs[2]
+    for S0, ref in refs.items():
+        A_seq, Vn, err = _pgf_corrections(build_schedule(lams), S0, n)
+        assert [A_seq[c] for c, L in enumerate(lams) if L in (0.0, 1.0)] == [0.0] * 11
+        assert abs(Vn - float(ref)) <= err, S0
+        assert err <= 1e-14 * Vn
 
 
 @pytest.mark.parametrize("S0,want,digits", [
@@ -369,9 +389,13 @@ def test_marked_moments_reference_table(S0, Rn, Rn_tol, Vt, Vt_tol):
     assert dp.tail_mass == 0.0 and 0.0 < dp.quad_error < 1e-13
     assert dp.Rn == pytest.approx(Rn, abs=Rn_tol)
     assert dp.Vt == pytest.approx(Vt, abs=Vt_tol)
-    env = moment_envelope(seqs_for(REF_LAMBDAS), law, S0, 30, 28)
+    seqs = seqs_for(REF_LAMBDAS)
+    env = moment_envelope(seqs, law, S0, 30, 28)
     assert env.Vt_lo <= dp.Vt <= env.Vt_hi
     assert dp.Rn <= env.Rn_hi
+    # the two oracles integrate over the same panels: E(t) = mu (W_n - V_n)
+    _, Vn, err = _pgf_corrections(build_schedule(REF_LAMBDAS), S0, 30)
+    assert abs(dp.Et - law.mu * (seqs.W[30] - Vn)) <= dp.quad_error + law.mu * err
 
 
 def banded_record(sched, law, S0, n, ell):
