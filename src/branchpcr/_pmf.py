@@ -7,19 +7,20 @@ and the rest of a row follows from the ratio recurrence p_{j+1}/p_j, walked
 outward from the mode so every step shrinks the value and the tails underflow
 gracefully to zero.
 
-``binom_band`` does this for many rows at once: the mode values in one array
-pass, the walks as 2-D cumulative products, each over only the columns on
-its own side of the rows' modes, and each row cut to a band around its mean
-past which Hoeffding's inequality leaves at most ``BAND_TAIL`` of the mass.
-``binom_row`` is its uncut one-row case, and ``size_program`` is the one
-dynamic program over the size law S -> S + Binomial(S, lambda) through such
-bands: each cycle it drops the ends of the law that hold at most
-``BAND_TAIL/4`` each, cuts the rows of the sizes it keeps at
-``BAND_TAIL/2``, so a cycle leaves out at most ``BAND_TAIL``, and sums a
-caller's per-cell values onto the next sizes; a fixed schedule's efficiency
-reaches the kernel as one float, a saturating one's as one per size. The
-size law and the joint size-and-moment program are its two steps. With
-``poisson_table`` they are the package's only source of binomial and
+``binom_cells`` does this for many rows at once over the limits it is given:
+the mode values in one array pass, the walks as 2-D cumulative products,
+each over only the columns on its own side of the rows' modes. Only
+``band_limits`` cuts a row, to a band around its mean past which Hoeffding's
+inequality leaves at most ``BAND_TAIL`` of the mass; ``binom_rows`` takes
+whole rows and ``binom_row`` one. ``size_program`` is the one dynamic
+program over the size law S -> S + Binomial(S, lambda) through such bands:
+each cycle it drops the ends of the law that hold at most ``BAND_TAIL/4``
+each, cuts the rows of the sizes it keeps at ``BAND_TAIL/2`` in one
+``band_limits`` call, so a cycle leaves out at most ``BAND_TAIL``, and sums
+a caller's per-cell values onto the next sizes; a fixed schedule's
+efficiency reaches the kernel as one float, a saturating one's as one per
+size. The size law and the joint size-and-moment program are its two steps.
+With ``poisson_table`` they are the package's only source of binomial and
 Poisson weights: the harmonic functionals, the size-law and moment programs
 and the simulator's increment table all read them.
 """
@@ -134,12 +135,9 @@ def band_limits(
     Returns float arrays (lo, hi, cut): ``cut`` is Hoeffding's bound on the
     mass outside [lo, hi], one term for each side that drops anything, each
     at most tail/2. A row with lam 0 or 1 is the point mass at s lam: its
-    band is that one cell and its cut 0. ``tail = 0`` keeps whole rows.
+    band is that one cell and its cut 0.
     """
     s = np.asarray(s, dtype=float)
-    if tail == 0.0:
-        zero = 0.0 * s
-        return zero, s, zero
     mean = s * lam
     spread = lam * (1.0 - lam) > 0.0
     t = spread * np.sqrt(s * (0.5 * math.log(2.0 / tail)))
@@ -153,22 +151,21 @@ def band_limits(
     return lo, hi, cut
 
 
-def binom_band(
-    s: np.ndarray, lam: np.ndarray | float, tail: float = BAND_TAIL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Binomial(s_i, lam_i) rows, each cut to its band from ``band_limits``.
+def binom_cells(
+    s: np.ndarray, lam: np.ndarray | float, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Binomial(s_i, lam_i) rows over the duplication counts lo_i..hi_i.
 
-    ``lam`` is one efficiency or one per row. Returns (lo, w, cut): w[i, c]
-    is the probability of lo[i] + c duplications among s[i] particles, zero
-    past the row's band; lo is an int array and cut the per-row tail bound.
-    The walks start at each row's mode, which lies in its band whenever
-    ``tail`` is at most 2 e^-2 (the band's half-width is then at least 1).
+    ``lam`` is one efficiency or one per row. Returns (j, w): the grid j[i, c]
+    = lo[i] + c, as wide as the widest row, and w[i, c] the probability of
+    j[i, c] duplications among s[i] particles, zero past hi[i]. The walks
+    start at each row's mode, which ``band_limits`` keeps in the band
+    whenever its tail is at most 2 e^-2 (the half-width is then at least 1).
     """
     s = np.asarray(s, dtype=float)
     lam = np.asarray(lam, dtype=float)
     q = 1.0 - lam
     m = np.minimum(s, np.floor((s + 1.0) * lam))
-    lo, hi, cut = band_limits(s, lam, tail)
     j = lo[:, None] + np.arange(int((hi - lo).max()) + 1.0)
     S, L, Q, M = s[:, None], lam[..., None], q[..., None], m[:, None]
     # p_j/p_{j-1} = (s - j + 1) lam / (j q) above the mode and p_j/p_{j+1} =
@@ -201,12 +198,17 @@ def binom_band(
         w *= (pm * (1.0 + c * m))[:, None] - (pm * c)[:, None] * j
     else:        # c = 0, as 1 - lam is exact for lam >= 1/2 (Sterbenz): the factor is pm
         w *= pm[:, None]
-    return lo.astype(np.int64), w, cut
+    return j, w
+
+
+def binom_rows(s: np.ndarray, lam: np.ndarray | float) -> np.ndarray:
+    """Whole Binomial(s_i, lam_i) rows, zero-padded to the widest: the limits (0, s)."""
+    return binom_cells(s, lam, 0.0 * s, s)[1]
 
 
 def binom_row(s: int, lam: float) -> np.ndarray:
-    """Binomial(s, lam) probabilities of 0..s: the uncut one-row band."""
-    return binom_band(np.array([s]), lam, tail=0.0)[1][0]
+    """Binomial(s, lam) probabilities of 0..s."""
+    return binom_rows(np.array([s]), lam)[0]
 
 
 def size_program(sched: EfficiencySchedule, S0: int, n: int, rows: int, step):
@@ -216,13 +218,13 @@ def size_program(sched: EfficiencySchedule, S0: int, n: int, rows: int, step):
     ``rows`` at size first + i, row 0 the probability, and ``tail`` bounds
     the probability left out. Each cycle drops the sizes that hold at most
     BAND_TAIL/4 at each end of the law and cuts the rows of the sizes it
-    keeps at BAND_TAIL/2; per block of at most _BLOCK_CELLS band weights,
-    ``step(s, j, w, v)`` maps the (K, 1) sources s, the (K, B) duplication
-    counts j and weights w and the sources' (rows, K, 1) values v to ``rows``
-    (K, B) arrays, each summed onto the sizes s + j before the next is drawn
-    (a generator keeps one alive). A size above
-    _SIZE_CAP raises ValueError; a fixed schedule whose mean S0 prod(1 +
-    lam_k) passes it is refused before the first cycle.
+    keeps at BAND_TAIL/2, in one ``band_limits`` call; per block of at most
+    _BLOCK_CELLS band weights, ``step(s, j, w, v)`` maps the (K, 1) sources
+    s, the kernel's (K, B) duplication counts j and weights w and the
+    sources' (rows, K, 1) values v to ``rows`` (K, B) arrays, each summed
+    onto the sizes s + j before the next is drawn (a generator keeps one
+    alive). A size above _SIZE_CAP raises ValueError; a fixed schedule
+    whose mean S0 prod(1 + lam_k) passes it is refused before the first cycle.
     """
     lam_at = sched.efficiency(S0, n)
     fixed = sched.kind == "deterministic"
@@ -239,7 +241,7 @@ def size_program(sched: EfficiencySchedule, S0: int, n: int, rows: int, step):
         tail += float(p[:lead].sum() + p[kept.stop :].sum())
         s = first + np.arange(kept.start, kept.stop, dtype=float)
         lam = lam_at(c, s)             # a fixed schedule's one float, else one per size
-        lo, hi, _ = band_limits(s, lam, _ROW_TAIL)
+        lo, hi, cut = band_limits(s, lam, _ROW_TAIL)
         first, top = int((s + lo).min()), int((s + hi).max())
         if top > _SIZE_CAP:
             raise ValueError(f"size support reaches {top} at cycle {c + 1}, above cap {_SIZE_CAP}")
@@ -247,15 +249,14 @@ def size_program(sched: EfficiencySchedule, S0: int, n: int, rows: int, step):
         block = max(1, _BLOCK_CELLS // int((hi - lo).max() + 1.0))
         kept_vals, vals = vals[:, kept, None], np.zeros((rows, width))
         for a in range(0, len(s), block):
-            part = lam if fixed else lam[a : a + block]
-            lo, w, cut = binom_band(s[a : a + block], part, _ROW_TAIL)
-            j = lo[:, None] + np.arange(w.shape[1], dtype=float)
-            src, v = s[a : a + block, None], kept_vals[:, a : a + block]
+            part = slice(a, a + block)
+            j, w = binom_cells(s[part], lam if fixed else lam[part], lo[part], hi[part])
+            src, v = s[part, None], kept_vals[:, part]
             # cells past a row's band carry weight 0; clipping keeps them in range
             to = np.minimum(src - first + j, width - 1).astype(np.intp).ravel()
             for r, x in enumerate(step(src, j, w, v)):
                 vals[r] += np.bincount(to, x.ravel(), width)
-            tail += float(v[0, :, 0] @ cut)
+            tail += float(v[0, :, 0] @ cut[part])
         yield first, vals, tail
 
 

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._pmf import _BLOCK_CELLS, binom_band, binom_row
+from ._pmf import _BLOCK_CELLS, binom_row, binom_rows
 from .schedule import EfficiencySchedule, derived_sequences, gamma_sequence
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(
@@ -213,8 +213,8 @@ def family_table(
 
     Rows come lambda by lambda, k ascending; the C entry is None without y.
     Each lambda takes its rows Binomial(k, lambda), k = 1..k_max, from one
-    call of the band kernel, which works cell by cell, so each row is the
-    one ``binom_row(k, lambda)`` gives; both families reduce its first k + 1
+    ``binom_rows`` call, which works cell by cell, so each row is the one
+    ``binom_row(k, lambda)`` gives; both families reduce its first k + 1
     cells as B_family and C_family do, so the values are theirs to the bit.
     """
     if k_max < 0:
@@ -227,7 +227,7 @@ def family_table(
         _check_shift(1, y)   # then k + y > 0 at every k
     table = []
     for lam in lambdas:
-        rows = binom_band(np.arange(1, k_max + 1), lam, tail=0.0)[1]
+        rows = binom_rows(np.arange(1, k_max + 1), lam)
         for k in range(1, k_max + 1):
             j, w = np.arange(k + 1), rows[k - 1, : k + 1]
             cf = None if y is None else _c_family(k, lam, y, j, w)
@@ -549,7 +549,7 @@ def _inequality_suite(
         # allocator keeps its pages; built and freed inside each block, they
         # went back to the system and were faulted in again (about 10% slower
         # at k_max = 1000)
-        w = binom_band(np.tile(s, len(block)), np.repeat(block, size), tail=0.0)[1]
+        w = binom_rows(np.tile(s, len(block)), np.repeat(block, size))
         labels, count = _suite_block(k_max, block, w.reshape(len(block), size, size),
                                      y_values, slack)
         bad += labels
@@ -662,7 +662,7 @@ def _suite_block(
             failed[..., c] = on & ~ok
             checked += nl * int(np.count_nonzero(on))
 
-    wt = binom_band(np.full(nl, _TAIL_K), lam[:, 0], tail=0.0)[1]
+    wt = binom_rows(np.full(nl, _TAIL_K), lam[:, 0])
     tail = _TAIL_K * _centred(_h_rows(_TAIL_K, np.arange(_TAIL_K + 1), wt), lam[:, 0])
     tail_ok = np.abs(tail - scale[:, 0]) <= 0.15 * scale[:, 0] + slack
 

@@ -85,11 +85,11 @@ def exact_w_mean(params: MMParams, n: int) -> float:
     """E[w_n] from the exact size laws of S_0..S_{n-1}.
 
     alpha_k = D/(C + D + S_{k-1}) is a function of the size, so E[w_n] sums
-    D E[1/(S_{k-1} + C + D)] over k. The laws come from ``size_laws``, whose
-    banded program drops the lightest ends of each law and cuts its rows; as
-    alpha_k < 1, the sum is short by at most the sum of their ``tail_mass``
-    bounds (k 1e-17 for the law of S_k, trims and cuts together). A size
-    support past 2,000,000 sizes raises ValueError.
+    D E[1/(S_{k-1} + C + D)] over k, one term per law as ``size_laws``
+    yields it; its banded program drops the lightest ends of each law and
+    cuts its rows, so, as alpha_k < 1, the sum is short by at most the sum of
+    their ``tail_mass`` bounds (k 1e-17 for the law of S_k). A size support
+    past 2,000,000 sizes raises ValueError.
     """
     if n < 0:
         raise ValueError("cycle count must be nonnegative")

@@ -152,7 +152,11 @@ def infinite_population_moments(
     return Et, Vt
 
 
-def _size_laws(sched: EfficiencySchedule, S0: int, n: int):
+def size_laws(sched: EfficiencySchedule, S0: int, n: int):
+    """Yield the exact laws of S_0..S_n, each as its banded binomial convolution ends.
+
+    A support past 2,000,000 sizes raises ValueError (``_pmf.size_program``).
+    """
     import numpy as np
 
     from ._pmf import size_program
@@ -164,17 +168,9 @@ def _size_laws(sched: EfficiencySchedule, S0: int, n: int):
         yield SizeLaw(n=c, sizes=first + np.arange(vals.shape[1]), probs=vals[0], tail_mass=tail)
 
 
-def size_laws(sched: EfficiencySchedule, S0: int, n: int) -> list[SizeLaw]:
-    """Exact laws of S_0..S_n, by one banded binomial convolution per cycle.
-
-    A support past 2,000,000 sizes raises ValueError (``_pmf.size_program``).
-    """
-    return list(_size_laws(sched, S0, n))
-
-
 def size_law(sched: EfficiencySchedule, S0: int, n: int) -> SizeLaw:
-    """Exact law of S_n, by one banded binomial convolution per cycle."""
-    for law in _size_laws(sched, S0, n):
+    """Exact law of S_n: the last of ``size_laws``."""
+    for law in size_laws(sched, S0, n):
         pass
     return law
 
@@ -223,9 +219,11 @@ def _compose(v: np.ndarray, lam: Floats):
     """Compose the size maps a <- a (1 - lambda + lambda a) in place, last cycle first.
 
     ``v`` holds each abscissa's a as w = 1 - a while w < 1/2 and as -a (sign
-    bit set; -0.0 once a underflows) after: the w form is w <- w (1 + lambda -
-    lambda w), the x form -a <- -a (1 - lambda + lambda a), and the switch
-    at w in [1/2, 1] is exact, so neither side of a loses its small digits.
+    bit set; -0.0 once a underflows) after: the w form is w <- w + lambda w
+    (1 - w), the x form -a <- -a (1 - lambda + lambda a), and the switch at
+    w in [1/2, 1] is exact, so neither side of a loses its small digits. The
+    w form adds, as a factor 1 + lambda would round alike at each repeat of
+    a lambda; the x form multiplies, which keeps an underflowed -0.0 negative.
     A cycle with lambda 0 is the identity and is skipped. Before each map
     the generator yields its lambda, so a caller can read a in ``v`` there:
     one pass, O(n) per abscissa, serves every cycle. ``_a_log`` reads log a
@@ -239,7 +237,9 @@ def _compose(v: np.ndarray, lam: Floats):
             continue
         yield L
         np.subtract(v, 1.0, out=v, where=v >= 0.5)   # to x form, exactly: w in [1/2, 1]
-        v *= np.where(np.signbit(v), 1.0 - L, 1.0 + L) - L * v
+        x = np.signbit(v)
+        np.multiply(v, (1.0 - L) - L * v, out=v, where=x)
+        np.add(v, L * v * (1.0 - v), out=v, where=~x)
 
 
 def _a_log(v: np.ndarray) -> np.ndarray:

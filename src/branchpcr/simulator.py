@@ -348,7 +348,6 @@ class MonteCarloMoments:
     M_var: float
     M_var_se: float
     D_mean: float
-    D_se: float
     size_mean: float
     size_se: float
     martingale_mean: float
@@ -359,7 +358,6 @@ class MonteCarloMoments:
     t_values: np.ndarray            # the sampled mean t of each replicate
     eta_hist: dict[int, float] | None = None
     eta_hist_sd: dict[int, float] | None = None
-    state_scale: float = 1.0
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -472,7 +470,7 @@ def monte_carlo_moments(
     t_var_se = _sample_var_se(cols["M"], cols["D"], cols["mu3"], cols["mu4"], ell)
     M_mean, M_se = _mean_se(cols["M"])
     M_var, M_var_se = _var_se(cols["M"])
-    D_mean, D_se = _mean_se(cols["D"])
+    D_mean = float(np.mean(cols["D"]))
     size_mean, size_se = _mean_se(cols["size"])
     mart_mean, mart_se = _mean_se(cols["mart"])
     peak = int(cols["size"].max())
@@ -480,14 +478,13 @@ def monte_carlo_moments(
         replicates=replicates, n=n, ell=ell,
         t_mean=t_mean, t_se=t_se, t_var=t_var, t_var_se=t_var_se,
         M_mean=M_mean, M_se=M_se, M_var=M_var, M_var_se=M_var_se,
-        D_mean=D_mean, D_se=D_se,
+        D_mean=D_mean,
         size_mean=size_mean, size_se=size_se,
         martingale_mean=mart_mean, martingale_se=mart_se,
         peak_population=peak,
         occupied_classes=max(ch["occupied"] for ch in chunks),
         cap_headroom=population_cap / peak, t_values=t,
         eta_hist=eta_hist, eta_hist_sd=eta_hist_sd,
-        state_scale=_increments(spec.law)[0],
     )
 
 

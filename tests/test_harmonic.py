@@ -482,14 +482,14 @@ def _reference_violations(k_max, lambdas, y_values, slack, tail_k=500):
 def test_inequality_suite_matches_reference(y_values, monkeypatch):
     # lambda = 0 and 1 are point-mass rows in the band call of ordinary rows.
     # The grid runs as one block, then with a budget of two efficiencies a
-    # block, as three: each block makes one band call for its rows and one
-    # for its tail rows, and the labels come in the same order
+    # block, as three: each block makes one whole-row call for its rows and
+    # one for its tail rows, and the labels come in the same order
     kwargs = dict(k_max=8, lambdas=(0.0, 0.05, 0.3, 0.7, 1.0), y_values=y_values)
     per_lambda = (kwargs["k_max"] + 2) ** 2 + harmonic._TAIL_K + 1
     budgets = ((harmonic._BLOCK_CELLS, 1), (2 * per_lambda, 3))   # (cells, blocks)
     calls = []
-    band = harmonic.binom_band
-    monkeypatch.setattr(harmonic, "binom_band", lambda *a, **kw: calls.append(1) or band(*a, **kw))
+    rows = harmonic.binom_rows
+    monkeypatch.setattr(harmonic, "binom_rows", lambda *a: calls.append(1) or rows(*a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # masked cells must not divide by zero
         for slack in (1e-12, -1e-9, -1e-3):

@@ -13,7 +13,7 @@ from scipy import stats
 
 from branchpcr import _pmf
 from branchpcr._pmf import (
-    BAND_TAIL, band_limits, binom_band, binom_row, poisson_table, size_program,
+    BAND_TAIL, band_limits, binom_cells, binom_row, poisson_table, size_program,
 )
 from branchpcr.schedule import build_schedule
 
@@ -78,10 +78,10 @@ def test_binom_row_extreme_lambda(lam):
 def test_band_rows_match_binom_row(lam):
     # all sizes in one call, so rows of very different widths share a matrix
     sizes = np.array((0,) + SIZES)
-    lo, w, cut = binom_band(sizes, lam)
-    lo_f, hi_f, cut_f = band_limits(sizes, lam)
-    np.testing.assert_array_equal(lo, lo_f)
-    np.testing.assert_array_equal(cut, cut_f)
+    lo_f, hi_f, cut = band_limits(sizes, lam)
+    j, w = binom_cells(sizes, lam, lo_f, hi_f)
+    lo = j[:, 0].astype(int)
+    np.testing.assert_array_equal(j, lo_f[:, None] + np.arange(w.shape[1]))
     assert np.all(cut <= BAND_TAIL)
     for i, s in enumerate(sizes):
         row = binom_row(int(s), lam)
@@ -105,7 +105,6 @@ def test_band_limits():
         lo, hi, cut = band_limits(s, lam)
         assert np.all((0 <= lo) & (lo <= s * lam) & (s * lam <= hi) & (hi <= s))
         assert np.all(cut <= BAND_TAIL)
-        np.testing.assert_array_equal(band_limits(s, lam, tail=0.0)[1], s)
     # rows up to s = 19 are whole: the cut half-width 4.46 sqrt(s) >= s
     lo, hi, cut = band_limits(s, 0.3)
     whole = (lo == 0) & (hi == s)
@@ -121,8 +120,8 @@ def test_band_point_mass_rows(s, lam):
     # lambda 0 or 1 puts all the mass on s lambda: a one-cell band, cut 0
     lo, hi, cut = band_limits(np.array([float(s)]), lam)
     assert lo[0] == hi[0] == s * lam and cut[0] == 0.0
-    lo, w, cut = binom_band(np.array([s]), lam)
-    assert lo[0] == s * lam and cut[0] == 0.0
+    j, w = binom_cells(np.array([s]), lam, lo, hi)
+    np.testing.assert_array_equal(j, [[s * lam]])
     np.testing.assert_array_equal(w, [[1.0]])
     # among rows that spread, one per row
     lams = np.array([lam, 0.5])
@@ -134,8 +133,9 @@ def test_band_point_mass_rows(s, lam):
 def test_band_per_row_efficiency():
     s = np.arange(1.0, 400.0)
     lam = 11.0 / (10.0 + s)       # a saturating schedule, D/(C + s)
-    lo, w, _ = binom_band(s, lam)
-    hi = band_limits(s, lam)[1].astype(int)
+    lo, hi, _ = band_limits(s, lam)
+    w = binom_cells(s, lam, lo, hi)[1]
+    lo, hi = lo.astype(int), hi.astype(int)
     for i in (0, 9, 10, 120, 398):
         row = binom_row(int(s[i]), lam[i])
         width = hi[i] - lo[i] + 1
@@ -144,7 +144,8 @@ def test_band_per_row_efficiency():
 
 
 # (s, lam, tail) -> (shape of w, sum of lo, (row, column, w) cells, sha256 of
-# the space-joined float.hex of each row's fsum, fsum of those row sums)
+# the space-joined float.hex of each row's fsum, fsum of those row sums);
+# tail 0 stands for whole rows, the limits (0, s)
 BAND_PINS = {
     # the benchmark's last size-program block: S0 = 2, lam = 0.5, n = 11
     "bench": ((np.arange(2.0, 597.0), 0.5, BAND_TAIL / 2), (595, 220), 46030, (
@@ -172,8 +173,10 @@ BAND_PINS = {
 def test_binom_band_keeps_its_bits(name):
     """The kernel's cells and row sums, to the bit, on four blocks: one per
     tail, one efficiency per block or per row, and rows with lam 0 and 1."""
-    args, shape, lo_sum, cells, digest, total = BAND_PINS[name]
-    lo, w, _ = binom_band(*args)
+    (s, lam, tail), shape, lo_sum, cells, digest, total = BAND_PINS[name]
+    lo, hi, _ = band_limits(s, lam, tail) if tail else (0.0 * s, s, None)
+    j, w = binom_cells(s, lam, lo, hi)
+    np.testing.assert_array_equal(j, lo[:, None] + np.arange(w.shape[1]))
     assert (w.shape, int(lo.sum())) == (shape, lo_sum)
     assert [float(w[i, c]).hex() for i, c, _ in cells] == [x for _, _, x in cells]
     sums = [math.fsum(row) for row in w.tolist()]
@@ -232,6 +235,34 @@ def test_size_program_cuts_long_rows():
     assert np.all((0.0 < cut) & (cut <= BAND_TAIL / 2))
     assert t2 == t1 + float(v @ cut)
     assert 0.0 < t2 - t1 <= BAND_TAIL / 2
+
+
+def test_size_program_decides_bands_once_per_cycle(monkeypatch):
+    # one band_limits call per cycle, over all the sizes it keeps, whether
+    # the kernel then walks them as one block or as many
+    calls, blocks = [], []
+    limits = _pmf.band_limits
+    monkeypatch.setattr(_pmf, "band_limits", lambda *a: calls.append(1) or limits(*a))
+
+    def step(s, j, w, v):
+        blocks.append(1)
+        return (w * v[0],)
+
+    budgets = (_pmf._BLOCK_CELLS, 256)
+    for sched in (build_schedule([0.5] * 11), build_schedule(mm_C=10.0, mm_D=11.0)):
+        laws = []
+        for cells in budgets:
+            monkeypatch.setattr(_pmf, "_BLOCK_CELLS", cells)
+            calls.clear()
+            blocks.clear()
+            *_, (first, vals, tail) = size_program(sched, 2, 11, 1, step)
+            assert len(calls) == 11
+            laws.append((len(blocks), first, vals[0], tail))
+        (one, *law), (many, *split) = laws
+        assert one == 11 < 100 < many
+        assert split[0] == law[0]
+        np.testing.assert_allclose(split[1], law[1], rtol=1e-13, atol=1e-300)
+        assert split[2] == pytest.approx(law[2], rel=1e-13)
 
 
 @pytest.mark.parametrize("mu", MUS)
