@@ -19,10 +19,11 @@ each, cuts the rows of the sizes it keeps at ``BAND_TAIL/2`` in one
 ``band_limits`` call, so a cycle leaves out at most ``BAND_TAIL``, and sums
 a caller's per-cell values onto the next sizes; a fixed schedule's
 efficiency reaches the kernel as one float, a saturating one's as one per
-size. The size law and the joint size-and-moment program are its two steps.
-With ``poisson_table`` they are the package's only source of binomial and
-Poisson weights: the harmonic functionals, the size-law and moment programs
-and the simulator's increment table all read them.
+size. The size law (``moments.size_laws``) is its one step in the package;
+the tests run a four-row joint size-and-moment step on it as a reference.
+With ``poisson_table`` these are the package's only source of binomial and
+Poisson weights: the harmonic functionals, the size-law program and the
+simulator's increment table all read them.
 """
 
 from __future__ import annotations
@@ -223,7 +224,9 @@ def size_program(sched: EfficiencySchedule, S0: int, n: int, rows: int, step):
     s, the kernel's (K, B) duplication counts j and weights w and the
     sources' (rows, K, 1) values v to ``rows`` (K, B) arrays, each summed
     onto the sizes s + j before the next is drawn (a generator keeps one
-    alive). A size above _SIZE_CAP raises ValueError; a fixed schedule
+    alive). The package's one step is ``moments.size_laws``' probability
+    row; the tests' joint moment reference is a four-row step on the same
+    protocol. A size above _SIZE_CAP raises ValueError; a fixed schedule
     whose mean S0 prod(1 + lam_k) passes it is refused before the first cycle.
     """
     lam_at = sched.efficiency(S0, n)

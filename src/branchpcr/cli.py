@@ -357,33 +357,20 @@ def cmd_simulate(args) -> int:
             threads=args.threads, collect_histogram=collect, **cap_kw,
         )
     except PopulationCapExceeded as exc:
-        _emit_json({
+        _emit({
             "error": "population_cap",
             "gen": exc.gen,
             "size": exc.size,
             "completed_cycles": len(exc.sizes) - 1,
             "partial_sizes": exc.sizes,
-        })
+        }, args.format)
         print(f"population cap exceeded: {exc}", file=sys.stderr)
         return 4
-    payload = {
-        "replicates": mc.replicates, "n": n, "ell": ell, "seed": cfg.seed,
-        "t_mean": mc.t_mean, "t_se": mc.t_se,
-        "M_mean": mc.M_mean, "M_se": mc.M_se,
-        "D_mean": mc.D_mean,
-        "size_mean": mc.size_mean, "size_se": mc.size_se,
-        "martingale_mean": mc.martingale_mean, "martingale_se": mc.martingale_se,
-        "peak_population": mc.peak_population, "occupied_classes": mc.occupied_classes,
-        "cap_headroom": mc.cap_headroom,
-    }
-    variance_fields = {
-        "t_var": mc.t_var, "t_var_se": mc.t_var_se,
-        "M_var": mc.M_var, "M_var_se": mc.M_var_se,
-    }
+    payload = {f.name: getattr(mc, f.name) for f in dataclasses.fields(mc)
+               if f.name not in ("t_values", "eta_hist", "eta_hist_sd")}   # per replicate
+    payload["seed"] = cfg.seed
     if mc.replicates < 2:
-        payload.update({k: None for k in variance_fields})
-    else:
-        payload.update(variance_fields)
+        payload.update(dict.fromkeys(("t_var", "t_var_se", "M_var", "M_var_se")))
     payload["martingale_check"] = (
         "pass" if abs(mc.martingale_mean - s0) <= 4.0 * mc.martingale_se or
         mc.martingale_se == 0.0 else "fail"

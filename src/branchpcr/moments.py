@@ -6,19 +6,19 @@ harmonic corrections A_k = E[A(S_{k-1}, lambda_k)]. This module computes the
 infinite-population values, exact finite-population references, and interval
 envelopes assembled from the correction sums of the schedule module.
 
-On a fixed schedule the exact values come from the size law's generating
-function G_n, its maps composed once per abscissa by ``_compose``, on one
-panel set, the panels of S_n's mean: the exact V_n is one integral per
-cycle over G_n (each A_k substituted onto S_n's generating function), and
-the exact sample moments (``exact_sample_moments``) are three integrals over
-the same function with each particle's state carried as a mark. Each takes
-one adaptive pass, O(n) per abscissa for every cycle, reports a quadrature
-error bound and runs at any S0 and n. The size law, and the sample moments
-of a saturating schedule (whose efficiency depends on the size), come from
-one dynamic program, ``_pmf.size_program``, with two steps: it carries the
-probability (and the four restricted moments) through one banded binomial
-step per cycle, reports the mass it left out, and refuses a size support
-past 2,000,000 sizes.
+The exact values come from the size law's generating function G_n, its
+maps composed once per abscissa by ``_compose``, on one panel set, the
+panels of S_n's mean: the exact V_n is one integral per cycle over G_n (each
+A_k substituted onto S_n's generating function), and the exact sample
+moments (``exact_sample_moments``) are three integrals over the same
+function with each particle's state carried as a mark. Each takes one
+adaptive pass, O(n) per abscissa for every cycle, reports a quadrature
+error bound and runs at any S0 and n; both need a fixed schedule, and
+refuse a saturating one (whose efficiency depends on the size). The size
+law, on either kind of schedule, comes from the dynamic program
+``_pmf.size_program``: it carries the probability through one banded
+binomial step per cycle, reports the mass it left out, and refuses a size
+support past 2,000,000 sizes.
 
 The sample variance of an ell-sample adds a remainder R_n (the variance of
 the conditional mean). R_n is bounded by the closed-form u/u'/u'' sums that
@@ -225,7 +225,7 @@ def _compose(v: np.ndarray, lam: Floats):
     w form adds, as a factor 1 + lambda would round alike at each repeat of
     a lambda; the x form multiplies, which keeps an underflowed -0.0 negative.
     A cycle with lambda 0 is the identity and is skipped. Before each map
-    the generator yields its lambda, so a caller can read a in ``v`` there:
+    the generator yields (lambda, a), so a caller reads a, not its encoding:
     one pass, O(n) per abscissa, serves every cycle. ``_a_log`` reads log a
     at the end.
     """
@@ -235,7 +235,7 @@ def _compose(v: np.ndarray, lam: Floats):
         L = lam[c]
         if L == 0.0:
             continue
-        yield L
+        yield L, np.where(np.signbit(v), -v, 1.0 - v)
         np.subtract(v, 1.0, out=v, where=v >= 0.5)   # to x form, exactly: w in [1/2, 1]
         x = np.signbit(v)
         np.multiply(v, (1.0 - L) - L * v, out=v, where=x)
@@ -293,8 +293,8 @@ def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.nda
         v = w.copy()
         rows = []                      # the live cycles' integrands, last cycle first
         dy = 1.0                       # y_k'
-        for L in _compose(v, lam):
-            gp = (1.0 - L) + 2.0 * L * np.where(np.signbit(v), -v, 1.0 - v)
+        for L, a in _compose(v, lam):
+            gp = (1.0 - L) + 2.0 * L * a
             if L < 1.0:
                 rows.append(L * (1.0 - L) * dy / (gp * gp))
             dy = dy * gp
@@ -358,8 +358,8 @@ def _marked_sums(
         x = 1.0 - w
         v = w.copy()
         F0, F1, F2, P00, P10, P11 = x, 0.0, 0.0, 0.0, 0.0, 0.0
-        for L in _compose(v, lam):
-            la = L * np.where(np.signbit(v), -v, 1.0 - v)   # lambda a
+        for L, a in _compose(v, lam):
+            la = L * a
             g = (1.0 - L) + 2.0 * la
             P11 = g * P11 + la * (s2 * P00 + 2.0 * mu * P10) + 2.0 * L * F1 * (F1 + mu * F0)
             P10 = g * P10 + mu * la * P00 + L * F0 * (2.0 * F1 + mu * F0)
@@ -384,15 +384,12 @@ def _marked_sums(
 class ExactMoments:
     """Exact first and second moments of the empirical and sampled means.
 
-    A fixed schedule's values come from the marked generating function
-    (``_marked_sums``), which drops no sizes: ``tail_mass`` is 0.0 and
-    ``quad_error`` bounds the absolute error of every moment here, the
-    quadrature's error carried through the subtractions; relative to Rn it
-    grows by the cancellation factor E[M^2]/Rn. A saturating schedule's come
-    from the banded joint size-and-moment program (``_banded_moments``):
-    ``quad_error`` is 0.0 and ``tail_mass`` bounds the probability its
-    trims and band cuts left out, which is size_law's own. Nothing is
-    renormalized.
+    The values come from the marked generating function (``_marked_sums``),
+    which drops no sizes and renormalizes nothing: ``quad_error`` bounds the
+    absolute error of every moment here, the quadrature's error carried
+    through the subtractions; relative to Rn it grows by the cancellation
+    factor E[M^2]/Rn. The genealogy enumeration ``simulator.enumerate_tiny``
+    sums every tree, and its records carry 0.0.
     """
 
     n: int
@@ -405,8 +402,7 @@ class ExactMoments:
     M2_eta: float      # E[M2(zeta_n)]
     D_eta: float       # M2_eta - M_eta^2
     D_zeta_mean: float  # E[D(zeta_n)] = D_eta - Rn
-    tail_mass: float   # probability the banded program left out; 0.0 for a fixed schedule
-    quad_error: float  # bound on each moment's quadrature and rounding error; 0.0 when banded
+    quad_error: float  # bound on each moment's quadrature and rounding error
 
 
 def exact_sample_moments(
@@ -418,65 +414,21 @@ def exact_sample_moments(
 ) -> ExactMoments:
     """Exact first and second moments of empirical and sampled means.
 
-    A fixed schedule takes one quadrature pass over the marked generating
-    function (``_marked_sums``), at any S0 and n; a saturating one, whose
-    efficiency depends on the size, takes the banded joint program
-    (``_banded_moments``), which refuses a size support past 2,000,000.
+    One quadrature pass over the marked generating function
+    (``_marked_sums``), at any S0 and n. It needs a schedule that does not
+    depend on the size, as ``exact_Vn_Vpn`` does: a saturating one raises
+    the same ValueError (``EfficiencySchedule.prefix``).
     """
     if ell < 1:
         raise ValueError("sample size must be at least 1")
     if S0 < 1:
         raise ValueError("initial population must be at least 1")
-    if sched.kind == "deterministic":
-        *sums, err = _marked_sums(sched, law, S0, n)
-        return _exact_moments(n, S0, ell, *sums, quad_error=err)
-    _, _, m1, m2, q, tail = _banded_moments(sched, law, S0, n)
-    return _exact_moments(n, S0, ell, float(m1.sum()), float(q.sum()), float(m2.sum()),
-                          tail_mass=tail)
-
-
-def _banded_moments(sched: EfficiencySchedule, law: MutationLaw, S0: int, n: int):
-    """(sizes, p, m1, m2, q, tail_mass) of S_n by the banded joint program.
-
-    p = P(S_n = s), m1 = E[M(zeta_n) 1_{S_n=s}], m2 = E[M(zeta_n)^2
-    1_{S_n=s}] and q = E[M2(zeta_n) 1_{S_n=s}] at each carried size s, in
-    one banded pass of ``_pmf.size_program`` per cycle; tail_mass bounds 1 -
-    sum(p), and sizes, p and tail_mass are ``size_law``'s own. Conditional
-    on j duplications among s particles, the duplicating set is a uniform
-    j-subset independent of the accumulated states, which closes the system
-    of four restricted moments propagated here.
-    """
-    import numpy as np
-
-    from ._pmf import size_program
-
-    mu, nu = law.mu, law.nu
-    mu2 = mu * mu
-
-    def step(s, j, w, v):
-        pb, m1b, m2b, qb = v
-        m = s + j
-        frac = j / m
-        pair = j * (j - 1.0) / (s * np.maximum(s - 1.0, 1.0))
-        m2num = (
-            (s * s * (1.0 + 2.0 * j / s) + s * s * pair) * m2b
-            + (j - s * pair) * qb
-            + 2.0 * mu * j * m * m1b
-            + (j * nu + j * j * mu2) * pb
-        )
-        yield w * pb
-        yield w * (m1b + mu * frac * pb)
-        yield w * m2num / m**2
-        yield w * (qb + (2.0 * mu * m1b + (nu + mu2) * pb) * frac)
-
-    for first, vals, tail in size_program(sched, S0, n, 4, step):
-        pass
-    p, m1, m2, q = vals
-    return first + np.arange(len(p)), p, m1, m2, q, tail
+    *sums, err = _marked_sums(sched, law, S0, n)
+    return _exact_moments(n, S0, ell, *sums, quad_error=err)
 
 
 def _exact_moments(n: int, S0: int, ell: int, M_eta: float, M2_eta: float, EM2: float,
-                   tail_mass: float = 0.0, quad_error: float = 0.0) -> ExactMoments:
+                   quad_error: float = 0.0) -> ExactMoments:
     """The ExactMoments record of E[M(zeta_n)], E[M2(zeta_n)] and E[M(zeta_n)^2]."""
     Rn = EM2 - M_eta**2
     D_eta = M2_eta - M_eta**2
@@ -484,7 +436,7 @@ def _exact_moments(n: int, S0: int, ell: int, M_eta: float, M2_eta: float, EM2: 
     return ExactMoments(
         n=n, S0=S0, ell=ell, Et=M_eta, Vt=Vt, Rn=Rn,
         M_eta=M_eta, M2_eta=M2_eta, D_eta=D_eta, D_zeta_mean=M2_eta - EM2,
-        tail_mass=tail_mass, quad_error=quad_error,
+        quad_error=quad_error,
     )
 
 

@@ -56,11 +56,8 @@ class ProcessSpec:
     def __post_init__(self) -> None:
         if self.S0 < 1:
             raise ValueError("initial population must be at least 1")
-        if not self.law.poisson and self.law.mu == 0.0 and self.law.nu > 0.0:
-            raise ValueError(
-                "cannot realize a zero-mean, positive-variance increment law "
-                "on the two-point support {0, a}"
-            )
+        if not self.law.poisson:
+            self.law.two_point_support()     # raises where no two-point law realizes (mu, nu)
 
 
 @dataclass(frozen=True)

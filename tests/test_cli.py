@@ -1,6 +1,7 @@
 """End-to-end command-line runs via subprocess, and config parsing in-process."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -306,6 +307,29 @@ def test_simulate_population_cap(tmp_path):
     assert (payload["gen"], payload["size"]) == (27, 2**27)
     assert payload["completed_cycles"] == 26
     assert "population cap exceeded" in proc.stderr
+    # --format csv prints the same record as key,value rows
+    code, out, _ = run_main(["simulate", "--config", cfg, "--seed", "1", "--format", "csv"])
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[0] == "key,value"
+    rows = dict(line.split(",") for line in lines[1:])
+    assert len(rows) == len(lines) - 1 == 4 + 27
+    assert (rows["error"], rows["gen"], rows["size"]) == ("population_cap", "27", str(2**27))
+    assert rows["completed_cycles"] == "26"
+    assert [int(rows[f"partial_sizes.{g}"]) for g in range(27)] == [2**g for g in range(27)]
+
+
+def test_simulate_prints_the_record_fields(tmp_path):
+    # every MonteCarloMoments field but the per-replicate ones, and the
+    # command's own keys: a field added to the record reaches the output
+    from branchpcr.simulator import MonteCarloMoments
+
+    code, out, err = run_main(["simulate", "--config", sim_config(tmp_path, replicates=50),
+                               "--seed", "5", "--tv"])
+    assert code == 0, err
+    record = {f.name for f in dataclasses.fields(MonteCarloMoments)}
+    own = {"seed", "martingale_check", "envelope", "envelope_flags", "tv"}
+    assert set(json.loads(out)) == record - {"t_values", "eta_hist", "eta_hist_sd"} | own
 
 
 def test_population_cap_below_s0_is_a_config_error(tmp_path):

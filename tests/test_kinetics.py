@@ -11,9 +11,10 @@ from branchpcr.kinetics import (
     random_efficiency_envelope,
     w_bounds,
 )
-from branchpcr.moments import exact_sample_moments, poisson_law
+from branchpcr.moments import poisson_law
 from branchpcr.schedule import mm_lambda
 from branchpcr.simulator import ProcessSpec, simulate, simulate_batch
+from test_moments import banded_record
 
 
 def test_params_validation():
@@ -156,7 +157,8 @@ def test_exact_w_mean_inside_bounds_and_monte_carlo():
     (batch,) = simulate_batch(spec, n, 4000, 2026, marks=(n,))
     w = np.sum(batch.lambdas / (1.0 + batch.lambdas), axis=1)
     assert abs(w.mean() - exact) <= 4.0 * w.std(ddof=1) / math.sqrt(len(w))
-    # and the exact E(t) of one draw lies inside its envelope
+    # and the exact E(t) of one draw, from the tests' banded reference, lies
+    # inside its envelope
     lo, hi = random_efficiency_envelope(params, law, n)
-    dp = exact_sample_moments(params.as_schedule(), law, params.S0, n, 1)
-    assert lo <= dp.Et <= hi and dp.tail_mass <= n * 1e-17
+    dp, tail = banded_record(params.as_schedule(), law, params.S0, n, 1)
+    assert lo <= dp.Et <= hi and tail <= n * 1e-17

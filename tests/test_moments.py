@@ -13,7 +13,6 @@ from branchpcr import _pmf, harmonic, kinetics
 from branchpcr._pmf import binom_row
 from branchpcr.moments import (
     MutationLaw,
-    _banded_moments,
     _exact_moments,
     _pgf_corrections,
     exact_Vn_Vpn,
@@ -332,7 +331,7 @@ def test_exact_moments_internal_relations(monkeypatch):
     dp = exact_sample_moments(build_schedule([0.5] * 5), poisson_law(0.06), 2, 5, 4)
     assert dp.Vt == pytest.approx(dp.D_eta / 4 + (1 - 0.25) * dp.Rn, rel=1e-14)
     assert dp.D_zeta_mean == pytest.approx(dp.D_eta - dp.Rn, rel=1e-12)
-    p = _banded_moments(build_schedule([0.5] * 5), poisson_law(0.06), 2, 5)[1]
+    p = banded_moments(build_schedule([0.5] * 5), poisson_law(0.06), 2, 5)[1]
     assert p.sum() == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         exact_sample_moments(build_schedule([0.5]), poisson_law(0.06), 2, 1, 0)
@@ -340,7 +339,7 @@ def test_exact_moments_internal_relations(monkeypatch):
         exact_sample_moments(build_schedule([0.5]), poisson_law(0.06), 0, 1, 1)
     monkeypatch.setattr(_pmf, "_SIZE_CAP", 8)
     with pytest.raises(ValueError):
-        _banded_moments(build_schedule([0.5] * 4), poisson_law(0.06), 1, 4)
+        banded_moments(build_schedule([0.5] * 4), poisson_law(0.06), 1, 4)
 
 
 def test_exact_first_moment_identity():
@@ -407,7 +406,7 @@ REF_TABLE = [
 def test_marked_moments_reference_table(S0, Rn, Rn_tol, Vt, Vt_tol):
     law = poisson_law(0.05)
     dp = exact_sample_moments(build_schedule(REF_LAMBDAS), law, S0, 30, 28)
-    assert dp.tail_mass == 0.0 and 0.0 < dp.quad_error < 1e-13
+    assert 0.0 < dp.quad_error < 1e-13
     assert dp.Rn == pytest.approx(Rn, abs=Rn_tol)
     assert dp.Vt == pytest.approx(Vt, abs=Vt_tol)
     seqs = seqs_for(REF_LAMBDAS)
@@ -417,13 +416,6 @@ def test_marked_moments_reference_table(S0, Rn, Rn_tol, Vt, Vt_tol):
     # the two oracles integrate over the same panels: E(t) = mu (W_n - V_n)
     _, Vn, err = _pgf_corrections(build_schedule(REF_LAMBDAS), S0, 30)
     assert abs(dp.Et - law.mu * (seqs.W[30] - Vn)) <= dp.quad_error + law.mu * err
-
-
-def banded_record(sched, law, S0, n, ell):
-    """The ExactMoments record of the banded joint program, as a saturating schedule gets it."""
-    _, _, m1, m2, q, tail = _banded_moments(sched, law, S0, n)
-    return _exact_moments(n, S0, ell, float(m1.sum()), float(q.sum()), float(m2.sum()),
-                          tail_mass=tail)
 
 
 @given(large_instances(), st.sampled_from([poisson_law(0.05), MutationLaw(mu=0.1, nu=0.04)]),
@@ -443,9 +435,9 @@ def test_marked_moments_within_envelope_at_scale(instance, law, ell):
     if S0 * math.prod(1.0 + L for L in lams) <= 2000:
         # the banded program leaves out at most tail_mass of the probability,
         # on which M, M^2 and M2 are at most n mu + n^2 (nu + mu^2)
-        ref = banded_record(build_schedule(lams), law, S0, n, ell)
+        ref, tail = banded_record(build_schedule(lams), law, S0, n, ell)
         K = n * law.mu + n * n * law.second_moment
-        allow = dp.quad_error + ref.tail_mass * K * (2.0 + 2.0 * dp.M_eta)
+        allow = dp.quad_error + tail * K * (2.0 + 2.0 * dp.M_eta)
         for f in ("Et", "Vt", "Rn", "M_eta", "M2_eta", "D_eta", "D_zeta_mean"):
             assert abs(getattr(dp, f) - getattr(ref, f)) <= allow, f
 
@@ -456,10 +448,14 @@ def test_fixed_schedule_never_reaches_the_size_program(monkeypatch, lams, n):
         raise RuntimeError("size program reached")
 
     monkeypatch.setattr(_pmf, "size_program", refuse)
-    dp = exact_sample_moments(build_schedule(lams), poisson_law(0.05), 2, n, 3)
-    assert dp.tail_mass == 0.0
-    with pytest.raises(RuntimeError, match="size program reached"):
-        exact_sample_moments(build_schedule(mm_C=10.0, mm_D=11.0), poisson_law(0.05), 1, 3, 1)
+    exact_sample_moments(build_schedule(lams), poisson_law(0.05), 2, n, 3)
+    # a saturating schedule is refused, with the error exact_Vn_Vpn raises
+    saturating = build_schedule(mm_C=10.0, mm_D=11.0)
+    with pytest.raises(ValueError, match="population-dependent") as refused:
+        exact_sample_moments(saturating, poisson_law(0.05), 1, 3, 1)
+    with pytest.raises(ValueError) as same:
+        exact_Vn_Vpn(saturating, 1, 3)
+    assert str(refused.value) == str(same.value)
 
 
 # ----- the banded programs against the dense loops they replaced -----
@@ -537,6 +533,49 @@ def dense_exact_sample_moments(sched, law, S0, n, ell):
     return D_eta / ell + (1.0 - 1.0 / ell) * Rn, Rn, M_eta, M2_eta, D_eta
 
 
+def banded_moments(sched, law, S0, n):
+    """(sizes, p, m1, m2, q, tail_mass) of S_n by the banded joint program.
+
+    p = P(S_n = s), m1 = E[M(zeta_n) 1_{S_n=s}], m2 = E[M(zeta_n)^2
+    1_{S_n=s}] and q = E[M2(zeta_n) 1_{S_n=s}] at each carried size s: the
+    dense loop above as a four-row step of ``_pmf.size_program``, so it runs
+    on any schedule, saturating ones too. tail_mass bounds 1 - sum(p), and
+    sizes, p and tail_mass are ``size_law``'s own. Conditional on j
+    duplications among s particles, the duplicating set is a uniform
+    j-subset independent of the accumulated states, which closes the system
+    of four restricted moments propagated here.
+    """
+    mu, nu = law.mu, law.nu
+    mu2 = mu * mu
+
+    def step(s, j, w, v):
+        pb, m1b, m2b, qb = v
+        m = s + j
+        frac = j / m
+        pair = j * (j - 1.0) / (s * np.maximum(s - 1.0, 1.0))
+        m2num = (
+            (s * s * (1.0 + 2.0 * j / s) + s * s * pair) * m2b
+            + (j - s * pair) * qb
+            + 2.0 * mu * j * m * m1b
+            + (j * nu + j * j * mu2) * pb
+        )
+        yield w * pb
+        yield w * (m1b + mu * frac * pb)
+        yield w * m2num / m**2
+        yield w * (qb + (2.0 * mu * m1b + (nu + mu2) * pb) * frac)
+
+    for first, vals, tail in _pmf.size_program(sched, S0, n, 4, step):
+        pass
+    p, m1, m2, q = vals
+    return first + np.arange(len(p)), p, m1, m2, q, tail
+
+
+def banded_record(sched, law, S0, n, ell):
+    """The ExactMoments record of the banded joint program, and its tail_mass."""
+    _, _, m1, m2, q, tail = banded_moments(sched, law, S0, n)
+    return _exact_moments(n, S0, ell, float(m1.sum()), float(q.sum()), float(m2.sum())), tail
+
+
 DENSE_CASES = [
     [0.5] * 10,
     [0.9] * 7,
@@ -576,7 +615,7 @@ def test_banded_programs_match_dense_loops(S0, lams):
     assert Vpn == pytest.approx(Vpn_ref, rel=1e-13, abs=1e-16)
     # the joint moment program
     for mlaw in (poisson_law(0.07), MutationLaw(mu=0.1, nu=0.04)):
-        tail = _banded_moments(sched, mlaw, S0, n)[-1]
+        tail = banded_moments(sched, mlaw, S0, n)[-1]
         assert tail <= n * 1e-17
         assert tail == pytest.approx(law.tail_mass, rel=1e-12, abs=1e-30)
         dp = exact_sample_moments(sched, mlaw, S0, n, 3)
@@ -621,7 +660,7 @@ def test_trimmed_support_keeps_its_budget(lam, S0, n):
     for y in (0.0, 1.0, 5.0):
         hb = harmonic.harmonic_moment_bounds(sched, S0, n, y)
         assert hb.lower <= law.harmonic_moment(y) <= hb.upper, y
-    sizes, p, *_, tail = _banded_moments(sched, poisson_law(0.07), S0, n)
+    sizes, p, *_, tail = banded_moments(sched, poisson_law(0.07), S0, n)
     np.testing.assert_array_equal(sizes, law.sizes)
     assert p.tobytes() == law.probs.tobytes()   # the size law's own steps, to the bit
     assert tail == law.tail_mass
@@ -637,7 +676,7 @@ def test_trimmed_mass_enters_tail_mass():
     dropped = float(before.probs[~kept].sum())
     assert 0.0 < dropped <= 1e-17 / 2
     assert after.tail_mass - before.tail_mass == pytest.approx(dropped, rel=1e-9, abs=0.0)
-    assert _banded_moments(sched, poisson_law(0.07), 2, 11)[-1] == after.tail_mass
+    assert banded_moments(sched, poisson_law(0.07), 2, 11)[-1] == after.tail_mass
 
 
 def test_trimmed_support_at_benchmark_scale():
@@ -685,7 +724,7 @@ def test_size_programs_keep_their_bits():
     assert [float(law.probs[i]).hex() for i in idx] == [
         "0x1.000000000000bp-22", "0x1.14908819daf86p-8", "0x1.ef071ffab92f1p-20",
         "0x1.71db298f8f887p-8", "0x1.8d0d334e7b708p-125"]
-    _, p, m1, m2, q, tail = _banded_moments(sched, poisson_law(0.05), 2, 11)
+    _, p, m1, m2, q, tail = banded_moments(sched, poisson_law(0.05), 2, 11)
     dp = _exact_moments(11, 2, 10, float(m1.sum()), float(q.sum()), float(m2.sum()))
     assert [x.hex() for x in (tail, dp.Et, dp.Vt, dp.Rn)] == [
         "0x1.b5ac94577004ep-57", "0x1.6a396ca005314p-3", "0x1.27795886a076ep-5",
@@ -1061,7 +1100,7 @@ def test_one_step_remainder_identity():
         sched = build_schedule(lams)
         dpn = exact_sample_moments(sched, law, S0, n, 1)
         dpn1 = exact_sample_moments(sched, law, S0, n + 1, 1)
-        sizes, p, m1, m2, q, _ = _banded_moments(sched, law, S0, n)
+        sizes, p, m1, m2, q, _ = banded_moments(sched, law, S0, n)
         L = lams[n]
         fams = {int(s): harmonic.B_family(int(s), L) for s in sizes}
         EB = sum(p[i] * fams[int(s)].B for i, s in enumerate(sizes))

@@ -38,6 +38,9 @@ def test_process_spec_validation():
     sched = build_schedule([0.5])
     with pytest.raises(ValueError):
         ProcessSpec(sched, MutationLaw(mu=0.0, nu=0.1), 1)
+    # the two-point atom (nu + mu^2)/mu overflows: refused here, not mid-run
+    with pytest.raises(ValueError, match="overflows"):
+        ProcessSpec(sched, MutationLaw(mu=2.2e-309, nu=1.0), 1)
     with pytest.raises(ValueError):
         ProcessSpec(sched, poisson_law(0.05), 0)
 
