@@ -18,14 +18,9 @@ Taylor sandwich is likewise one array form (_taylor_rows) for the scalar
 taylor_sandwich and the suite.
 
 Also provides the integral representation of the centered harmonic mean A(k)
-(an adaptive Gauss-Kronrod G7/K15 quadrature of f^k f'^(-2l) for the
-offspring generating function f, whose first pass is precomputed on [0, 1])
-and interval bounds for harmonic moments of the population size after n
-cycles. The same quadrature kernel takes many integrals over one shared
-panel set in one pass, each abscissa evaluated once for all of them; the
-generating-function oracles of the moments module (every cycle's A_k for
-exact_Vn_Vpn, the three marked sums for exact_sample_moments) run through
-it on the panels of S_n's mean.
+(one panel of the ``_gf`` quadrature kernel over f^k f'^(-2l) for the
+offspring generating function f) and interval bounds for harmonic moments
+of the population size after n cycles.
 """
 
 from __future__ import annotations
@@ -36,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._gf import _gauss_kronrod
 from ._pmf import _BLOCK_CELLS, binom_row, binom_rows
 from .schedule import EfficiencySchedule, derived_sequences, gamma_sequence
 
@@ -46,7 +42,6 @@ DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(
 DEFAULT_Y_GRID: tuple[float, ...] = (-1.0, 0.0, 0.5, 1.0, 5.0)
 
 _QUAD_TOL = 1e-12
-_QUAD_BUDGET = 10**6
 _TAIL_K = 500   # the k of the inequality suite's k A(k) tail check
 
 
@@ -260,158 +255,6 @@ def _taylor_rows(k: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray
     h_tilde = 1.0 + g1 / k - g2 / k2 + g3 / k3
     g_tilde = 1.0 + 3.0 * g1 / k - 4.0 * g2 / k2 + 2.0 * g3 / k3
     return h_tilde / (1.0 + lam), g_tilde / (1.0 + lam) ** 2
-
-
-# Gauss-Kronrod G7/K15 rule on [-1, 1] (Piessens et al., QUADPACK, 1983,
-# qk15): the positive Kronrod abscissae, outermost first, then the centre;
-# the Gauss nodes are the 2nd, 4th and 6th of them and the centre
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
-# all 15 nodes in ascending order, with the K15 and the (zero-padded) G7 weights
-_GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_GK_K15 = np.array(_WGK[:-1] + _WGK[::-1])
-_GK_G7 = np.zeros(15)
-_GK_G7[1::2] = _WG[:-1] + _WG[::-1]
-# the first quadrature pass: _GK_PIECES equal pieces of each panel, their
-# edges, tolerance shares and (piece, node) abscissae on [0, 1], each scaled
-# to a panel by one multiply-add per call
-_GK_PIECES = 16
-_GK_UNIT_HALF = 0.5 / _GK_PIECES
-_GK_UNIT_LO = np.arange(_GK_PIECES) / _GK_PIECES
-_GK_UNIT_HI = np.arange(1, _GK_PIECES + 1) / _GK_PIECES
-_GK_UNIT_SHARE = np.full(_GK_PIECES, 1.0 / _GK_PIECES)
-_GK_UNIT_X = (_GK_UNIT_LO + _GK_UNIT_HALF)[:, None] + _GK_UNIT_HALF * _GK_NODES
-_EPS = float(np.finfo(float).eps)
-
-
-def _gauss_kronrod(g, a, b, tol: float, rtol: float = 0.0, *, bound: bool = True):
-    """Adaptive G7/K15 quadrature over panels; (integral or integrals, error bound or None).
-
-    With float ``a`` and ``b``, [a, b] is one panel, ``g`` takes an array of
-    abscissae and the integral is a float. With arrays, ``a`` and ``b`` are
-    the edges of panels that m integrals share: ``g`` takes the abscissae,
-    one row of 15 per piece, and returns an (m, pieces, 15) array, each
-    integral's integrand at every abscissa, and the integrals come back as
-    an array of m. b < a integrates backwards, with negative half-widths.
-
-    The first pass cuts every panel into _GK_PIECES equal pieces, the unit
-    pieces of [0, 1] and their abscissae scaled to it. Each integral's
-    tolerance, ``tol`` plus ``rtol`` times the absolute value of its
-    first-pass estimate, is shared equally among the first-pass pieces. Each
-    pass evaluates g once over every open piece, accepts a piece when every
-    integral's |K15 - G7| there is within its share and splits it in two,
-    halving the shares, otherwise; a pass that accepts every piece, the
-    usual last one, keeps them without masked copies. Each integral is the
-    correctly rounded sum (math.fsum) of its accepted pieces. The returned
-    error bounds the sum of the integrals' absolute errors: the sum of
-    |K15 - G7| over the accepted pieces plus a bound on the rounding of
-    their rule sums and of the integrals' sums, after QUADPACK's qk15
-    (Piessens et al., 1983). A call that would pass _QUAD_BUDGET evaluations
-    (abscissae times integrals, counted as one integral until g first
-    returns) raises RuntimeError. With ``bound=False`` neither the |K15 - G7| sum nor
-    the rounding size is accumulated, the bound comes back as None, and a
-    one-panel call whose first pass accepts every piece returns at once;
-    the integrals are the same to the bit.
-
-    The one-panel path is kept apart for speed: on a shared 2-CPU machine,
-    ``A_integral``'s 360-integral grid (k = 1..40, lambda = 0.1..0.9), with
-    ``bound=False``, took a median 6.2 ms on it (8.5 ms with the bound) and
-    11.0 ms, bit-identical, as one-panel, one-integral array calls (13.9 ms
-    with the bound), in 60 interleaved repeats.
-    """
-    shared = isinstance(a, np.ndarray)
-    if shared:
-        a = a[:, None]                 # (panel, 1) columns
-        span = b[:, None] - a
-        half = np.repeat(span * _GK_UNIT_HALF, _GK_PIECES)
-        x = (a[..., None] + span[..., None] * _GK_UNIT_X).reshape(half.size, -1)
-    else:
-        span = b - a
-        half = span * _GK_UNIT_HALF    # one half-width while the pieces are equal
-        x = a + span * _GK_UNIT_X
-    lo = hi = share = None             # the first pass's edges are made if it splits
-    parts = []
-    err = size = 0.0
-    evals = 0
-    m = 1                              # integrals, known once g returns
-    while True:
-        evals += m * x.size
-        if evals > _QUAD_BUDGET:
-            raise RuntimeError(f"quadrature exceeded {_QUAD_BUDGET} evaluations")
-        f = g(x)
-        if shared:                     # one (integral * piece, 15) matrix for the rules
-            m = len(f)
-            f = f.reshape(-1, 15)
-            k15 = half * (f @ _GK_K15).reshape(-1, half.size)
-            diff = np.abs(k15 - half * (f @ _GK_G7).reshape(k15.shape))
-        else:
-            k15 = half * (f @ _GK_K15)
-            diff = np.abs(k15 - half * (f @ _GK_G7))
-        if share is None:
-            if shared:
-                est = np.abs(k15.sum(axis=1, keepdims=True))
-                share = np.repeat((tol + rtol * est) / half.size, half.size, axis=1)
-            else:
-                share = (tol + rtol * abs(k15.sum()) if rtol else tol) * _GK_UNIT_SHARE
-        done = diff <= share
-        if shared:
-            done = done.all(axis=0)    # a piece waits for its slowest integral
-        last = bool(done.all())
-        if last and not (bound or shared or parts):    # a one-panel call's one pass
-            return math.fsum(k15.tolist()), None
-        take = slice(None) if last else done
-        if shared:
-            take = np.s_[:, take]      # every integral's row
-        parts.append(k15[take])
-        if bound:
-            err += diff[take].sum()
-            rule = (np.abs(f) @ _GK_K15).reshape(k15.shape)
-            size += (np.abs(half) * rule)[take].sum()
-        if last:
-            break
-        if lo is None:
-            lo, hi = (a + span * _GK_UNIT_LO).ravel(), (a + span * _GK_UNIT_HI).ravel()
-        keep = ~done
-        lo, hi, share = lo[keep], hi[keep], 0.5 * share[np.s_[:, keep] if shared else keep]
-        mid = 0.5 * (lo + hi)
-        # each split piece's halves take its place, so the rows keep their order
-        lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
-        share = np.repeat(share, 2, axis=-1)
-        half = 0.5 * (hi - lo)
-        x = (lo + half)[:, None] + half[:, None] * _GK_NODES
-    # with u = eps/2, a rule sum (a 15-term dot product times the rounded
-    # half-width) is off by at most 17 u of its sum of |terms|, and fsum adds
-    # at most u of each integral; eps in place of u leaves room for the
-    # second-order terms
-    bound = float(err + 18 * _EPS * size) if bound else None
-    vals = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-    if not shared:
-        return math.fsum(vals.tolist()), bound
-    return np.array([math.fsum(row) for row in vals.tolist()]), bound
 
 
 def A_integral(k: int, ell: int, lam: float) -> float:

@@ -6,15 +6,13 @@ harmonic corrections A_k = E[A(S_{k-1}, lambda_k)]. This module computes the
 infinite-population values, exact finite-population references, and interval
 envelopes assembled from the correction sums of the schedule module.
 
-The exact values come from the size law's generating function G_n, its
-maps composed once per abscissa by ``_compose``, on one panel set, the
-panels of S_n's mean: the exact V_n is one integral per cycle over G_n (each
-A_k substituted onto S_n's generating function), and the exact sample
-moments (``exact_sample_moments``) are three integrals over the same
-function with each particle's state carried as a mark. Each takes one
-adaptive pass, O(n) per abscissa for every cycle, reports a quadrature
-error bound and runs at any S0 and n; both need a fixed schedule, and
-refuse a saturating one (whose efficiency depends on the size). The size
+The exact values are integrals over the size law's generating function
+G_n, each oracle one call of ``_gf.integrate``: the exact V_n is one
+integral per cycle (each A_k substituted onto S_n's generating function),
+and the exact sample moments (``exact_sample_moments``) are three, with
+each particle's state carried as a mark. Each reports a quadrature error
+bound and runs at any S0 and n; both need a fixed schedule, and refuse a
+saturating one (whose efficiency depends on the size). The size
 law, on either kind of schedule, comes from the dynamic program
 ``_pmf.size_program``: it carries the probability through one banded
 binomial step per cycle, reports the mass it left out, and refuses a size
@@ -35,12 +33,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .schedule import DerivedSequences, EfficiencySchedule, Floats
+from .schedule import DerivedSequences, EfficiencySchedule
 
 if TYPE_CHECKING:
     import numpy as np
 
-_PGF_RTOL = 1e-13   # each A_k's quadrature tolerance, relative to its first-pass estimate
 MAX_POPULATION_CAP = 2**62 - 1  # the engine's sizes stay within it, so a doubling fits in int64
 
 
@@ -198,60 +195,6 @@ def exact_Vn_Vpn(
     return A_seq, Vn, float(np.sum(A_seq**2 + (1.0 - 2.0 * alpha) * A_seq))
 
 
-def _panels(S0: int, lam: Floats) -> np.ndarray:
-    """Quadrature panel edges in w = 1 - x for S_n, of mean m: 0, 4^j / m below 1, and 1.
-
-    A generating function G(1 - w) of a law of mean m falls off past w near
-    1/m, so the panels follow that scale and widen geometrically after it.
-    """
-    import numpy as np
-
-    edges = [0.0]
-    w = 1.0 / (S0 * math.prod(1.0 + L for L in lam))
-    while w < 1.0:
-        edges.append(w)
-        w *= 4.0
-    edges.append(1.0)
-    return np.array(edges)
-
-
-def _compose(v: np.ndarray, lam: Floats):
-    """Compose the size maps a <- a (1 - lambda + lambda a) in place, last cycle first.
-
-    ``v`` holds each abscissa's a as w = 1 - a while w < 1/2 and as -a (sign
-    bit set; -0.0 once a underflows) after: the w form is w <- w + lambda w
-    (1 - w), the x form -a <- -a (1 - lambda + lambda a), and the switch at
-    w in [1/2, 1] is exact, so neither side of a loses its small digits. The
-    w form adds, as a factor 1 + lambda would round alike at each repeat of
-    a lambda; the x form multiplies, which keeps an underflowed -0.0 negative.
-    A cycle with lambda 0 is the identity and is skipped. Before each map
-    the generator yields (lambda, a), so a caller reads a, not its encoding:
-    one pass, O(n) per abscissa, serves every cycle. ``_a_log`` reads log a
-    at the end.
-    """
-    import numpy as np
-
-    for c in range(len(lam) - 1, -1, -1):
-        L = lam[c]
-        if L == 0.0:
-            continue
-        yield L, np.where(np.signbit(v), -v, 1.0 - v)
-        np.subtract(v, 1.0, out=v, where=v >= 0.5)   # to x form, exactly: w in [1/2, 1]
-        x = np.signbit(v)
-        np.multiply(v, (1.0 - L) - L * v, out=v, where=x)
-        np.add(v, L * v * (1.0 - v), out=v, where=~x)
-
-
-def _a_log(v: np.ndarray) -> np.ndarray:
-    """log a from ``_compose``'s w or x form: log1p(-w), or log x (-inf where x underflowed)."""
-    import numpy as np
-
-    loga = np.log1p(-v)
-    with np.errstate(divide="ignore"):
-        np.log(-v, out=loga, where=np.signbit(v))
-    return loga
-
-
 def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.ndarray, float, float]:
     """(A_1..A_n, V_n, a bound on the error of V_n) from the size law's generating function.
 
@@ -268,18 +211,14 @@ def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.nda
         y_k' = prod_{j > k} g_j'(y_j),
 
     a positive integrand; a cycle with lambda_k in {0, 1} has A_k = 0 and no
-    integral (at lambda = 1, g'(y) = 2y vanishes at y = 0). One ``_compose``
-    pass per abscissa reads each y_k before its map and carries the running
-    product y_k', so every cycle costs O(n) per abscissa, and G_n is
-    exp(S0 log a). All cycles share ``_panels`` of the mean of S_n in w = 1 -
-    x, the panels of ``_marked_sums``, in one call of the quadrature kernel,
-    each with a tolerance of _PGF_RTOL times its first-pass estimate; V_n is
-    the correctly rounded sum of the A_k, and its bound is the kernel's plus
-    that rounding.
+    integral (at lambda = 1, g'(y) = 2y vanishes at y = 0). The integrand
+    reads each y_k from ``_gf.integrate``'s maps and carries the running
+    product y_k', so all cycles are one call; V_n is the correctly rounded
+    sum of the A_k, and its bound is the kernel's plus that rounding.
     """
     import numpy as np
 
-    from .harmonic import _EPS, _gauss_kronrod
+    from ._gf import _EPS, integrate
 
     if S0 < 1:
         raise ValueError("initial population must be at least 1")
@@ -289,19 +228,17 @@ def _pgf_corrections(sched: EfficiencySchedule, S0: int, n: int) -> tuple[np.nda
     if not live:
         return A_seq, 0.0, 0.0
 
-    def integrand(w: np.ndarray) -> np.ndarray:
-        v = w.copy()
+    def integrand(w: np.ndarray, maps, loga: np.ndarray) -> np.ndarray:
         rows = []                      # the live cycles' integrands, last cycle first
         dy = 1.0                       # y_k'
-        for L, a in _compose(v, lam):
+        for L, a in maps:
             gp = (1.0 - L) + 2.0 * L * a
             if L < 1.0:
                 rows.append(L * (1.0 - L) * dy / (gp * gp))
             dy = dy * gp
-        return np.stack(rows[::-1]) * np.exp(S0 * _a_log(v))
+        return np.stack(rows[::-1]) * np.exp(S0 * loga)
 
-    edges = _panels(S0, lam)
-    A_seq[live], err = _gauss_kronrod(integrand, edges[:-1], edges[1:], 0.0, rtol=_PGF_RTOL)
+    A_seq[live], err = integrate(lam, S0, integrand)
     Vn = math.fsum(A_seq.tolist())
     return A_seq, Vn, err + _EPS * Vn
 
@@ -324,17 +261,14 @@ def _marked_sums(
         P10 <- g P10 + lambda (mu a P00 + F0 (2 F1 + mu F0))
         P11 <- g P11 + lambda a (s2 P00 + 2 mu P10) + 2 lambda F1 (F1 + mu F0)
 
-    with s2 = nu + mu^2 and a stepped by ``_compose``: the pair sums split
-    over which subtree, parent's or copy's, holds each particle, and a
-    copy's increment is shared by its whole subtree. S0 independent
+    with s2 = nu + mu^2 and a read from ``_gf.integrate``'s maps: the pair
+    sums split over which subtree, parent's or copy's, holds each particle,
+    and a copy's increment is shared by its whole subtree. S0 independent
     founders give E[sum X x^S] = S0 F1 a^(S0-1), E[sum X^2 x^S] = S0 F2
     a^(S0-1) and E[(sum X)^2 x^S] = S0 (F2 + P11) a^(S0-1) + S0 (S0 - 1)
     F1^2 a^(S0-2), each power exp(k log a). As 1/s = int_0^1 x^(s-1) dx and
     1/s^2 = int_0^1 (-log x) x^(s-1) dx, the three moments are those sums
-    over x, the last times -log x, integrated over ``_panels`` of the mean
-    of S_n, the panels of ``_pgf_corrections``, in one call of the
-    quadrature kernel at _PGF_RTOL. Each abscissa costs O(n), whatever the
-    size support.
+    over x, the last times -log x, in one ``integrate`` call.
 
     The bound is on the absolute error of every moment formed from the
     three: the kernel's bound err covers their sum of errors, M_eta^2 adds
@@ -345,20 +279,18 @@ def _marked_sums(
     """
     import numpy as np
 
-    from .harmonic import _EPS, _gauss_kronrod
+    from ._gf import _EPS, integrate
 
     lam = sched.prefix(n)
     mu, s2 = law.mu, law.second_moment
-    edges = _panels(S0, lam)
 
     def power(k: int, loga: np.ndarray):
         return np.exp(k * loga) if k else 1.0     # 0 * -inf would be nan
 
-    def integrand(w: np.ndarray) -> np.ndarray:
+    def integrand(w: np.ndarray, maps, loga: np.ndarray) -> np.ndarray:
         x = 1.0 - w
-        v = w.copy()
         F0, F1, F2, P00, P10, P11 = x, 0.0, 0.0, 0.0, 0.0, 0.0
-        for L, a in _compose(v, lam):
+        for L, a in maps:
             la = L * a
             g = (1.0 - L) + 2.0 * la
             P11 = g * P11 + la * (s2 * P00 + 2.0 * mu * P10) + 2.0 * L * F1 * (F1 + mu * F0)
@@ -367,14 +299,13 @@ def _marked_sums(
             F2 = g * F2 + la * (2.0 * mu * F1 + s2 * F0)
             F1 = g * F1 + mu * la * F0
             F0 = g * F0
-        loga = _a_log(v)
         p1 = power(S0 - 1, loga)
         e3 = S0 * (F2 + P11) * p1
         if S0 > 1:
             e3 = e3 + S0 * (S0 - 1.0) * F1 * F1 * power(S0 - 2, loga)
         return np.stack(np.broadcast_arrays(S0 * F1 * p1, S0 * F2 * p1, -np.log1p(-w) * e3)) / x
 
-    sums, err = _gauss_kronrod(integrand, edges[:-1], edges[1:], 0.0, rtol=_PGF_RTOL)
+    sums, err = integrate(lam, S0, integrand)
     M_eta, M2_eta, EM2 = sums.tolist()
     bound = err * max(1.0, 2.0 * M_eta + err) + 4.0 * _EPS * max(EM2, M2_eta)
     return M_eta, M2_eta, EM2, bound

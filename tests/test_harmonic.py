@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from branchpcr import harmonic
+from branchpcr import _gf, harmonic
 from branchpcr.moments import size_law
 from branchpcr.schedule import build_schedule
 
@@ -185,7 +185,7 @@ def test_quadrature_error_estimate_bounds_actual_error():
             def integrand(t):
                 return ((1.0 - lam) * t + lam * t * t) ** k / ((1.0 - lam) + 2.0 * lam * t) ** 2
 
-            value, err = harmonic._gauss_kronrod(integrand, 0.0, 1.0, harmonic._QUAD_TOL)
+            value, err = _gf._gauss_kronrod(integrand, 0.0, 1.0, harmonic._QUAD_TOL)
             exact = _exact_integral(k, lam)
             assert err <= harmonic._QUAD_TOL
             assert abs(value - exact) <= err + 4 * np.finfo(float).eps * exact, (k, lam)
@@ -195,14 +195,14 @@ def test_quadrature_budget(monkeypatch):
     def kink(t):
         return np.abs(t - 1.0 / 3.0)
 
-    monkeypatch.setattr(harmonic, "_QUAD_BUDGET", 10**5)
-    value, err = harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12)
+    monkeypatch.setattr(_gf, "_QUAD_BUDGET", 10**5)
+    value, err = _gf._gauss_kronrod(kink, 0.0, 1.0, 1e-12)
     assert abs(value - 5.0 / 18.0) <= err + 1e-15
     # the first pass takes 16 pieces of 15 evaluations each
     for budget in (10, 100):                                    # not even one pass
-        monkeypatch.setattr(harmonic, "_QUAD_BUDGET", budget)
+        monkeypatch.setattr(_gf, "_QUAD_BUDGET", budget)
         with pytest.raises(RuntimeError, match=f"exceeded {budget} evaluations"):
-            harmonic._gauss_kronrod(kink, 0.0, 1.0, 1e-12)
+            _gf._gauss_kronrod(kink, 0.0, 1.0, 1e-12)
     # a budget that admits the first pass and a few splits, not convergence
     evals = []
 
@@ -210,14 +210,14 @@ def test_quadrature_budget(monkeypatch):
         evals.append(t.size)
         return kink(t)
 
-    monkeypatch.setattr(harmonic, "_QUAD_BUDGET", 400)
+    monkeypatch.setattr(_gf, "_QUAD_BUDGET", 400)
     with pytest.raises(RuntimeError):
-        harmonic._gauss_kronrod(counted, 0.0, 1.0, 1e-12)
+        _gf._gauss_kronrod(counted, 0.0, 1.0, 1e-12)
     assert evals[0] == 240 and len(evals) > 2 and sum(evals) <= 400
     # on shared panels every integral's values count, once g has returned
     evals.clear()
     with pytest.raises(RuntimeError):
-        harmonic._gauss_kronrod(lambda t: np.stack([counted(t)] * 3), np.array([0.0]),
+        _gf._gauss_kronrod(lambda t: np.stack([counted(t)] * 3), np.array([0.0]),
                                 np.array([1.0]), 1e-12)
     assert evals[0] == 240 and len(evals) > 1 and evals[0] + 3 * sum(evals[1:]) <= 400
 
@@ -237,7 +237,7 @@ def test_gauss_kronrod_off_the_unit_interval(a, b, c):
     cases = ((poly, (b - a) / 23.0),
              (kink, math.copysign(((c - a) ** 2 + (b - c) ** 2) / 2.0, b - a)))
     for g, exact in cases:
-        value, err = harmonic._gauss_kronrod(g, a, b, 1e-12)
+        value, err = _gf._gauss_kronrod(g, a, b, 1e-12)
         assert err <= 1e-12
         assert abs(value - exact) <= err + 4 * np.finfo(float).eps * abs(exact), (g, value)
 
@@ -257,12 +257,12 @@ def test_gauss_kronrod_groups():
     eps = np.finfo(float).eps
     for a, b, sign in (([0.0, 1.0], [1.0, 3.0], 1.0), ([3.0, 1.0], [1.0, 0.0], -1.0)):
         passes.clear()
-        sums, err = harmonic._gauss_kronrod(g, np.array(a), np.array(b), 0.0, rtol=1e-13)
+        sums, err = _gf._gauss_kronrod(g, np.array(a), np.array(b), 0.0, rtol=1e-13)
         assert passes[0] == 2 * 16 and len(passes) > 2     # the kinks take splits
         assert sums.shape == (3,)
         assert np.sum(np.abs(sums - sign * want)) <= err + 4 * eps * np.sum(want)
         assert err <= 1e-13 * np.sum(want)
-        bare, none = harmonic._gauss_kronrod(g, np.array(a), np.array(b), 0.0, rtol=1e-13,
+        bare, none = _gf._gauss_kronrod(g, np.array(a), np.array(b), 0.0, rtol=1e-13,
                                              bound=False)
         assert none is None and bare.tobytes() == sums.tobytes()
 
@@ -274,9 +274,9 @@ def test_gauss_kronrod_groups():
     for f, a, b, tol, rtol in ((kink, 1.0, 0.0, 1e-12, 0.0), (kink, 0.0, 1.0, 0.0, 1e-13),
                                (np.exp, 0.0, 2.0, 1e-12, 0.0), (np.exp, 2.0, 0.0, 0.0, 1e-13)):
         for bound in (True, False):
-            one = harmonic._gauss_kronrod(lambda x: f(x)[None], np.array([a]), np.array([b]),
+            one = _gf._gauss_kronrod(lambda x: f(x)[None], np.array([a]), np.array([b]),
                                           tol, rtol, bound=bound)
-            assert (one[0][0], one[1]) == harmonic._gauss_kronrod(f, a, b, tol, rtol,
+            assert (one[0][0], one[1]) == _gf._gauss_kronrod(f, a, b, tol, rtol,
                                                                   bound=bound)
 
 
@@ -284,8 +284,8 @@ def test_gauss_kronrod_bound_option():
     # bound=False skips only the error bound: the same value to the bit, on
     # the acceptance-4 grid at ell = 1 and 2, where A_integral passes it
     def same(*args, **kwargs):
-        value, err = harmonic._gauss_kronrod(*args, **kwargs)
-        bare, none = harmonic._gauss_kronrod(*args, **kwargs, bound=False)
+        value, err = _gf._gauss_kronrod(*args, **kwargs)
+        bare, none = _gf._gauss_kronrod(*args, **kwargs, bound=False)
         assert none is None and np.asarray(err).dtype == float
         assert np.asarray(bare).tobytes() == np.asarray(value).tobytes()
         return value
@@ -316,13 +316,13 @@ def test_gauss_kronrod_bound_option():
 def test_gauss_kronrod_rule_exactness():
     # K15 integrates polynomials of degree <= 22 exactly and G7 those of
     # degree <= 13; G7 misses x^14
-    x = harmonic._GK_NODES
+    x = _gf._GK_NODES
     for d in range(23):
         exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
-        assert abs(harmonic._GK_K15 @ x**d - exact) <= 1e-15, d
+        assert abs(_gf._GK_K15 @ x**d - exact) <= 1e-15, d
         if d <= 13:
-            assert abs(harmonic._GK_G7 @ x**d - exact) <= 1e-15, d
-    assert abs(harmonic._GK_G7 @ x**14 - 2.0 / 15.0) > 1e-5
+            assert abs(_gf._GK_G7 @ x**d - exact) <= 1e-15, d
+    assert abs(_gf._GK_G7 @ x**14 - 2.0 / 15.0) > 1e-5
 
 
 def test_integral_domain():

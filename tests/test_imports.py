@@ -60,6 +60,18 @@ def test_exported_names_resolve_and_are_listed():
         branchpcr.no_such_name
 
 
+def test_exact_oracles_load_no_lemma_layer():
+    loaded = modules_after(
+        "from branchpcr.moments import exact_Vn_Vpn, exact_sample_moments, poisson_law\n"
+        "from branchpcr.schedule import build_schedule\n"
+        "sched = build_schedule([0.5, 0.9, 0.2])\n"
+        "exact_Vn_Vpn(sched, 2, 3)\n"
+        "exact_sample_moments(sched, poisson_law(0.05), 2, 3, 2)\n"
+    )
+    assert "branchpcr._gf" in loaded
+    assert {"branchpcr.harmonic", "branchpcr._pmf"}.isdisjoint(loaded)
+
+
 @pytest.fixture(scope="module")
 def configs(tmp_path_factory):
     d = tmp_path_factory.mktemp("configs")
@@ -179,7 +191,7 @@ def test_every_public_name_has_a_caller():
             todo += bodies.get(name, ())
     defined = {
         stmt.name
-        for module in (*LAYERS, "_pmf")
+        for module in (*LAYERS, "_pmf", "_gf")
         for stmt in ast.parse((package / f"{module}.py").read_text()).body
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
     }

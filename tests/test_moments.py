@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from branchpcr import _pmf, harmonic, kinetics
+from branchpcr import _gf, _pmf, harmonic, kinetics
 from branchpcr._pmf import binom_row
 from branchpcr.moments import (
     MutationLaw,
@@ -288,6 +288,29 @@ def test_exact_corrections_match_mpmath_per_cycle(S0):
     for k, ref in enumerate(refs):
         assert abs(A_seq[k] - float(ref)) <= 4e-16 * float(ref), k + 1
     assert abs(Vn - Vn_ref) <= 2e-16 * Vn_ref
+
+
+def test_compose_endpoints():
+    # w = 1 is x = 0, where every map fixes a = 0 (log a = -inf), and w = 0
+    # is x = 1, where every map fixes a = 1
+    v = np.array([1.0, 0.0])
+    maps = list(_gf._compose(v, [0.3, 1.0, 0.0, 0.872, 1e-6]))
+    assert [L for L, _ in maps] == [1e-6, 0.872, 1.0, 0.3]     # lambda = 0 is skipped
+    for L, a in maps:
+        assert a.tolist() == [0.0, 1.0], L
+    assert _gf._a_log(v).tolist() == [-math.inf, 0.0]
+
+
+def test_overflowing_mean_size_is_refused():
+    # S0 prod(1 + lambda_k) = 1.99^1100 overflows to inf, where the panel
+    # edges 4^j / m would start at 0 and never reach 1
+    sched = build_schedule([0.99] * 1100)
+    for call in (lambda: exact_sample_moments(sched, poisson_law(0.05), 1, 1100, 1),
+                 lambda: exact_Vn_Vpn(sched, 1, 1100)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="overflows"):
+            call()
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("S0,want,digits", [
